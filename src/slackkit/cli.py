@@ -42,10 +42,10 @@ def _load_matrix(path) -> RationalMatrix:
 
 
 def _parse_indices(text):
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    try:
+        return [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise UsageError(f"not a list of integer indices: {text!r}") from None
 
 
 def _source_matrix(args):
@@ -74,10 +74,12 @@ def _numeric(S) -> SlackMatrix:
 
 
 def _infer_d(args, S):
+    # a d-polytope's slack matrix has rank d + 1, and the slack ideal of a
+    # rank-r matroid takes d = r - 1
     if args.d is not None:
         return args.d
     if isinstance(S, SlackMatrix):
-        return S.rank() - 2
+        return S.rank() - 1
     raise UsageError("-d is required with pattern input")
 
 

@@ -39,6 +39,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .poly import BlockOrder, GRevLex, Lex, Polynomial
+from .rationals import denominator_lcm
 
 
 class FieldOverflow(ArithmeticError):
@@ -204,10 +205,8 @@ def pack_polys(polys, ring):
     """Packed integer multiples of Fraction :class:`Polynomial` values."""
     out = []
     for p in polys:
-        lcm = 1
-        for c in p.terms.values():
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        out.append(ring.from_terms({m: int(c * lcm) for m, c in p.terms.items()}))
+        scale = denominator_lcm(p.terms.values())
+        out.append(ring.from_terms({m: int(c * scale) for m, c in p.terms.items()}))
     return out
 
 
@@ -248,6 +247,7 @@ class Reducer:
         self.polys = []    # (leading coefficient, tail, extra degree)
         self.cache = {}
         self.rows = [[0] * (min(ring.cap, 127) + 2) for _ in range(ring.nvars)]
+        self.scale = 1     # the factor the last reduce multiplied its work by
 
     def add(self, f):
         lt, lc = f[0]
@@ -282,10 +282,13 @@ class Reducer:
         return ((1 << len(self.lts)) - 1) & ~bad
 
     def reduce(self, work, done=None):
-        """Normal form of the polynomial {monomial: coefficient} ``work``.
+        """Normal form of the polynomial {monomial: coefficient} ``work``,
+        reducing each term by the lowest-index divisor.
 
         ``done`` holds already irreducible leading terms (descending); it is
-        scaled along with the rest.  Returns a primitive polynomial."""
+        scaled along with the rest.  The work is multiplied by integers to
+        keep it integral; the result is ``self.scale`` times the exact
+        remainder, not made primitive."""
         ring = self.ring
         cap = ring.cap
         degree = ring.degree
@@ -294,6 +297,7 @@ class Reducer:
         cache = self.cache
         divisors = self.divisors
         out = done if done is not None else []
+        scale = 1
         heap = [-m for m in work]
         heapify(heap)
         while heap:
@@ -316,6 +320,7 @@ class Reducer:
             a = lc // g
             b = c // g
             if a != 1:
+                scale *= a
                 for x in work:
                     work[x] *= a
                 out = [(x, a * y) for x, y in out]
@@ -331,10 +336,12 @@ class Reducer:
                         work[x] = v
                     else:
                         del work[x]
-        return normalize(out)
+        self.scale = scale
+        return out
 
     def normal_form(self, f):
-        return self.reduce(dict(f))
+        """Primitive normal form of the packed polynomial f."""
+        return normalize(self.reduce(dict(f)))
 
 
 # -- Buchberger ----------------------------------------------------------------
@@ -465,7 +472,7 @@ def groebner(polys, ring, known=()):
                     work[x] = v
                 else:
                     work.pop(x, None)
-        r = red.reduce(work)
+        r = normalize(red.reduce(work))
         if not r:
             continue
         if not r[0][0] & emask:
@@ -475,7 +482,7 @@ def groebner(polys, ring, known=()):
     out = []
     for idx in active:
         lc, tail, _ = polys_of[idx]
-        out.append(red.reduce(dict(tail), [(lts[idx], lc)]))
+        out.append(normalize(red.reduce(dict(tail), [(lts[idx], lc)])))
     out.sort(key=lambda f: f[0][0], reverse=True)
     return out
 
@@ -540,20 +547,28 @@ def _minimize(polys, ring):
         polys = out + rest
 
 
-def homogenize(f, ring, var):
-    """Homogenize f in the degree of ``ring.weight`` with the variable
-    ``var``; returns the terms unsorted."""
+def homogenize_ideal(polys, ring, var):
+    """Generators of the homogenization of the ideal of ``polys`` in the
+    degree of ``ring.weight``, with the variable ``var``.
+
+    Polynomials already homogeneous in that degree are returned as they are.
+    Otherwise a basis in the ring's order, which compares that degree first,
+    is homogenized element by element: that gives a basis of the
+    homogenized ideal (Cox, Little & O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 8 sec. 4).  The unit ideal comes back as ``[[(0, 1)]]``.
+    """
     wdeg = ring.weight_degree
-    degs = [wdeg(m) for m, _ in f]
-    top = max(degs)
+    if all(len({wdeg(m) for m, _ in f}) == 1 for f in polys):
+        return polys
+    basis = groebner(polys, ring)
+    if not basis[0][0][0] & ring.emask:
+        return basis
     unit = ring.units[var]
-    cap = ring.cap
-    degree = ring.degree
     out = []
-    for (m, c), d in zip(f, degs):
-        if d != top:
-            m += (top - d) * unit
-            if degree(m) > cap:
-                raise FieldOverflow("homogenization leaves the packed field width")
-        out.append((m, c))
+    for f in basis:
+        top = wdeg(f[0][0])  # the order compares this degree first
+        f = [(m + (top - wdeg(m)) * unit, c) for m, c in f]
+        if ring.max_degree(f) > ring.cap:
+            raise FieldOverflow("homogenization leaves the packed field width")
+        out.append(f)
     return out

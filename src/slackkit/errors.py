@@ -48,6 +48,10 @@ class NotAForestError(SlackkitError):
     pass
 
 
+class ScaledMatrixError(SlackkitError):
+    """A scaled slack matrix was given where the full pattern is needed."""
+
+
 class NoCircuitsError(SlackkitError):
     pass
 

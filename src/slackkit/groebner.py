@@ -1,99 +1,63 @@
 """Buchberger-based ideal arithmetic: normal forms, reduced Groebner bases,
 elimination, saturation, containment and radical membership.
 
-The public API works with Fraction-coefficient :class:`Polynomial` values;
-every Groebner basis is computed by the packed-monomial integer engine in
-:mod:`slackkit.engine` and converted back at the boundary.
+The public API works with Fraction-coefficient :class:`Polynomial` values.
+Every operation follows one pattern: pack its input once into the integer
+engine of :mod:`slackkit.engine`, make its engine calls there (under
+:func:`~slackkit.engine.widening`, so that a degree overflow reruns the
+whole operation with wider fields) and unpack the result once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from .engine import (FieldOverflow, Ring, groebner, homogenize, pack_polys,
+
+from .engine import (Reducer, Ring, groebner, homogenize_ideal, pack_polys,
                      to_polynomial, widening)
 from .errors import ZeroDivisorPolynomialError
-from .poly import BlockOrder, GRevLex, Polynomial, mono_div, mono_divides, mono_mul
+from .poly import BlockOrder, GRevLex, Polynomial
+from .rationals import denominator_lcm
 
 
-def _basis(gens, order, nvars):
-    """Reduced monic Groebner basis of nonzero ``gens``, descending."""
-    if not gens:
-        return []
-
-    def run(ring):
-        return ring, groebner(pack_polys(gens, ring), ring)
-
-    ring, out = widening(run, Ring.for_order(order, nvars))
-    return [to_polynomial(f, ring) for f in out]
+def _plain_grevlex(order):
+    return isinstance(order, GRevLex) and order.priority is None
 
 
 # -- normal forms ------------------------------------------------------------
 
-def _divisors(G, order, nvars):
-    """(leading monomial, leading coefficient, polynomial) of each nonzero
-    element of G, and the leading monomials packed for a fast divisibility
-    scan (None if they do not fit).
-
-    The result for the last list is kept on the order object, since callers
-    reduce many polynomials by the same basis; it is reused only while the
-    list holds the same polynomial objects."""
-    items = tuple(G)
-    memo = order.divisor_memo
-    if (memo is not None and len(memo[0]) == len(items)
-            and all(a is b for a, b in zip(memo[0], items))):
-        return memo[1]
-    divisors = []
-    for g in items:
-        if not g.is_zero():
-            lt, lc = g.leading_term(order)
-            divisors.append((lt, lc, g))
-    ring = Ring(nvars, [range(nvars)], bits=16)
-    try:
-        packed = [ring.pack(d[0]) for d in divisors]
-    except FieldOverflow:
-        ring = packed = None
-    order.divisor_memo = (items, (divisors, ring, packed))
-    return divisors, ring, packed
+# (elements of G, order, engine Reducer) for the last basis normal_form
+# divided by: callers reduce many polynomials by one basis
+_last_divisors = None
 
 
 def normal_form(f: Polynomial, G, order) -> Polynomial:
     """Remainder of multivariate division of f by the list G (the first
     divisor in list order is used at each step)."""
+    global _last_divisors
     if f.is_zero():
         return f
-    divisors, ring, packed = _divisors(G, order, f.nvars)
-    work = dict(f.terms)
-    done = {}
-    key = order.key
-    while work:
-        lm = max(work, key=key)
-        lc = work.pop(lm)
-        hit = None
-        if packed is None or sum(lm) > ring.cap:
-            hit = next((d for d in divisors if mono_divides(d[0], lm)), None)
+    items = tuple(G)
+    memo = _last_divisors
+    if memo is not None and (memo[1] is not order or memo[0] != items):
+        memo = None
+    scale = denominator_lcm(f.terms.values())
+
+    def run(ring):
+        if memo is not None and memo[2].ring is ring:
+            red = memo[2]
         else:
-            x = ring.pack(lm)
-            guard = ring.guard
-            for k, lt in enumerate(packed):
-                if not (x - lt) & guard:
-                    hit = divisors[k]
-                    break
-        if hit is None:
-            done[lm] = lc
-            continue
-        blt, blc, g = hit
-        factor = lc / blc
-        shift = mono_div(lm, blt)
-        for m, c in g.terms.items():
-            if m == blt:
-                continue
-            mm = mono_mul(m, shift)
-            s = work.get(mm, 0) - factor * c
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-    return Polynomial(f.nvars, done)
+            red = Reducer(ring)
+            for g in pack_polys([g for g in items if not g.is_zero()], ring):
+                red.add(g)
+        out = red.reduce({ring.pack(m): int(c * scale) for m, c in f.terms.items()})
+        return red, out
+
+    start = memo[2].ring if memo is not None else Ring.for_order(order, f.nvars)
+    red, out = widening(run, start)
+    _last_divisors = (items, order, red)
+    unpack = red.ring.unpack
+    scale *= red.scale
+    return Polynomial(f.nvars, {unpack(m): Fraction(c, scale) for m, c in out})
 
 
 def buchberger(gens, order) -> list:
@@ -101,7 +65,12 @@ def buchberger(gens, order) -> list:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    return _basis(gens, order, gens[0].nvars)
+
+    def run(ring):
+        return ring, groebner(pack_polys(gens, ring), ring)
+
+    ring, out = widening(run, Ring.for_order(order, gens[0].nvars))
+    return [to_polynomial(f, ring) for f in out]
 
 
 class Ideal:
@@ -159,27 +128,49 @@ def ideal_equals(I: Ideal, J: Ideal) -> bool:
     return bi == bj
 
 
-def _is_standard_homogeneous(p: Polynomial) -> bool:
-    degs = {sum(m) for m in p.terms}
-    return len(degs) <= 1
+def _rabinowitsch(f: Polynomial) -> Polynomial:
+    """1 - t*f in one more variable, t being the new last one."""
+    n = f.nvars
+    terms = {m + (1,): -c for m, c in f.terms.items()}
+    terms[(0,) * (n + 1)] = Fraction(1)
+    return Polynomial(n + 1, terms)
+
+
+def _eliminate(gens, front, order, nvars):
+    """Reduced monic basis, in ``order`` on the first ``nvars`` variables,
+    of the ideal of ``gens`` intersected with the subring free of the
+    variables ``front``; variables of ``gens`` from ``nvars`` on must lie in
+    ``front``.
+
+    A basis is taken in the block order "grevlex on ``front``, then
+    grevlex".  Its elements free of ``front`` form the reduced grevlex basis
+    of the intersection, so only another ``order`` needs a second basis."""
+    front = frozenset(front)
+    size = max([nvars, *(v + 1 for v in front)])
+
+    def run(block):
+        mask = sum(block.fm << (block.bits * block.field[v]) for v in front)
+        final = Ring.for_order(order, nvars, block.bits)
+        unpack = block.unpack
+        kept = [final.from_terms({unpack(m)[:nvars]: c for m, c in f})
+                for f in groebner(pack_polys(gens, block), block)
+                if not f[0][0] & mask]
+        if not _plain_grevlex(order):
+            kept = groebner(kept, final)
+        return final, kept
+
+    final, kept = widening(run, Ring.for_order(BlockOrder(front), size))
+    return [to_polynomial(f, final) for f in kept]
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
-    """I : f^infinity via the extra-variable (Rabinowitsch) trick.
-
-    A fresh variable t is appended, 1 - t*f adjoined, and t eliminated with a
-    block order; the result is expressed back in the original ring.
-    """
+    """I : f^infinity via the extra-variable (Rabinowitsch) trick: a fresh
+    last variable t is eliminated from I + <1 - t*f>."""
     if f.is_zero():
         raise ZeroDivisorPolynomialError("cannot saturate by the zero polynomial")
     n = I.nvars
-    t = n
-    ext_gens = [g.extended(n + 1) for g in I.generators]
-    tf = Polynomial.variable(t, n + 1) * f.extended(n + 1)
-    ext_gens.append(Polynomial.constant(1, n + 1) - tf)
-    basis = buchberger(ext_gens, BlockOrder({t}))
-    kept = [g.restricted(n) for g in basis if t not in g.variables()]
-    return _from_basis(buchberger(kept, I.order), n, I.order)
+    gens = [g.extended(n + 1) for g in I.generators] + [_rabinowitsch(f)]
+    return _from_basis(_eliminate(gens, {n}, I.order, n), n, I.order)
 
 
 def _bayer_stillman(polys, var, ring):
@@ -200,14 +191,20 @@ def _bayer_stillman(polys, var, ring):
 
 
 def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
-    """Iterated single-variable saturation; equals I : (prod x_i)^infinity.
+    """I : (prod x_i)^infinity over the variables x_i, i in ``var_indices``.
 
-    For homogeneous input (every generator homogeneous in the standard
-    grading, which saturation preserves) each step is read off a grevlex
-    basis in which the variable is smallest (Bayer & Stillman), all in the
-    packed engine; otherwise the general saturate() is used per variable.
+    Every input takes one path.  The generators are homogenized with a fresh
+    last variable h (a basis in an order graded by total degree, homogenized
+    element by element; skipped when they are already homogeneous).  The
+    homogenized ideal is saturated by each variable in turn, each step read
+    off a grevlex basis in which the variable is smallest (Bayer & Stillman,
+    *A criterion for detecting m-regularity*, 1987).  Finally h is set to 1
+    and one basis is taken in ``I.order``.  Homogenization commutes with
+    saturating by any variable other than h, so this gives I : x_i^infinity
+    (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8
+    sec. 4).
 
-    This is the generic path.  Slack ideals avoid it: saturating the raw
+    Slack ideals avoid this for most of their variables: saturating the raw
     minors, or a rehomogenized ideal, by one variable at a time passes
     through bases far larger than the result (the first step on the Perles
     rehomogenized ideal alone passes 3,600 elements).  When the variables
@@ -217,27 +214,26 @@ def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
     so that only the surviving variables are saturated here, in the small
     dehomogenized ring.
     """
-    var_indices = sorted(set(var_indices))
-    gens = [g for g in I.generators if not g.is_zero()]
     n = I.nvars
-    if not gens or not var_indices:
-        return _from_basis(buchberger(gens, I.order), n, I.order)
-    if all(_is_standard_homogeneous(g) for g in gens):
-        def run(ring):
-            polys = pack_polys(gens, ring)
-            for v in var_indices:
-                polys, ring = _bayer_stillman(polys, v, ring)
-                if not polys[0][0][0] & ring.emask:
-                    break
-            return ring, polys
+    gens = [g for g in I.generators if not g.is_zero()]
+    if not gens:
+        return _from_basis([], n, I.order)
+    var_indices = sorted(set(var_indices))
 
-        ring, polys = widening(run, Ring(n, [range(n)]))
-        sat = [to_polynomial(f, ring) for f in polys]
-        return _from_basis(buchberger(sat, I.order), n, I.order)
-    out = Ideal(gens, order=I.order, nvars=n)
-    for v in var_indices:
-        out = saturate(out, Polynomial.variable(v, n))
-    return out
+    def run(ring):
+        polys = homogenize_ideal(pack_polys(gens, ring), ring, n)
+        for v in var_indices:
+            if not polys[0][0][0] & ring.emask:
+                break
+            polys, ring = _bayer_stillman(polys, v, ring)
+        final = Ring.for_order(I.order, n, ring.bits)
+        unpack = ring.unpack
+        polys = [final.from_terms({unpack(m)[:n]: c for m, c in f}) for f in polys]
+        return final, groebner(polys, final)
+
+    # degree in x_0..x_{n-1} first, then grevlex in x_0..x_{n-1}, h
+    final, basis = widening(run, Ring(n + 1, [range(n + 1)], weight=range(n)))
+    return _from_basis([to_polynomial(f, final) for f in basis], n, I.order)
 
 
 def homogenize_by_edges(I: Ideal, edges) -> Ideal:
@@ -253,8 +249,8 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
     Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 sec. 4).
     Reintroducing a spanning forest of the non-incidence graph leaf to root,
     with each edge weighted by the row or column it enters, therefore
-    rehomogenizes a dehomogenized slack ideal.  A final grevlex run gives the
-    reduced basis, which is returned as the generators.
+    rehomogenizes a dehomogenized slack ideal.  A final run in ``I.order``
+    gives the reduced basis, which is returned as the generators.
     """
     n = I.nvars
     gens = [g for g in I.generators if not g.is_zero()]
@@ -267,33 +263,22 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
         polys = pack_polys(gens, ring)
         for v, weight in edges:
             weighted = grevlex.like(weight=weight)
-            polys = [weighted.convert(f, ring) for f in polys]
+            polys = homogenize_ideal([weighted.convert(f, ring) for f in polys],
+                                     weighted, v)
             ring = weighted
-            wdeg = ring.weight_degree
-            if all(len({wdeg(m) for m, _ in f}) == 1 for f in polys):
-                continue
-            polys = groebner(polys, ring)
             if not polys[0][0][0] & ring.emask:
                 break
-            polys = [homogenize(f, ring, v) for f in polys]
-        polys = groebner([grevlex.convert(f, ring) for f in polys], grevlex)
-        return grevlex, polys
+        final = Ring.for_order(I.order, n, grevlex.bits)
+        return final, groebner([final.convert(f, ring) for f in polys], final)
 
-    ring, polys = widening(run, Ring(n, [range(n)]))
-    basis = [to_polynomial(f, ring) for f in polys]
-    if not isinstance(I.order, GRevLex) or I.order.priority is not None:
-        basis = buchberger(basis, I.order)
-    return _from_basis(basis, n, I.order)
+    final, polys = widening(run, Ring(n, [range(n)]))
+    return _from_basis([to_polynomial(f, final) for f in polys], n, I.order)
 
 
 def eliminate(I: Ideal, var_indices) -> Ideal:
     """I intersected with the subring without the given variables."""
-    var_indices = set(var_indices)
-    if not var_indices:
-        return reduced_ideal(I)
-    basis = buchberger(I.generators, BlockOrder(var_indices))
-    kept = [g for g in basis if not (g.variables() & var_indices)]
-    return _from_basis(buchberger(kept, I.order), I.nvars, I.order)
+    return _from_basis(_eliminate(I.generators, var_indices, I.order, I.nvars),
+                       I.nvars, I.order)
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
@@ -305,12 +290,11 @@ def radical_membership(f: Polynomial, I: Ideal) -> bool:
     if I.contains(f):
         return True
     n = I.nvars
-    grevlex = GRevLex()
-    natural = isinstance(I.order, GRevLex) and I.order.priority is None
-    basis = I.groebner_basis() if natural else buchberger(I.generators, grevlex)
-    seed = {m + (1,): -c for m, c in f.terms.items()}
-    seed[(0,) * (n + 1)] = Fraction(1)
-    polys = [g.extended(n + 1) for g in basis] + [Polynomial(n + 1, seed)]
+    if _plain_grevlex(I.order):
+        basis = I.groebner_basis()
+    else:
+        basis = buchberger(I.generators, GRevLex())
+    polys = [g.extended(n + 1) for g in basis] + [_rabinowitsch(f)]
 
     def run(ring):
         packed = pack_polys(polys, ring)

@@ -17,18 +17,9 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a, b):
-    """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_div(a, b):
     """a / b, assuming b divides a."""
     return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 # -- monomial orders ---------------------------------------------------------
@@ -36,9 +27,6 @@ def mono_lcm(a, b):
 
 class MonomialOrder:
     """Total order on monomials, exposed as a sort key. Larger key = larger."""
-
-    # the divisors normal_form prepared for the last basis it reduced by
-    divisor_memo = None
 
     def key(self, m):
         raise NotImplementedError

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import BadRationalError, NonSquareError, RaggedRowsError
 
@@ -31,6 +31,12 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def denominator_lcm(values) -> int:
+    """Least common multiple of the denominators of the Fractions ``values``:
+    the smallest positive integer that makes all of them integral."""
+    return lcm(*(q.denominator for q in values))
 
 
 class RationalMatrix:
@@ -131,11 +137,9 @@ class RationalMatrix:
         scale = Fraction(1)
         m = []
         for row in self.rows:
-            lcm = 1
-            for x in row:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-            scale *= lcm
-            m.append([int(x * lcm) for x in row])
+            k = denominator_lcm(row)
+            scale *= k
+            m.append([int(x * k) for x in row])
         sign = 1
         prev = 1
         for k in range(n - 1):

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd
 
 from .errors import (ComplementNotSimplicialError, NeedsNumericDataError,
-                     NoFlagFoundError, NotAForestError)
+                     NoFlagFoundError, NotAForestError, UniverseMismatchError)
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
 from .poly import GRevLex, Polynomial
+from .rationals import denominator_lcm
 from .slack import (ScaledSlackMatrix, SlackMatrix, SymbolicSlackMatrix,
                     minor_ideal_generators, symbolic_slack_matrix)
 
@@ -43,10 +43,6 @@ class NonIncidenceGraph:
             adj[r].append((v, c))
             adj[c].append((v, r))
         self.adjacency = adj
-
-    def node_of_cell(self, v):
-        i, j = self.sym.cell_of[v]
-        return ("r", i), ("c", j)
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ def set_ones_forest(S):
 def set_ones(S, var_indices) -> ScaledSlackMatrix:
     """Set the chosen variables to one; they must form a forest in the
     non-incidence graph (otherwise the scaling is invalid)."""
-    sym = symbolic_slack_matrix(S)
+    Y = ScaledSlackMatrix(symbolic_slack_matrix(S), var_indices)
     parent = {}
 
     def find(x):
@@ -125,12 +121,12 @@ def set_ones(S, var_indices) -> ScaledSlackMatrix:
         return x
 
     for v in sorted(var_indices):
-        i, j = sym.cell_of[v]
+        i, j = Y.base.cell_of[v]
         a, b = find(("r", i)), find(("c", j))
         if a == b:
             raise NotAForestError(f"variable x{v} closes a cycle")
         parent[a] = b
-    return ScaledSlackMatrix(sym, frozenset(var_indices))
+    return Y
 
 
 def forest_from_ones(Y: ScaledSlackMatrix) -> SpanningForest:
@@ -231,25 +227,7 @@ def contains_flag(col_indices, S) -> bool:
             "flag containment needs a numeric slack matrix")
     entries = S.entries if isinstance(S, SlackMatrix) else S
     S = S if isinstance(S, SlackMatrix) else SlackMatrix(entries)
-    d = entries.rank() - 1
-    col_indices = list(col_indices)
-
-    def extend(current_set, dim, used):
-        if dim == 0:
-            return True
-        for j in col_indices:
-            if j in used:
-                continue
-            nxt = current_set & S.incidence[j]
-            if not nxt:
-                continue
-            if _affine_dim(entries, nxt) == dim - 1:
-                if extend(nxt, dim - 1, used | {j}):
-                    return True
-        return False
-
-    all_vertices = frozenset(range(entries.nrows))
-    return extend(all_vertices, d, frozenset())
+    return _find_flag(entries, S, entries.rank() - 1, list(col_indices)) is not None
 
 
 def _find_flag(entries, S, d, candidates):
@@ -339,10 +317,8 @@ def rational_roots(p: Polynomial, var: int):
     test on an integer-cleared copy."""
     if p.is_zero() or p.is_constant():
         return []
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    coeffs = {m[var]: int(c * lcm) for m, c in p.terms.items()}
+    scale = denominator_lcm(p.terms.values())
+    coeffs = {m[var]: int(c * scale) for m, c in p.terms.items()}
     degree = max(coeffs)
     lead = coeffs[degree]
     low = min(e for e in coeffs)  # factor out x^low; x=0 root iff low > 0
@@ -364,6 +340,9 @@ def irrationality_certificate(I: Ideal, keep: int) -> Certificate:
     generator remains and has no rational root, the slack variety has no
     rational point with that coordinate, certifying non-rational
     realizability."""
+    if not 0 <= keep < I.nvars:
+        raise UniverseMismatchError(
+            f"variable x{keep} outside universe of {I.nvars}")
     others = set(range(I.nvars)) - {keep}
     E = eliminate(I, others)
     univariate = [g for g in E.groebner_basis()

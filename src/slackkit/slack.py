@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
-                     NotACofacetError, SizeMismatchError)
+                     NotACofacetError, ScaledMatrixError, SizeMismatchError)
 from .geometry import (GaleTransform, PointConfiguration,
                        facets_from_vertices, matroid_hyperplanes, pluecker,
                        positive_circuits)
@@ -17,7 +17,7 @@ from . import engine
 from .engine import Ring, to_polynomial
 from .groebner import Ideal, saturate_by_variables
 from .poly import Multigrading, Polynomial
-from .rationals import RationalMatrix
+from .rationals import RationalMatrix, denominator_lcm
 
 
 class SlackMatrix:
@@ -148,6 +148,9 @@ def symbolic_slack_matrix(S) -> SymbolicSlackMatrix:
     that); reduced matrices built internally may still carry zero rows."""
     if isinstance(S, SymbolicSlackMatrix):
         return S
+    if isinstance(S, ScaledSlackMatrix):
+        raise ScaledMatrixError(
+            "this slack matrix has entries fixed to one; the full pattern is needed")
     if isinstance(S, SlackMatrix):
         support = S.support()
     elif isinstance(S, RationalMatrix):
@@ -227,12 +230,11 @@ def pattern_minor(grid, rows, cols, nvars) -> Polynomial:
     return Polynomial(nvars, {m: Fraction(c) for m, c in terms.items() if c})
 
 
-def minor_ideal_generators(d, S, interreduce=True):
+def minor_ideal_generators(d, S):
     """All (d+2)-minors of a symbolic/scaled slack matrix, enumerated in
-    lexicographic (row set, column set) order.
-
-    With interreduce=True each nonzero minor is replaced by its normal form
-    against the minors collected so far (same ideal, far smaller list)."""
+    lexicographic (row set, column set) order, each nonzero one replaced by
+    its normal form against the minors collected so far (same ideal, far
+    smaller list)."""
     grid, nvars = _entry_grid(S)
     nrows, ncols = len(grid), len(grid[0])
     k = d + 2
@@ -241,20 +243,13 @@ def minor_ideal_generators(d, S, interreduce=True):
     # every minor has degree k and grevlex reduction never raises the degree,
     # so a ring whose degree cap is k never overflows
     ring = Ring(nvars, [range(nvars)], bits=max(8, k.bit_length() + 1))
-    minors = {}  # distinct nonzero minors in enumeration order
+    minors = {}  # distinct nonzero minors in enumeration order, packed
     for rows in itertools.combinations(range(nrows), k):
         for cols in itertools.combinations(range(ncols), k):
             p = pattern_minor(grid, rows, cols, nvars)
-            if p.is_zero():
-                continue
-            if interreduce:
-                # only the packed form is kept: it is far smaller
+            if not p.is_zero():
                 minors.setdefault(tuple(ring.from_terms(
                     {m: c.numerator for m, c in p.terms.items()})))
-            else:
-                minors.setdefault(frozenset(p.terms.items()), p)
-    if not interreduce:
-        return list(minors.values())
     return [to_polynomial(f, ring)
             for f in engine.interreduce(list(minors), ring)]
 
@@ -273,18 +268,15 @@ def slack_ideal(d, S, object="polytope") -> Ideal:
     image lies in I_P^F lifts to x^c * f in the minor ideal for some forest
     monomial x^c, because the forest edges' degrees form a lattice basis of
     the row/column grading; saturating by the forest variables removes x^c.
-    A scaled matrix is taken as it is: its minors are saturated by every
-    variable.
+    A scaled matrix is taken as it is: the result is its dehomogenized
+    ideal, whose minors are saturated by the surviving variables (the
+    scaled ones do not occur in them).
     """
+    from .scaling import dehomogenized_ideal, rehomogenize_ideal, set_ones_forest
     if isinstance(S, (list, PointConfiguration)):
         S = slack_matrix(S, object=object)
     if isinstance(S, ScaledSlackMatrix):
-        gens = minor_ideal_generators(d, S)
-        if not gens:
-            return Ideal([], nvars=S.base.nvars)
-        return saturate_by_variables(Ideal(gens, nvars=S.base.nvars),
-                                     range(S.base.nvars))
-    from .scaling import rehomogenize_ideal, set_ones_forest
+        return dehomogenized_ideal(d, S)
     Y, forest = set_ones_forest(symbolic_slack_matrix(S))
     return rehomogenize_ideal(d, Y, forest)
 
@@ -368,10 +360,8 @@ def graphic_ideal(S) -> Ideal:
     kernel = RationalMatrix(rows).kernel_basis()
     gens = []
     for vec in kernel.rows:
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        ints = [int(x * lcm) for x in vec]
+        scale = denominator_lcm(vec)
+        ints = [int(x * scale) for x in vec]
         g = 0
         for c in ints:
             g = gcd(g, c)

@@ -175,3 +175,43 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "slack-matrix", "--vertices", "/no/such/file")
     assert code == 2
+
+
+PENTAGON_TEXT = "-3 9\n-1 1\n0 0\n2 4\n5 25"
+
+
+def test_d_inferred_as_rank_minus_one(capsys, square_file, tmp_path):
+    # a d-polytope's slack matrix has rank d + 1; a rank-r matroid takes r - 1
+    assert run(capsys, "ideal", "--vertices", square_file) == \
+        run(capsys, "ideal", "-d", "2", "--vertices", square_file)
+    pentagon = tmp_path / "pentagon.txt"
+    pentagon.write_text(PENTAGON_TEXT)
+    matroid = ("ideal", "--vertices", str(pentagon), "--object", "matroid")
+    code, out, _ = run(capsys, *matroid)
+    assert code == 0 and out != "1\n"
+    assert run(capsys, *matroid, "-d", "2") == (code, out, "")
+
+
+def test_non_integer_ones_is_usage_error(capsys):
+    code, _, err = run(capsys, "scale", "--builtin", "prism", "--ones", "a,b")
+    assert code == 2
+    assert err.strip()
+
+
+def test_unknown_ones_variable_is_domain_error(capsys):
+    code, _, err = run(capsys, "scale", "--builtin", "prism", "--ones", "999")
+    assert code == 1
+    assert "x999" in err
+
+
+def test_unknown_certificate_variable_is_domain_error(capsys):
+    code, out, err = run(capsys, "certificate", "-d", "2", "--builtin", "square",
+                         "--variable", "999")
+    assert code == 1
+    assert not out and "x999" in err
+
+
+def test_graphic_ideal_of_scaled_builtin_is_domain_error(capsys):
+    code, _, err = run(capsys, "graphic-ideal", "--builtin", "sphere1963-reduced")
+    assert code == 1
+    assert err.strip()

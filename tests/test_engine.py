@@ -1,20 +1,20 @@
-"""The packed-monomial engine: oracle comparisons with sympy, the two routes
-to a slack ideal, and regressions for engine faults."""
+"""The packed-monomial engine: oracle comparisons with sympy, the routes to
+a slack ideal, and regressions for engine faults."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from slackkit import (GRevLex, Ideal, Polynomial, buchberger,
-                      forest_from_ones, minor_ideal_generators,
+from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger,
+                      forest_from_ones, minor_ideal_generators, normal_form,
                       radical_membership,
                       rehomogenize_ideal, saturate_by_variables, set_ones,
                       set_ones_forest, slack_ideal, slack_matrix,
                       specific_slack_matrix, symbolic_slack_matrix)
 from slackkit import engine
 from slackkit.engine import FieldOverflow, Ring
-from conftest import poly
+from conftest import PERLES_ONES, poly
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -62,6 +62,18 @@ ORACLE = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 @ORACLE
+@given(polynomial, ideal, st.sampled_from([("grevlex", GRevLex()), ("lex", Lex())]))
+def test_normal_form_matches_sympy(f, divisors, order):
+    # sympy.reduced divides by the first divisor in list order, as
+    # normal_form does, so the remainders must agree exactly
+    name, ours_order = order
+    _, expected = sympy.reduced(to_sympy(f), [to_sympy(g) for g in divisors],
+                                *SYMS, order=name, domain="QQ")
+    remainder = normal_form(f, divisors, ours_order)
+    assert sympy.expand(to_sympy(remainder) - expected) == 0
+
+
+@ORACLE
 @given(ideal)
 def test_buchberger_matches_sympy(gens):
     assert ours(buchberger(gens, GRevLex())) == \
@@ -87,7 +99,7 @@ def test_saturate_by_variables_matches_sympy(gens, var_indices):
 @ORACLE
 @given(ideal, st.sets(st.integers(0, NV - 1), min_size=1))
 def test_saturate_homogeneous_matches_sympy(gens, var_indices):
-    # the Bayer-Stillman path
+    # homogeneous input is saturated without homogenizing first
     gens = [homogeneous_part(g) for g in gens]
     J = saturate_by_variables(Ideal(gens), var_indices)
     assert ours(J.groebner_basis()) == \
@@ -131,8 +143,18 @@ def instances():
     yield "pentagon", 2, symbolic_slack_matrix(slack_matrix(PENTAGON))
 
 
-@pytest.mark.parametrize("name,d,sym", list(instances()),
-                         ids=[n for n, _, _ in instances()])
+def route_instances():
+    """instances() plus scaled matrices, which slack_ideal takes as they
+    are: their minors saturated by the surviving variables only."""
+    yield from instances()
+    prism = symbolic_slack_matrix(specific_slack_matrix("prism"))
+    yield "prism-scaled", 3, set_ones_forest(prism)[0]
+    yield "perles-scaled", 8, set_ones(specific_slack_matrix("perles-reduced"),
+                                       PERLES_ONES)
+
+
+@pytest.mark.parametrize("name,d,sym", list(route_instances()),
+                         ids=[n for n, _, _ in route_instances()])
 def test_forest_route_equals_bayer_stillman_route(name, d, sym):
     minors = Ideal(minor_ideal_generators(d, sym), nvars=sym.nvars)
     bayer_stillman = saturate_by_variables(minors, range(sym.nvars))

@@ -14,9 +14,9 @@ import pytest
 
 
 def spoly(f, g, order):
-    from slackkit.poly import mono_div, mono_lcm
+    from slackkit.poly import mono_div
     lf, lg = f.leading_term(order), g.leading_term(order)
-    lcm = mono_lcm(lf[0], lg[0])
+    lcm = tuple(map(max, lf[0], lg[0]))
     return (f.term_mul(mono_div(lcm, lf[0]), 1 / lf[1])
             - g.term_mul(mono_div(lcm, lg[0]), 1 / lg[1]))
 
