@@ -77,6 +77,8 @@ def _infer_d(args, S):
     # a d-polytope's slack matrix has rank d + 1, and the slack ideal of a
     # rank-r matroid takes d = r - 1
     if args.d is not None:
+        if args.d < 0:
+            raise UsageError(f"-d must be non-negative, got {args.d}")
         return args.d
     if isinstance(S, SlackMatrix):
         return S.rank() - 1
@@ -202,7 +204,9 @@ def _cmd_count_minors(args):
     if args.rows is not None and args.cols is not None:
         if args.d is None:
             raise UsageError("-d is required")
-        print(count_minors(args.d, nrows=args.rows, ncols=args.cols))
+        if args.rows < 0 or args.cols < 0:
+            raise UsageError("--rows and --cols must be non-negative")
+        print(count_minors(_infer_d(args, None), nrows=args.rows, ncols=args.cols))
         return
     S = _source_matrix(args)
     print(count_minors(_infer_d(args, S), S=S))

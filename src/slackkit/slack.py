@@ -230,26 +230,67 @@ def pattern_minor(grid, rows, cols, nvars) -> Polynomial:
     return Polynomial(nvars, {m: Fraction(c) for m, c in terms.items() if c})
 
 
+def _nonzero_minors(grid, k, ring):
+    """Yield ``(rows, cols, f)`` for every nonzero k-minor of a symbolic
+    grid in lexicographic (row set, column set) order, ``f`` its exact
+    determinant as ``{packed monomial: int}`` in ``ring``.
+
+    One depth-first pass over row prefixes: after rows r_1 < ... < r_i it
+    holds det(r_1..r_i; C) for every column set C of size i, keyed by
+    bitmask, and appending a row expands along it,
+    det(C + c) += (-1)^#{c' in C : c' > c} * cell * det(C),
+    so row sets and column sets share their prefixes once."""
+    nrows, ncols = len(grid), len(grid[0])
+    units = ring.units
+    cells = [[(c, 1 << c, 0 if v == ONE else units[v])
+              for c, v in enumerate(row) if v is not None] for row in grid]
+    col_sets = [(cols, sum(1 << c for c in cols))
+                for cols in itertools.combinations(range(ncols), k)]
+
+    def extend(dets, r):
+        out = {}
+        for C, f in dets.items():
+            for c, bit, unit in cells[r]:
+                if C & bit:
+                    continue
+                g = out.setdefault(C | bit, {})
+                s = -1 if (C >> (c + 1)).bit_count() & 1 else 1
+                for m, a in f.items():
+                    m += unit
+                    g[m] = g.get(m, 0) + s * a
+        return {C: h for C, g in out.items()
+                if (h := {m: a for m, a in g.items() if a})}
+
+    def walk(rows, dets):
+        if len(rows) == k:
+            for cols, mask in col_sets:
+                f = dets.get(mask)
+                if f:
+                    yield rows, cols, f
+            return
+        start = rows[-1] + 1 if rows else 0
+        for r in range(start, nrows - k + len(rows) + 1):
+            sub = extend(dets, r)
+            if sub:
+                yield from walk(rows + (r,), sub)
+
+    yield from walk((), {0: {0: 1}})
+
+
 def minor_ideal_generators(d, S):
     """All (d+2)-minors of a symbolic/scaled slack matrix, enumerated in
     lexicographic (row set, column set) order, each nonzero one replaced by
     its normal form against the minors collected so far (same ideal, far
     smaller list)."""
     grid, nvars = _entry_grid(S)
-    nrows, ncols = len(grid), len(grid[0])
     k = d + 2
-    if k > nrows or k > ncols:
-        return []
     # every minor has degree k and grevlex reduction never raises the degree,
     # so a ring whose degree cap is k never overflows
     ring = Ring(nvars, [range(nvars)], bits=max(8, k.bit_length() + 1))
-    minors = {}  # distinct nonzero minors in enumeration order, packed
-    for rows in itertools.combinations(range(nrows), k):
-        for cols in itertools.combinations(range(ncols), k):
-            p = pattern_minor(grid, rows, cols, nvars)
-            if not p.is_zero():
-                minors.setdefault(tuple(ring.from_terms(
-                    {m: c.numerator for m, c in p.terms.items()})))
+    # distinct nonzero minors in enumeration order, packed
+    minors = dict.fromkeys(
+        tuple(engine.normalize(sorted(f.items(), reverse=True)))
+        for _, _, f in _nonzero_minors(grid, k, ring))
     return [to_polynomial(f, ring)
             for f in engine.interreduce(list(minors), ring)]
 

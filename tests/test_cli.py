@@ -215,3 +215,17 @@ def test_graphic_ideal_of_scaled_builtin_is_domain_error(capsys):
     code, _, err = run(capsys, "graphic-ideal", "--builtin", "sphere1963-reduced")
     assert code == 1
     assert err.strip()
+
+
+@pytest.mark.parametrize("d", ["-1", "-2", "-5"])
+def test_negative_d_is_usage_error(capsys, d):
+    code, out, err = run(capsys, "ideal", "--builtin", "square", "-d", d)
+    assert code == 2
+    assert not out and "-d" in err
+
+
+def test_count_minors_negative_rows_is_usage_error(capsys):
+    code, out, err = run(capsys, "count-minors", "--rows", "-3", "--cols", "4",
+                         "-d", "1")
+    assert code == 2
+    assert not out and "--rows" in err
