@@ -12,8 +12,8 @@ from .rationals import RationalMatrix
 from .scaling import (contains_flag, dehomogenized_ideal,
                       irrationality_certificate, reduced_slack_matrix,
                       rehomogenize_ideal, set_ones, set_ones_forest)
-from .slack import (ScaledSlackMatrix, SlackMatrix, SymbolicSlackMatrix,
-                    count_minors, graphic_ideal, slack_from_gale_circuits,
+from .slack import (ScaledSlackMatrix, SlackMatrix, count_minors,
+                    graphic_ideal, slack_from_gale_circuits,
                     slack_from_gale_plucker, slack_ideal, slack_matrix,
                     symbolic_slack_matrix)
 
@@ -85,16 +85,17 @@ def _infer_d(args, S):
     raise UsageError("-d is required with pattern input")
 
 
-def _scaled(args) -> ScaledSlackMatrix:
+def _scaled(args):
+    """The source matrix, from which d is inferred, and its scaled pattern."""
     S = _source_matrix(args)
     if isinstance(S, ScaledSlackMatrix):
         if args.ones:
             raise UsageError("this input already has its ones fixed")
-        return S
+        return S, S
     sym = symbolic_slack_matrix(S)
     if args.ones:
-        return set_ones(sym, _parse_indices(args.ones))
-    return set_ones_forest(sym)[0]
+        return S, set_ones(sym, _parse_indices(args.ones))
+    return S, set_ones_forest(sym)[0]
 
 
 def _print_matrix(M: RationalMatrix, fmt):
@@ -150,17 +151,17 @@ def _cmd_gale_slack(args):
 
 
 def _cmd_scale(args):
-    _print_pattern(_scaled(args), args.format)
+    _print_pattern(_scaled(args)[1], args.format)
 
 
 def _cmd_dehomogenize(args):
-    Y = _scaled(args)
-    _print_ideal(dehomogenized_ideal(_infer_d(args, Y.base), Y))
+    S, Y = _scaled(args)
+    _print_ideal(dehomogenized_ideal(_infer_d(args, S), Y))
 
 
 def _cmd_rehomogenize(args):
-    Y = _scaled(args)
-    _print_ideal(rehomogenize_ideal(_infer_d(args, Y.base), Y))
+    S, Y = _scaled(args)
+    _print_ideal(rehomogenize_ideal(_infer_d(args, S), Y))
 
 
 def _cmd_reduce(args):
@@ -180,8 +181,8 @@ def _cmd_graphic_ideal(args):
 
 
 def _cmd_certificate(args):
-    Y = _scaled(args)
-    I = dehomogenized_ideal(_infer_d(args, Y.base), Y)
+    S, Y = _scaled(args)
+    I = dehomogenized_ideal(_infer_d(args, S), Y)
     cert = irrationality_certificate(I, args.variable)
     print(json.dumps(cert.to_dict()))
 

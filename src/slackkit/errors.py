@@ -68,10 +68,6 @@ class NoFlagFoundError(SlackkitError):
     pass
 
 
-class ComplementNotSimplicialError(SlackkitError):
-    pass
-
-
 class ParseError(Exception):
     """Base class for input parsing failures (CLI exit code 2)."""
 

@@ -253,13 +253,6 @@ class Polynomial:
         pad = (0,) * (new_nvars - self.nvars)
         return Polynomial(new_nvars, {m + pad: c for m, c in self.terms.items()})
 
-    def restricted(self, new_nvars):
-        """Drop trailing variables; they must not occur."""
-        for m in self.terms:
-            if any(m[new_nvars:]):
-                raise UniverseMismatchError("polynomial uses a dropped variable")
-        return Polynomial(new_nvars, {m[:new_nvars]: c for m, c in self.terms.items()})
-
     def substitute_ones(self, var_indices):
         """Set the given variables to 1."""
         idx = set(var_indices)

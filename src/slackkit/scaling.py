@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (ComplementNotSimplicialError, NeedsNumericDataError,
-                     NoFlagFoundError, NotAForestError, UniverseMismatchError)
+from .errors import (NeedsNumericDataError, NoFlagFoundError,
+                     NotAForestError, SizeMismatchError, UniverseMismatchError)
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
 from .poly import GRevLex, Polynomial
@@ -76,10 +76,9 @@ def _bfs_forest(graph: NonIncidenceGraph, allowed=None):
             continue
         if allowed is not None and not any(
                 v in allowed for v, _ in graph.adjacency[start]):
-            if start not in visited:
-                # isolated w.r.t. the allowed edges: own trivial component
-                visited.add(start)
-                roots.append(start)
+            # isolated w.r.t. the allowed edges: own trivial component
+            visited.add(start)
+            roots.append(start)
             continue
         roots.append(start)
         visited.add(start)
@@ -187,18 +186,22 @@ def rehomogenize_ideal(d, Y: ScaledSlackMatrix, F: SpanningForest = None) -> Ide
     forest."""
     if F is None:
         F = forest_from_ones(Y)
-    nvars = Y.base.nvars
-    gens = [g for g in dehomogenized_ideal(d, Y).groebner_basis() if not g.is_zero()]
-    if not gens:
-        return Ideal([], nvars=nvars)
-    sym = Y.base
+    gens = dehomogenized_ideal(d, Y).groebner_basis()
+    return homogenize_by_edges(Ideal(gens, nvars=Y.base.nvars),
+                               forest_weights(Y.base, F))
+
+
+def forest_weights(sym: SymbolicSlackMatrix, F: SpanningForest):
+    """The edges of F leaf to root, each as ``(edge variable, variables of
+    the row or column the edge enters)``: the argument of
+    :func:`~slackkit.groebner.homogenize_by_edges` that reintroduces F."""
     edges = []
     for edge in reversed(F.edges):
         kind, idx = edge.destination
         axis = 0 if kind == "r" else 1
         edges.append((edge.variable,
                       [v for v, cell in sym.cell_of.items() if cell[axis] == idx]))
-    return homogenize_by_edges(Ideal(gens, nvars=nvars), edges)
+    return edges
 
 
 # -- flags and reduced matrices ----------------------------------------------
@@ -227,7 +230,17 @@ def contains_flag(col_indices, S) -> bool:
             "flag containment needs a numeric slack matrix")
     entries = S.entries if isinstance(S, SlackMatrix) else S
     S = S if isinstance(S, SlackMatrix) else SlackMatrix(entries)
-    return _find_flag(entries, S, entries.rank() - 1, list(col_indices)) is not None
+    col_indices = _columns(col_indices, entries.ncols)
+    return _find_flag(entries, S, entries.rank() - 1, col_indices) is not None
+
+
+def _columns(col_indices, ncols):
+    """The column indices as a list, each checked to lie in 0..ncols-1."""
+    col_indices = list(col_indices)
+    for j in col_indices:
+        if not 0 <= j < ncols:
+            raise SizeMismatchError(f"column {j} outside 0..{ncols - 1}")
+    return col_indices
 
 
 def _find_flag(entries, S, d, candidates):
@@ -252,8 +265,8 @@ def _find_flag(entries, S, d, candidates):
 
 
 def reduced_slack_matrix(d, S, flag_indices=None) -> SymbolicSlackMatrix:
-    """Keep the non-simplicial columns plus a flag; the dropped columns must
-    all be simplicial (exactly d zeros).  Returns the kept pattern with fresh
+    """Keep the non-simplicial columns plus a flag, so every dropped column
+    is simplicial (exactly d zeros).  Returns the kept pattern with fresh
     row-major variables."""
     numeric = isinstance(S, SlackMatrix)
     sym = symbolic_slack_matrix(S)
@@ -261,7 +274,7 @@ def reduced_slack_matrix(d, S, flag_indices=None) -> SymbolicSlackMatrix:
                    for j in range(sym.ncols)]
     non_simplicial = [j for j in range(sym.ncols) if zero_counts[j] != d]
     if flag_indices is not None:
-        flag_cols = list(flag_indices)
+        flag_cols = _columns(flag_indices, sym.ncols)
         if numeric and not contains_flag(flag_cols, S):
             raise NoFlagFoundError("given columns do not contain a flag")
     else:
@@ -272,10 +285,6 @@ def reduced_slack_matrix(d, S, flag_indices=None) -> SymbolicSlackMatrix:
         if flag_cols is None:
             raise NoFlagFoundError("no flag found among the columns")
     keep = sorted(set(non_simplicial) | set(flag_cols))
-    for j in range(sym.ncols):
-        if j not in keep and zero_counts[j] != d:
-            raise ComplementNotSimplicialError(
-                f"dropped column {j} has {zero_counts[j]} zeros, expected {d}")
     pattern = [[sym.support[i][j] for j in keep] for i in range(sym.nrows)]
     return SymbolicSlackMatrix(pattern)
 

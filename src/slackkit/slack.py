@@ -6,18 +6,17 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from math import gcd
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
                      NotACofacetError, ScaledMatrixError, SizeMismatchError)
 from .geometry import (GaleTransform, PointConfiguration,
-                       facets_from_vertices, matroid_hyperplanes, pluecker,
+                       facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
 from . import engine
 from .engine import Ring, to_polynomial
-from .groebner import Ideal, saturate_by_variables
+from .groebner import Ideal, homogenize_by_edges
 from .poly import Multigrading, Polynomial
-from .rationals import RationalMatrix, denominator_lcm
+from .rationals import RationalMatrix
 
 
 class SlackMatrix:
@@ -351,6 +350,8 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
     cols = []
     for cofacet in cofacets:
         cofacet = sorted(cofacet)
+        if any(not 0 <= i < n for i in cofacet):
+            raise NotACofacetError(f"{cofacet} has a point outside 0..{n - 1}")
         if M.nrows == 0:
             if len(cofacet) != 1:
                 raise NotACofacetError(f"{cofacet} is not a cofacet of a 0-row Gale")
@@ -389,31 +390,21 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
 
 
 def graphic_ideal(S) -> Ideal:
-    """Toric ideal of the edge set of the non-incidence graph: binomials
-    x^(u+) - x^(u-) for a lattice basis u of the kernel of the vertex-edge
-    incidence matrix, saturated by all variables."""
-    sym = symbolic_slack_matrix(S)
-    nodes = sym.nrows + sym.ncols
-    rows = [[Fraction(0)] * sym.nvars for _ in range(nodes)]
-    for (i, j), v in sym.var_at.items():
-        rows[i][v] = Fraction(1)
-        rows[sym.nrows + j][v] = Fraction(1)
-    kernel = RationalMatrix(rows).kernel_basis()
-    gens = []
-    for vec in kernel.rows:
-        scale = denominator_lcm(vec)
-        ints = [int(x * scale) for x in vec]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        ints = [c // g for c in ints] if g else ints
-        plus = tuple(max(c, 0) for c in ints)
-        minus = tuple(max(-c, 0) for c in ints)
-        gens.append(Polynomial.monomial(plus, sym.nvars)
-                    - Polynomial.monomial(minus, sym.nvars))
-    if not gens:
-        return Ideal([], nvars=sym.nvars)
-    return saturate_by_variables(Ideal(gens, nvars=sym.nvars), range(sym.nvars))
+    """Toric ideal of the non-incidence graph: the kernel of
+    x_e -> (row of e)(column of e), generated by its even-cycle binomials.
+
+    Computed as H_F(<x_e - 1 : e not in F>) for the BFS spanning forest F of
+    :func:`~slackkit.scaling.set_ones_forest`: with F scaled to ones, the
+    cycle an edge e outside F closes through F gives x_e - 1, and every other
+    cycle binomial lies in the ideal these generate.  Rehomogenizing edge by
+    edge gives the toric ideal back by the lattice argument of
+    :func:`slack_ideal`, which needs only that the ideal is multihomogeneous
+    and saturated by every variable."""
+    from .scaling import forest_weights, set_ones_forest
+    Y, forest = set_ones_forest(S)
+    n = Y.nvars
+    gens = [Polynomial.variable(v, n) - 1 for v in Y.surviving_variables()]
+    return homogenize_by_edges(Ideal(gens, nvars=n), forest_weights(Y.base, forest))
 
 
 def count_minors(d, S=None, nrows=None, ncols=None) -> int:

@@ -229,3 +229,42 @@ def test_count_minors_negative_rows_is_usage_error(capsys):
                          "-d", "1")
     assert code == 2
     assert not out and "--rows" in err
+
+
+def test_scaled_verbs_infer_d_from_numeric_input(capsys, square_file, tmp_path):
+    # d is read off the numeric source matrix before its pattern is scaled
+    matrix = tmp_path / "square-slack.txt"
+    matrix.write_text(run(capsys, "slack-matrix", "--vertices", square_file)[1])
+    for argv in (("dehomogenize", "--vertices", square_file),
+                 ("rehomogenize", "--matrix", str(matrix)),
+                 ("certificate", "--vertices", square_file, "--variable", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err
+        assert run(capsys, *argv, "-d", "2") == (code, out, err)
+
+
+@pytest.mark.parametrize("indices", ["99", "-1"])
+def test_contains_flag_column_out_of_range_is_domain_error(capsys, prism_file,
+                                                          indices):
+    code, out, err = run(capsys, "contains-flag", "--vertices", prism_file,
+                         "--indices", f"0,{indices}")
+    assert code == 1
+    assert not out and f"column {indices}" in err
+
+
+@pytest.mark.parametrize("source", ["--vertices", "--pattern"])
+def test_reduce_flag_column_out_of_range_is_domain_error(capsys, prism_file,
+                                                         source):
+    code, out, err = run(capsys, "reduce", "-d", "3", source, prism_file,
+                         "--flag-indices", "0,99")
+    assert code == 1
+    assert not out and "column 99" in err
+
+
+def test_gale_slack_cofacet_out_of_range_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "gale.txt"
+    path.write_text("1 -1 1 -1")
+    code, out, err = run(capsys, "gale-slack", "--gale", str(path),
+                         "--cofacets", "0,99")
+    assert code == 1
+    assert not out and "99" in err

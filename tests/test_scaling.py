@@ -11,8 +11,7 @@ from slackkit import (Ideal, Polynomial, contains_flag, dehomogenized_ideal,
                       rehomogenize_poly, set_ones, set_ones_forest,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix)
-from slackkit.errors import (ComplementNotSimplicialError,
-                             NeedsNumericDataError, NotAForestError)
+from slackkit.errors import NeedsNumericDataError, NotAForestError
 from conftest import PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES, poly
 from test_geometry import unit_simplex
 

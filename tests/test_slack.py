@@ -1,17 +1,21 @@
 """Slack matrices, slack ideals, Gale constructions, graphic ideals."""
 
+import hashlib
 import itertools
+import math
 from fractions import Fraction
 
-from slackkit import (GaleTransform, Ideal, PointConfiguration,
+from slackkit import (GaleTransform, Ideal, PointConfiguration, Polynomial,
                       RationalMatrix, ScaledSlackMatrix, SlackMatrix,
                       SymbolicSlackMatrix, count_minors, gale_transform,
-                      graphic_ideal, ideal_equals, slack_from_gale_circuits,
-                      slack_from_gale_plucker, slack_ideal, slack_matrix,
-                      specific_slack_matrix, symbolic_slack_matrix)
+                      graphic_ideal, ideal_equals, saturate_by_variables,
+                      slack_from_gale_circuits, slack_from_gale_plucker,
+                      slack_ideal, slack_matrix, specific_slack_matrix,
+                      symbolic_slack_matrix)
 from slackkit.engine import Ring, normalize
 from slackkit.errors import (DegeneratePatternError, NotACofacetError,
                              UnknownNameError)
+from slackkit.rationals import denominator_lcm
 from slackkit.scaling import set_ones
 from slackkit.slack import (ONE, _entry_grid, _nonzero_minors,
                             minor_ideal_generators, pattern_minor)
@@ -189,6 +193,63 @@ def test_graphic_ideal_binomials_multihomogeneous():
 def test_graphic_ideal_of_prism_equals_slack_ideal():
     sym = symbolic_slack_matrix(specific_slack_matrix("prism"))
     assert ideal_equals(graphic_ideal(sym), slack_ideal(3, sym))
+
+
+def lattice_graphic_ideal(sym):
+    """The toric ideal by the lattice route: one binomial x^(u+) - x^(u-)
+    per vector u of an integer basis of the kernel of the node-edge
+    incidence matrix (the RREF kernel basis of this totally unimodular
+    matrix is one), saturated by every variable."""
+    rows = [[0] * sym.nvars for _ in range(sym.nrows + sym.ncols)]
+    for (i, j), v in sym.var_at.items():
+        rows[i][v] = rows[sym.nrows + j][v] = 1
+    gens = []
+    for vec in RationalMatrix(rows).kernel_basis().rows:
+        scale = denominator_lcm(vec)
+        ints = [int(x * scale) for x in vec]
+        u = [c // math.gcd(*ints) for c in ints]
+        gens.append(Polynomial.monomial(tuple(max(c, 0) for c in u), sym.nvars)
+                    - Polynomial.monomial(tuple(max(-c, 0) for c in u), sym.nvars))
+    if not gens:
+        return Ideal([], nvars=sym.nvars)
+    return saturate_by_variables(Ideal(gens, nvars=sym.nvars), range(sym.nvars))
+
+
+patterns = st.integers(2, 5).flatmap(lambda r: st.integers(2, 6).flatmap(
+    lambda c: st.lists(st.lists(st.booleans(), min_size=c, max_size=c),
+                       min_size=r, max_size=r))).filter(
+    lambda rows: all(map(any, rows)) and all(map(any, zip(*rows))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(patterns)
+@example([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+@example([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 1, 1], [0, 0, 1, 1, 1],
+          [0, 0, 1, 0, 1]])
+@example([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 0, 1],
+          [0, 1, 1, 1, 0]])
+def test_graphic_ideal_matches_lattice_route(rows):
+    # the examples: two 4-cycles apart, a 4-cycle beside a K_{3,3} minus an
+    # edge (disconnected graphs), and a connected graph of cycle rank 7
+    sym = symbolic_slack_matrix(rows)
+    assert graphic_ideal(sym).to_strings() == lattice_graphic_ideal(sym).to_strings()
+
+
+def test_perles_graphic_ideal_golden():
+    # the stdout of `slackkit graphic-ideal --builtin perles-reduced`, which
+    # the lattice route above takes minutes to reproduce
+    lines = graphic_ideal(specific_slack_matrix("perles-reduced")).to_strings()
+    assert len(lines) == 266
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == \
+        "2e38d18e1a2126970c717fd8149753b23cd6c7d5056ba933dffb7c7049172a4f"
+
+
+def test_sphere1963_slack_ideal_is_unit():
+    # the paper's second application: the slack ideal of the reduced slack
+    # matrix of sphere #1963 (d = 4) is the unit ideal, so the sphere is not
+    # realizable as a polytope
+    I = slack_ideal(4, specific_slack_matrix("sphere1963-reduced"))
+    assert I.to_strings() == ["1"]
 
 
 def test_builtin_shapes():
