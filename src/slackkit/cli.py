@@ -142,7 +142,7 @@ def _cmd_gale(args):
 
 def _cmd_gale_slack(args):
     G = GaleTransform(_load_matrix(args.gale))
-    if args.cofacets:
+    if args.cofacets is not None:
         cofacets = [_parse_indices(group) for group in args.cofacets.split(";")]
         S = slack_from_gale_plucker(G, cofacets)
     else:

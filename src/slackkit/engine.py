@@ -13,10 +13,9 @@ in the exponents, so
 
 The supported orders are grevlex blocks (each block compared by degree and
 then reverse lexicographically, the first block most significant), optionally
-preceded by the degree in a chosen set of variables.  Grevlex with a variable
-priority, lex, block elimination orders and the "degree in one row of the
-slack matrix, then grevlex" orders of edge-by-edge homogenization are all of
-that form.
+preceded by the degree in a chosen set of variables.  Grevlex, lex, block
+elimination orders and the "degree in one row of the slack matrix, then
+grevlex" orders of edge-by-edge homogenization are all of that form.
 
 Total degrees are capped at ``2**(bits-1) - 1`` so that neither an exponent
 field nor a key field can overflow.  Every place that makes a monomial of
@@ -117,8 +116,7 @@ class Ring:
     def for_order(cls, order, nvars, bits=8):
         """The ring of a :class:`~slackkit.poly.MonomialOrder`."""
         if isinstance(order, GRevLex):
-            prio = order.priority if order.priority is not None else range(nvars)
-            return cls(nvars, [list(prio)], bits=bits)
+            return cls(nvars, [list(range(nvars))], bits=bits)
         if isinstance(order, Lex):
             return cls(nvars, [[v] for v in range(nvars)], bits=bits)
         if isinstance(order, BlockOrder):

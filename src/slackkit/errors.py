@@ -32,6 +32,14 @@ class NonVertexPointError(SlackkitError):
     pass
 
 
+class BadPointConfigurationError(SlackkitError, ValueError):
+    """No points, points of mixed dimension, or a repeated point."""
+
+
+class TooManySubsetsError(SlackkitError):
+    """A subset search would visit more subsets than its stated bound."""
+
+
 class SizeMismatchError(SlackkitError):
     pass
 

@@ -19,10 +19,6 @@ from .poly import BlockOrder, GRevLex, Polynomial
 from .rationals import denominator_lcm
 
 
-def _plain_grevlex(order):
-    return isinstance(order, GRevLex) and order.priority is None
-
-
 # -- normal forms ------------------------------------------------------------
 
 # (elements of G, order, engine Reducer) for the last basis normal_form
@@ -155,7 +151,7 @@ def _eliminate(gens, front, order, nvars):
         kept = [final.from_terms({unpack(m)[:nvars]: c for m, c in f})
                 for f in groebner(pack_polys(gens, block), block)
                 if not f[0][0] & mask]
-        if not _plain_grevlex(order):
+        if not isinstance(order, GRevLex):
             kept = groebner(kept, final)
         return final, kept
 
@@ -290,7 +286,7 @@ def radical_membership(f: Polynomial, I: Ideal) -> bool:
     if I.contains(f):
         return True
     n = I.nvars
-    if _plain_grevlex(I.order):
+    if isinstance(I.order, GRevLex):
         basis = I.groebner_basis()
     else:
         basis = buchberger(I.generators, GRevLex())

@@ -55,29 +55,20 @@ class Lex(MonomialOrder):
 
 
 class GRevLex(MonomialOrder):
-    """Graded reverse lexicographic with x0 > x1 > ...
+    """Graded reverse lexicographic with x0 > x1 > ..."""
 
-    An optional variable priority (a permutation of the indices, most
-    significant first) supports saturation tricks that need a chosen
-    variable to be the smallest.
-    """
-
-    def __init__(self, priority=None):
-        self.priority = tuple(priority) if priority is not None else None
+    def __init__(self):
         self._memo = {}
 
     def key(self, m):
         k = self._memo.get(m)
         if k is None:
-            if self.priority is None:
-                k = (sum(m),) + tuple(-e for e in reversed(m))
-            else:
-                k = (sum(m),) + tuple(-m[i] for i in reversed(self.priority))
+            k = (sum(m),) + tuple(-e for e in reversed(m))
             self._memo[m] = k
         return k
 
     def __repr__(self):
-        return "grevlex" if self.priority is None else f"grevlex{list(self.priority)}"
+        return "grevlex"
 
 
 class BlockOrder(MonomialOrder):

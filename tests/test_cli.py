@@ -268,3 +268,49 @@ def test_gale_slack_cofacet_out_of_range_is_domain_error(capsys, tmp_path):
                          "--cofacets", "0,99")
     assert code == 1
     assert not out and "99" in err
+
+
+def test_one_point_matroid_has_the_empty_hyperplane(capsys, tmp_path):
+    path = tmp_path / "point.txt"
+    path.write_text("2 3")
+    assert run(capsys, "slack-matrix", "--vertices", str(path),
+               "--object", "matroid") == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("verb", [("slack-matrix",), ("gale",),
+                                  ("ideal", "-d", "2")])
+def test_repeated_point_is_domain_error(capsys, tmp_path, verb):
+    path = tmp_path / "repeated.txt"
+    path.write_text("0 0\n1 0\n0 1\n1 0")
+    code, out, err = run(capsys, *verb, "--vertices", str(path))
+    assert (code, out, err) == (1, "", "error: duplicate points\n")
+
+
+@pytest.mark.parametrize("verb", [("slack-matrix",), ("gale",),
+                                  ("ideal", "-d", "2")])
+def test_empty_vertex_file_is_domain_error(capsys, tmp_path, verb):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    code, out, err = run(capsys, *verb, "--vertices", str(path))
+    assert (code, out, err) == (1, "", "error: empty point configuration\n")
+
+
+def test_gale_slack_empty_cofacet_list_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "gale.txt"
+    path.write_text("1 -1 1 -1")
+    code, out, err = run(capsys, "gale-slack", "--gale", str(path),
+                         "--cofacets", "")
+    assert code == 1
+    assert not out and "[]" in err
+
+
+def test_subset_bound_is_domain_error(capsys, tmp_path):
+    # 40 points on the moment curve in Q^6: C(40, 6) subsets exceed the bound
+    path = tmp_path / "moment.txt"
+    path.write_text("\n".join(" ".join(str(t ** k) for k in range(1, 7))
+                              for t in range(40)))
+    for obj in ("polytope", "matroid"):
+        code, out, err = run(capsys, "slack-matrix", "--vertices", str(path),
+                             "--object", obj)
+        assert code == 1
+        assert not out and "3838380 subsets" in err

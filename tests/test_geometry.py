@@ -1,16 +1,20 @@
 """Facet enumeration, matroid hyperplanes, Gale transforms, circuits."""
 
 import itertools
+import time
 from fractions import Fraction
 
 from slackkit import (GaleTransform, PointConfiguration, RationalMatrix,
                       facets_from_vertices, gale_transform, matroid_hyperplanes,
                       pluecker, positive_circuits, slack_matrix)
-from slackkit.errors import (NonVertexPointError, NotFullDimensionalError,
-                             SizeMismatchError)
+from slackkit.errors import (BadPointConfigurationError, NonVertexPointError,
+                             NotFullDimensionalError, SizeMismatchError,
+                             SlackkitError, TooManySubsetsError)
+from slackkit.geometry import AffineHyperplane, Circuit
 from conftest import PRISM_VERTICES, SQUARE_VERTICES
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 
 def unit_simplex(d):
@@ -158,3 +162,298 @@ def test_pluecker_1x1():
 def test_pluecker_size_mismatch():
     with pytest.raises(SizeMismatchError):
         pluecker(RationalMatrix.identity(3), [0, 1])
+
+
+# -- the per-object subset searches the shared enumeration replaced ----------
+#
+# Kept verbatim as oracles: a kernel per d-subset for facets, a rank-closure
+# loop and a separating-vector search for matroid hyperplanes, and a kernel
+# per column subset of size 1..r+1 for circuits.
+
+
+def _hyperplane_from_kernel_vector(vec, points):
+    """Build an AffineHyperplane from a kernel vector of homogenized points."""
+    b = vec[0]
+    alpha = tuple(-x for x in vec[1:])
+    incident = frozenset(
+        i for i, p in enumerate(points)
+        if b - sum(a * x for a, x in zip(alpha, p)) == 0)
+    return AffineHyperplane(offset=b, normal=alpha, incident=incident)
+
+
+def reference_facets_from_vertices(V: PointConfiguration):
+    """All facet hyperplanes of conv(V), slack-nonnegative, sorted by their
+    incidence sets.  Inputs must be full-dimensional vertex sets."""
+    d = V.dim
+    hom = V.homogenized()
+    if hom.rank() != d + 1:
+        raise NotFullDimensionalError(
+            f"points span affine dimension {hom.rank() - 1}, expected {d}")
+    facets = {}
+    for subset in itertools.combinations(range(V.n), d):
+        sub = hom.submatrix(subset, range(d + 1))
+        kernel = sub.kernel_basis()
+        if kernel.nrows != 1:  # points not affinely independent
+            continue
+        hp = _hyperplane_from_kernel_vector(kernel.rows[0], V.points)
+        slacks = [hp.slack(p) for p in V.points]
+        if all(s >= 0 for s in slacks):
+            pass
+        elif all(s <= 0 for s in slacks):
+            hp = AffineHyperplane(offset=-hp.offset,
+                                  normal=tuple(-a for a in hp.normal),
+                                  incident=hp.incident)
+        else:
+            continue
+        facets[hp.incident] = hp
+    # every input point must be a vertex: a vertex of a d-polytope lies on
+    # at least d facets, interior/edge points on fewer
+    counts = [0] * V.n
+    for inc in facets:
+        for i in inc:
+            counts[i] += 1
+    bad = [i for i, c in enumerate(counts) if c < d]
+    if bad:
+        raise NonVertexPointError(f"points {bad} are not vertices of the hull")
+    return [facets[inc] for inc in sorted(facets, key=sorted)]
+
+
+def reference_matroid_hyperplanes(V: PointConfiguration):
+    """All hyperplanes (rank r-1 flats) of the matroid of homogenized points.
+
+    Normals come from kernel vectors and carry no canonical sign.
+    """
+    hom = V.homogenized()
+    r = hom.rank()
+    n = V.n
+    flats = set()
+    for subset in itertools.combinations(range(n), r - 1):
+        if hom.submatrix(subset, range(hom.ncols)).rank() != r - 1:
+            continue
+        closure = set(subset)
+        for k in range(n):
+            if k in closure:
+                continue
+            if hom.submatrix(sorted(closure | {k}), range(hom.ncols)).rank() == r - 1:
+                closure.add(k)
+        flats.add(frozenset(closure))
+    out = []
+    for flat in sorted(flats, key=sorted):
+        rows = hom.submatrix(sorted(flat), range(hom.ncols))
+        kernel = rows.kernel_basis()
+        vec = _pick_separating_kernel_vector(kernel, hom, flat)
+        hp = _hyperplane_from_kernel_vector(vec, V.points)
+        out.append(AffineHyperplane(offset=hp.offset, normal=hp.normal,
+                                    incident=frozenset(flat)))
+    return out
+
+
+def _pick_separating_kernel_vector(kernel, hom, flat):
+    """A kernel vector giving nonzero slack on every point off the flat."""
+    off = [i for i in range(hom.nrows) if i not in flat]
+
+    def ok(vec):
+        return all(sum(v * x for v, x in zip(vec, hom.rows[i])) != 0 for i in off)
+
+    for row in kernel.rows:
+        if ok(row):
+            return row
+    # rank-deficient configuration: try small integer combinations
+    for coeffs in itertools.product(range(-3, 4), repeat=kernel.nrows):
+        if all(c == 0 for c in coeffs):
+            continue
+        vec = [sum(c * row[j] for c, row in zip(coeffs, kernel.rows))
+               for j in range(kernel.ncols)]
+        if ok(vec):
+            return vec
+    raise NonVertexPointError("no separating hyperplane normal found for flat")
+
+
+def reference_positive_circuits(G: GaleTransform):
+    """All circuits of the Gale columns with strictly positive coefficients,
+    normalized so the smallest support index has coefficient 1.
+
+    A 0-row transform (simplex) yields all singleton circuits.
+    """
+    M = G.matrix
+    n = M.ncols
+    if M.nrows == 0:
+        return [Circuit(support=(i,), coefficients=(Fraction(1),)) for i in range(n)]
+    r = M.rank()
+    circuits = []
+    for size in range(1, r + 2):
+        for subset in itertools.combinations(range(n), size):
+            sub = M.submatrix(range(M.nrows), subset)
+            kernel = sub.kernel_basis()
+            if kernel.nrows != 1:
+                continue
+            vec = kernel.rows[0]
+            if any(x == 0 for x in vec):
+                continue  # dependence not supported on the whole subset
+            if all(x > 0 for x in vec) or all(x < 0 for x in vec):
+                scale = Fraction(1) / vec[0]
+                circuits.append(Circuit(
+                    support=tuple(subset),
+                    coefficients=tuple(x * scale for x in vec)))
+    circuits.sort(key=lambda c: c.support)
+    return circuits
+
+
+def outcome(f, *args):
+    """The return value of f, or the class of the domain error it raised."""
+    try:
+        return f(*args)
+    except SlackkitError as exc:
+        return type(exc)
+
+
+def assert_same_geometry(points):
+    V = PointConfiguration(points)
+    assert outcome(facets_from_vertices, V) == \
+        outcome(reference_facets_from_vertices, V)
+    assert outcome(matroid_hyperplanes, V) == \
+        outcome(reference_matroid_hyperplanes, V)
+
+
+def affine_rank(points):
+    return RationalMatrix([[1] + list(p) for p in points]).rank() - 1
+
+
+coords = st.integers(-4, 4)
+
+
+@st.composite
+def full_dimensional(draw):
+    """Random lattice points, or lattice points lifted to a paraboloid (all
+    of them vertices), spanning Q^d."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d + 1, 8))
+    if d == 1 or draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(*[coords] * d), min_size=n, max_size=n,
+                            unique=True))
+    else:
+        base = draw(st.lists(st.tuples(*[coords] * (d - 1)), min_size=n,
+                             max_size=n, unique=True))
+        pts = [p + (sum(x * x for x in p),) for p in base]
+    assume(affine_rank(pts) == d)
+    return pts
+
+
+@st.composite
+def lower_dimensional(draw):
+    """Points b + A t in Q^d for distinct t in Z^k, A of rank k < d."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, d - 1))
+    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                      min_size=d, max_size=d))
+    assume(RationalMatrix(A).rank() == k)
+    b = draw(st.lists(coords, min_size=d, max_size=d))
+    params = draw(st.lists(st.tuples(*[coords] * k), min_size=2, max_size=8,
+                           unique=True))
+    return [tuple(b[i] + sum(A[i][j] * t[j] for j in range(k))
+                  for i in range(d)) for t in params]
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Small matrices, some with a zero column, a parallel pair of columns
+    or a dependent row."""
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ncols,
+                                  max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if ncols and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    if ncols >= 2 and draw(st.booleans()):
+        j, k = draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.sampled_from([-2, -1, 1, 3]))
+        for row in rows:
+            row[k] = s * row[j]
+    if nrows >= 2 and draw(st.booleans()):
+        rows[1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]
+    return RationalMatrix(rows, ncols=ncols)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(full_dimensional())
+def test_full_dimensional_matches_subset_searches(points):
+    assert_same_geometry(points)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lower_dimensional())
+def test_lower_dimensional_matches_subset_searches(points):
+    assert affine_rank(points) < len(points[0])
+    assert_same_geometry(points)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(full_dimensional(), lower_dimensional()))
+def test_gale_circuits_match_subset_search(points):
+    V = PointConfiguration(points)
+    assume(V.n >= V.dim + 1)
+    G = gale_transform(V)
+    assert positive_circuits(G) == reference_positive_circuits(G)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(degenerate_matrices())
+def test_circuits_of_degenerate_matrices_match_subset_search(M):
+    G = GaleTransform(M)
+    assert positive_circuits(G) == reference_positive_circuits(G)
+
+
+def test_first_kernel_row_that_does_not_separate():
+    # on the line x = 0 the first kernel row of the flat {0}, (0, 1, 0), is
+    # zero on every point; the second one, (0, 0, 1), cuts out the flat
+    points = [(0, 0), (0, 1), (0, 2)]
+    V = PointConfiguration(points)
+    kernel = V.homogenized().submatrix([0], range(3)).kernel_basis()
+    assert kernel.rows[0] == [0, 1, 0]
+    assert matroid_hyperplanes(V) == reference_matroid_hyperplanes(V) == [
+        AffineHyperplane(0, (0, -1), frozenset({0})),
+        AffineHyperplane(1, (0, 1), frozenset({1})),
+        AffineHyperplane(1, (0, Fraction(1, 2)), frozenset({2}))]
+
+
+def test_one_point_has_the_empty_hyperplane():
+    # the rank-1 matroid of one point has one hyperplane, the empty flat;
+    # the subset searches lost the column count of the empty row set and
+    # found none (the matroid search then raised)
+    V = PointConfiguration([(2, 3)])
+    assert matroid_hyperplanes(V) == [AffineHyperplane(1, (0, 0), frozenset())]
+    assert outcome(reference_matroid_hyperplanes, V) is NonVertexPointError
+    assert slack_matrix([(2, 3)], object="matroid").entries.to_lists() == [["1"]]
+    # a 0-polytope (one point in Q^0) likewise has the empty facet
+    P = PointConfiguration([()])
+    assert facets_from_vertices(P) == [AffineHyperplane(1, (), frozenset())]
+    assert reference_facets_from_vertices(P) == []
+
+
+MOMENT_CURVE_40 = [tuple(t ** k for k in range(1, 7)) for t in range(40)]
+
+
+@pytest.mark.parametrize("search", [
+    facets_from_vertices,
+    matroid_hyperplanes,
+    lambda V: positive_circuits(gale_transform(V)),
+], ids=["facets", "matroid", "circuits"])
+def test_subset_bound_fails_fast(search):
+    # C(40, 6) = 3,838,380 subsets would take over half an hour; the bound
+    # is checked before the first one
+    V = PointConfiguration(MOMENT_CURVE_40)
+    start = time.perf_counter()
+    with pytest.raises(TooManySubsetsError, match="3838380 subsets.*1000000"):
+        search(V)
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("points", [[], [(0, 0), (1,)], [(0, 0), (1, 0), (0, 0)]],
+                         ids=["empty", "mixed", "duplicate"])
+def test_bad_point_configuration(points):
+    with pytest.raises(BadPointConfigurationError):
+        PointConfiguration(points)
