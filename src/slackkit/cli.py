@@ -6,7 +6,7 @@ import json
 import sys
 
 from .builtins import BUILTIN_NAMES, specific_slack_matrix
-from .errors import ParseError, SlackkitError
+from .errors import ParseError, SlackkitError, UniverseMismatchError
 from .geometry import GaleTransform, PointConfiguration, gale_transform
 from .rationals import RationalMatrix
 from .scaling import (contains_flag, dehomogenized_ideal,
@@ -182,6 +182,10 @@ def _cmd_graphic_ideal(args):
 
 def _cmd_certificate(args):
     S, Y = _scaled(args)
+    if args.variable in Y.ones_at:
+        raise UniverseMismatchError(
+            f"variable x{args.variable} is scaled to one; "
+            "certify a surviving variable")
     I = dehomogenized_ideal(_infer_d(args, S), Y)
     cert = irrationality_certificate(I, args.variable)
     print(json.dumps(cert.to_dict()))

@@ -37,7 +37,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .poly import BlockOrder, GRevLex, Lex, Polynomial
+from .poly import Polynomial
 from .rationals import denominator_lcm
 
 
@@ -115,15 +115,7 @@ class Ring:
     @classmethod
     def for_order(cls, order, nvars, bits=8):
         """The ring of a :class:`~slackkit.poly.MonomialOrder`."""
-        if isinstance(order, GRevLex):
-            return cls(nvars, [list(range(nvars))], bits=bits)
-        if isinstance(order, Lex):
-            return cls(nvars, [[v] for v in range(nvars)], bits=bits)
-        if isinstance(order, BlockOrder):
-            front = sorted(v for v in order.front if v < nvars)
-            rest = [v for v in range(nvars) if v not in order.front]
-            return cls(nvars, [front, rest], bits=bits)
-        raise TypeError(f"no packed layout for the order {order!r}")
+        return cls(nvars, order.blocks(nvars), bits=bits)
 
     def widened(self):
         return Ring(self.nvars, self.blocks, self.weight, self.bits * 2)

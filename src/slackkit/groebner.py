@@ -15,7 +15,7 @@ from fractions import Fraction
 from .engine import (Reducer, Ring, groebner, homogenize_ideal, pack_polys,
                      to_polynomial, widening)
 from .errors import ZeroDivisorPolynomialError
-from .poly import BlockOrder, GRevLex, Polynomial
+from .poly import GRevLex, Polynomial
 from .rationals import denominator_lcm
 
 
@@ -70,16 +70,17 @@ def buchberger(gens, order) -> list:
 
 
 class Ideal:
-    """A finite generator list plus a memoized reduced Groebner basis."""
+    """A finite generator list plus a memoized reduced grevlex basis."""
 
-    def __init__(self, generators, order=None, nvars=None):
+    order = GRevLex()
+
+    def __init__(self, generators, nvars=None):
         self.generators = list(generators)
         if nvars is None:
             if not self.generators:
                 raise ValueError("empty ideal needs an explicit nvars")
             nvars = self.generators[0].nvars
         self.nvars = nvars
-        self.order = order or GRevLex()
         self._basis = None
 
     def groebner_basis(self):
@@ -102,26 +103,16 @@ class Ideal:
         return [g.to_string(self.order) for g in self.groebner_basis()]
 
 
-def _from_basis(basis, nvars, order=None):
+def _from_basis(basis, nvars):
     """Ideal whose generators are its own reduced basis."""
-    out = Ideal(basis, order=order, nvars=nvars)
+    out = Ideal(basis, nvars=nvars)
     out._basis = out.generators
     return out
 
 
-def reduced_ideal(I: Ideal) -> Ideal:
-    """Same ideal with the reduced basis installed as its generator list."""
-    return _from_basis(I.groebner_basis(), I.nvars, I.order)
-
-
 def ideal_equals(I: Ideal, J: Ideal) -> bool:
-    """True iff reduced Groebner bases under a common order coincide."""
-    if I.nvars != J.nvars:
-        return False
-    order = GRevLex()
-    bi = buchberger(I.generators, order)
-    bj = buchberger(J.generators, order)
-    return bi == bj
+    """True iff the reduced grevlex bases coincide."""
+    return I.nvars == J.nvars and I.groebner_basis() == J.groebner_basis()
 
 
 def _rabinowitsch(f: Polynomial) -> Polynomial:
@@ -132,30 +123,28 @@ def _rabinowitsch(f: Polynomial) -> Polynomial:
     return Polynomial(n + 1, terms)
 
 
-def _eliminate(gens, front, order, nvars):
-    """Reduced monic basis, in ``order`` on the first ``nvars`` variables,
-    of the ideal of ``gens`` intersected with the subring free of the
-    variables ``front``; variables of ``gens`` from ``nvars`` on must lie in
+def _eliminate(gens, front, nvars):
+    """Reduced monic grevlex basis, on the first ``nvars`` variables, of the
+    ideal of ``gens`` intersected with the subring free of the variables
+    ``front``; variables of ``gens`` from ``nvars`` on must lie in
     ``front``.
 
     A basis is taken in the block order "grevlex on ``front``, then
     grevlex".  Its elements free of ``front`` form the reduced grevlex basis
-    of the intersection, so only another ``order`` needs a second basis."""
-    front = frozenset(front)
+    of the intersection."""
+    front = sorted(set(front))
     size = max([nvars, *(v + 1 for v in front)])
+    rest = [v for v in range(size) if v not in front]
 
     def run(block):
         mask = sum(block.fm << (block.bits * block.field[v]) for v in front)
-        final = Ring.for_order(order, nvars, block.bits)
+        final = Ring(nvars, [range(nvars)], bits=block.bits)
         unpack = block.unpack
-        kept = [final.from_terms({unpack(m)[:nvars]: c for m, c in f})
-                for f in groebner(pack_polys(gens, block), block)
-                if not f[0][0] & mask]
-        if not isinstance(order, GRevLex):
-            kept = groebner(kept, final)
-        return final, kept
+        return final, [final.from_terms({unpack(m)[:nvars]: c for m, c in f})
+                       for f in groebner(pack_polys(gens, block), block)
+                       if not f[0][0] & mask]
 
-    final, kept = widening(run, Ring.for_order(BlockOrder(front), size))
+    final, kept = widening(run, Ring(size, [front, rest]))
     return [to_polynomial(f, final) for f in kept]
 
 
@@ -166,7 +155,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
         raise ZeroDivisorPolynomialError("cannot saturate by the zero polynomial")
     n = I.nvars
     gens = [g.extended(n + 1) for g in I.generators] + [_rabinowitsch(f)]
-    return _from_basis(_eliminate(gens, {n}, I.order, n), n, I.order)
+    return _from_basis(_eliminate(gens, {n}, n), n)
 
 
 def _bayer_stillman(polys, var, ring):
@@ -195,7 +184,7 @@ def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
     homogenized ideal is saturated by each variable in turn, each step read
     off a grevlex basis in which the variable is smallest (Bayer & Stillman,
     *A criterion for detecting m-regularity*, 1987).  Finally h is set to 1
-    and one basis is taken in ``I.order``.  Homogenization commutes with
+    and one grevlex basis is taken.  Homogenization commutes with
     saturating by any variable other than h, so this gives I : x_i^infinity
     (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8
     sec. 4).
@@ -213,7 +202,7 @@ def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
     n = I.nvars
     gens = [g for g in I.generators if not g.is_zero()]
     if not gens:
-        return _from_basis([], n, I.order)
+        return _from_basis([], n)
     var_indices = sorted(set(var_indices))
 
     def run(ring):
@@ -222,14 +211,14 @@ def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
             if not polys[0][0][0] & ring.emask:
                 break
             polys, ring = _bayer_stillman(polys, v, ring)
-        final = Ring.for_order(I.order, n, ring.bits)
+        final = Ring(n, [range(n)], bits=ring.bits)
         unpack = ring.unpack
         polys = [final.from_terms({unpack(m)[:n]: c for m, c in f}) for f in polys]
         return final, groebner(polys, final)
 
     # degree in x_0..x_{n-1} first, then grevlex in x_0..x_{n-1}, h
     final, basis = widening(run, Ring(n + 1, [range(n + 1)], weight=range(n)))
-    return _from_basis([to_polynomial(f, final) for f in basis], n, I.order)
+    return _from_basis([to_polynomial(f, final) for f in basis], n)
 
 
 def homogenize_by_edges(I: Ideal, edges) -> Ideal:
@@ -245,13 +234,13 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
     Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 sec. 4).
     Reintroducing a spanning forest of the non-incidence graph leaf to root,
     with each edge weighted by the row or column it enters, therefore
-    rehomogenizes a dehomogenized slack ideal.  A final run in ``I.order``
-    gives the reduced basis, which is returned as the generators.
+    rehomogenizes a dehomogenized slack ideal.  A final grevlex run gives
+    the reduced basis, which is returned as the generators.
     """
     n = I.nvars
     gens = [g for g in I.generators if not g.is_zero()]
     if not gens:
-        return Ideal([], order=I.order, nvars=n)
+        return Ideal([], nvars=n)
     edges = [(v, frozenset(w)) for v, w in edges]
 
     def run(grevlex):
@@ -264,17 +253,16 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
             ring = weighted
             if not polys[0][0][0] & ring.emask:
                 break
-        final = Ring.for_order(I.order, n, grevlex.bits)
-        return final, groebner([final.convert(f, ring) for f in polys], final)
+        return grevlex, groebner([grevlex.convert(f, ring) for f in polys],
+                                 grevlex)
 
-    final, polys = widening(run, Ring(n, [range(n)]))
-    return _from_basis([to_polynomial(f, final) for f in polys], n, I.order)
+    grevlex, polys = widening(run, Ring(n, [range(n)]))
+    return _from_basis([to_polynomial(f, grevlex) for f in polys], n)
 
 
 def eliminate(I: Ideal, var_indices) -> Ideal:
     """I intersected with the subring without the given variables."""
-    return _from_basis(_eliminate(I.generators, var_indices, I.order, I.nvars),
-                       I.nvars, I.order)
+    return _from_basis(_eliminate(I.generators, var_indices, I.nvars), I.nvars)
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
@@ -286,11 +274,7 @@ def radical_membership(f: Polynomial, I: Ideal) -> bool:
     if I.contains(f):
         return True
     n = I.nvars
-    if isinstance(I.order, GRevLex):
-        basis = I.groebner_basis()
-    else:
-        basis = buchberger(I.generators, GRevLex())
-    polys = [g.extended(n + 1) for g in basis] + [_rabinowitsch(f)]
+    polys = [g.extended(n + 1) for g in I.groebner_basis()] + [_rabinowitsch(f)]
 
     def run(ring):
         packed = pack_polys(polys, ring)

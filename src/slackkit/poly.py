@@ -26,10 +26,25 @@ def mono_div(a, b):
 
 
 class MonomialOrder:
-    """Total order on monomials, exposed as a sort key. Larger key = larger."""
+    """Total order on monomials, defined by its block layout.
+
+    ``blocks(nvars)`` lists the variables block by block, most significant
+    block first.  Blocks compare by degree, then reverse lexicographically.
+    The packed engine (:meth:`slackkit.engine.Ring.for_order`) reads the same
+    layout, so printed and computed bases agree."""
+
+    def blocks(self, nvars):
+        raise NotImplementedError
 
     def key(self, m):
-        raise NotImplementedError
+        """Sort key, larger for larger monomials: per block, the degree,
+        then the negated exponents in reverse."""
+        k = []
+        for block in self.blocks(len(m)):
+            neg = [-m[v] for v in reversed(block)]
+            k.append(-sum(neg))
+            k.extend(neg)
+        return k
 
     def compare(self, a, b) -> int:
         """-1, 0 or 1 as a <, =, > b."""
@@ -37,18 +52,12 @@ class MonomialOrder:
             return 0
         return 1 if self.key(a) > self.key(b) else -1
 
-    def max_mono(self, monos):
-        return max(monos, key=self.key)
-
-    def sorted_desc(self, monos):
-        return sorted(monos, key=self.key, reverse=True)
-
 
 class Lex(MonomialOrder):
     """Lexicographic with x0 > x1 > ..."""
 
-    def key(self, m):
-        return m
+    def blocks(self, nvars):
+        return [[v] for v in range(nvars)]
 
     def __repr__(self):
         return "lex"
@@ -57,42 +66,11 @@ class Lex(MonomialOrder):
 class GRevLex(MonomialOrder):
     """Graded reverse lexicographic with x0 > x1 > ..."""
 
-    def __init__(self):
-        self._memo = {}
-
-    def key(self, m):
-        k = self._memo.get(m)
-        if k is None:
-            k = (sum(m),) + tuple(-e for e in reversed(m))
-            self._memo[m] = k
-        return k
+    def blocks(self, nvars):
+        return [range(nvars)]
 
     def __repr__(self):
         return "grevlex"
-
-
-class BlockOrder(MonomialOrder):
-    """Elimination order: grevlex on a front variable block, then grevlex on
-    the rest.  Any monomial containing a front variable beats any that does
-    not, so the order eliminates the front block."""
-
-    def __init__(self, front):
-        self.front = frozenset(front)
-        self._front_sorted = tuple(sorted(self.front))
-        self._memo = {}
-
-    def key(self, m):
-        k = self._memo.get(m)
-        if k is None:
-            front = tuple(m[i] for i in self._front_sorted)
-            rest = tuple(e for i, e in enumerate(m) if i not in self.front)
-            k = ((sum(front),) + tuple(-e for e in reversed(front)),
-                 (sum(rest),) + tuple(-e for e in reversed(rest)))
-            self._memo[m] = k
-        return k
-
-    def __repr__(self):
-        return f"block(front={sorted(self.front)})"
 
 
 # -- polynomials -------------------------------------------------------------
@@ -154,7 +132,7 @@ class Polynomial:
 
     def leading_term(self, order):
         """(monomial, coefficient) of the largest term; zero poly is an error."""
-        m = order.max_mono(self.terms)
+        m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
     def coefficient(self, mono):
@@ -220,14 +198,6 @@ class Polynomial:
         return Polynomial(self.nvars,
                           {mono_mul(m, mono): c * v for m, v in self.terms.items()})
 
-    def monic(self, order):
-        if not self.terms:
-            return self
-        _, lc = self.leading_term(order)
-        if lc == 1:
-            return self
-        return self * (Fraction(1) / lc)
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
                 and self.terms == other.terms)
@@ -276,7 +246,7 @@ class Polynomial:
             return "0"
         order = order or GRevLex()
         parts = []
-        for m in order.sorted_desc(self.terms):
+        for m in sorted(self.terms, key=order.key, reverse=True):
             c = self.terms[m]
             factors = [f"x{i}" if e == 1 else f"x{i}^{e}"
                        for i, e in enumerate(m) if e]

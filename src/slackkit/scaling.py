@@ -11,7 +11,7 @@ from .errors import (NeedsNumericDataError, NoFlagFoundError,
                      NotAForestError, SizeMismatchError, UniverseMismatchError)
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
-from .poly import GRevLex, Polynomial
+from .poly import Polynomial
 from .rationals import denominator_lcm
 from .slack import (ScaledSlackMatrix, SlackMatrix, SymbolicSlackMatrix,
                     minor_ideal_generators, symbolic_slack_matrix)
@@ -111,20 +111,10 @@ def set_ones(S, var_indices) -> ScaledSlackMatrix:
     """Set the chosen variables to one; they must form a forest in the
     non-incidence graph (otherwise the scaling is invalid)."""
     Y = ScaledSlackMatrix(symbolic_slack_matrix(S), var_indices)
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for v in sorted(var_indices):
-        i, j = Y.base.cell_of[v]
-        a, b = find(("r", i)), find(("c", j))
-        if a == b:
-            raise NotAForestError(f"variable x{v} closes a cycle")
-        parent[a] = b
+    # a spanning forest of the ones misses exactly the edges closing cycles
+    cycles = Y.ones_at - forest_from_ones(Y).variables
+    if cycles:
+        raise NotAForestError(f"variable x{min(cycles)} closes a cycle")
     return Y
 
 
@@ -149,25 +139,18 @@ def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
                       F: SpanningForest) -> Polynomial:
     """Reintroduce forest variables leaf-to-root until p is homogeneous in
     every row and column touched by the forest."""
-    sym = Y.base
-    grading = sym.multigrading()
-    for edge in reversed(F.edges):
-        kind, idx = edge.destination
-        axis_of = grading.row_of if kind == "r" else grading.col_of
+    for v, weight in forest_weights(Y.base, F):
         if p.is_zero():
             break
-        degs = {}
-        for m in p.terms:
-            degs[m] = sum(e for i, e in enumerate(m) if e and axis_of.get(i) == idx)
+        degs = {m: sum(m[w] for w in weight) for m in p.terms}
         D = max(degs.values())
-        if all(v == D for v in degs.values()):
+        if all(e == D for e in degs.values()):
             continue
         terms = {}
-        ev = edge.variable
         for m, c in p.terms.items():
             gap = D - degs[m]
             if gap:
-                m = tuple(e + gap if i == ev else e for i, e in enumerate(m))
+                m = m[:v] + (m[v] + gap,) + m[v + 1:]
             terms[m] = terms.get(m, 0) + c
         p = Polynomial(p.nvars, terms)
     return p
@@ -345,25 +328,24 @@ def rational_roots(p: Polynomial, var: int):
 
 
 def irrationality_certificate(I: Ideal, keep: int) -> Certificate:
-    """Eliminate every variable except `keep`; if a non-constant univariate
-    generator remains and has no rational root, the slack variety has no
-    rational point with that coordinate, certifying non-rational
-    realizability."""
+    """Eliminate every variable except `keep`.  The reduced basis of the
+    elimination ideal lies in Q[x_keep], so it is empty (the zero ideal:
+    "inconclusive" with minimal polynomial 0) or one monic polynomial g.  If
+    g has no rational root, the slack variety has no rational point,
+    certifying non-rational realizability.  The unit ideal gives g = 1,
+    which has no root at all: the variety is empty, so there is no
+    realization, rational or not, and the result is "irrational"."""
     if not 0 <= keep < I.nvars:
         raise UniverseMismatchError(
             f"variable x{keep} outside universe of {I.nvars}")
     others = set(range(I.nvars)) - {keep}
-    E = eliminate(I, others)
-    univariate = [g for g in E.groebner_basis()
-                  if not g.is_zero() and g.variables() <= {keep}]
-    nonconstant = [g for g in univariate if not g.is_constant()]
-    if not nonconstant:
+    basis = eliminate(I, others).groebner_basis()
+    if not basis:
         return Certificate(kind="inconclusive", variable=keep,
                            minimal_polynomial=Polynomial.zero(I.nvars),
                            rational_roots=())
-    minimal = min(nonconstant, key=lambda g: g.total_degree())
-    minimal = minimal.monic(GRevLex())
-    roots = rational_roots(minimal, keep)
-    kind = "irrational" if not roots else "inconclusive"
-    return Certificate(kind=kind, variable=keep, minimal_polynomial=minimal,
-                       rational_roots=tuple(roots))
+    minimal = basis[0]
+    roots = tuple(rational_roots(minimal, keep))
+    return Certificate(kind="inconclusive" if roots else "irrational",
+                       variable=keep, minimal_polynomial=minimal,
+                       rational_roots=roots)

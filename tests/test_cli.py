@@ -211,6 +211,37 @@ def test_unknown_certificate_variable_is_domain_error(capsys):
     assert not out and "x999" in err
 
 
+def test_repeated_ones_index_closes_no_cycle(capsys):
+    # the ones are a set, so a repeated index is the index once
+    code, out, err = run(capsys, "scale", "--builtin", "prism", "--ones", "0,0")
+    assert code == 0 and not err
+    assert run(capsys, "scale", "--builtin", "prism", "--ones", "0") == \
+        (code, out, err)
+    code, out, err = run(capsys, "scale", "--builtin", "prism",
+                         "--ones", ",".join(map(str, range(12))))
+    assert code == 1
+    assert not out and "closes a cycle" in err
+
+
+@pytest.mark.parametrize("builtin,variable", [("square", "0"), ("prism", "7")])
+def test_certificate_of_a_variable_scaled_to_one_is_domain_error(
+        capsys, builtin, variable):
+    code, out, err = run(capsys, "certificate", "--builtin", builtin,
+                         "--variable", variable)
+    assert code == 1
+    assert not out and f"x{variable} is scaled to one" in err
+
+
+def test_certificate_of_the_unit_ideal(capsys):
+    # sphere #1963 has no realization at all: eliminating down to x38
+    # leaves <1>, whose minimal polynomial 1 has no rational root
+    code, out, err = run(capsys, "certificate", "-d", "4",
+                         "--builtin", "sphere1963-reduced", "--variable", "38")
+    assert code == 0 and not err
+    assert json.loads(out) == {"kind": "irrational", "variable": 38,
+                               "minimal_polynomial": "1", "rational_roots": []}
+
+
 def test_graphic_ideal_of_scaled_builtin_is_domain_error(capsys):
     code, _, err = run(capsys, "graphic-ideal", "--builtin", "sphere1963-reduced")
     assert code == 1

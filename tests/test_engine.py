@@ -213,6 +213,22 @@ def test_generator_reducing_to_constant_returns_unit():
     assert buchberger([x0, x0 + 1], GRevLex()) == [Polynomial.constant(1, 2)]
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_packed_order_is_the_printed_order(data):
+    # one block layout defines each order: the Fraction sort key and the
+    # packed int must agree on every comparison, at both field widths
+    order = data.draw(st.sampled_from([Lex(), GRevLex()]))
+    n = data.draw(st.integers(1, 6))
+    ring = Ring.for_order(order, n, data.draw(st.sampled_from([8, 16])))
+    top = data.draw(st.sampled_from([3, ring.cap // n]))
+    monomial = st.tuples(*[st.integers(0, top)] * n)
+    a = data.draw(monomial)
+    b = data.draw(monomial | st.permutations(a).map(tuple))
+    pa, pb = ring.pack(a), ring.pack(b)
+    assert order.compare(a, b) == (pa > pb) - (pa < pb)
+
+
 def test_pack_beyond_field_width_raises():
     ring = Ring(2, [[0, 1]], bits=8)
     assert ring.unpack(ring.pack((127, 0))) == (127, 0)

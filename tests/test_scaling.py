@@ -281,6 +281,14 @@ def test_certificate_sqrt2_is_irrational():
     assert cert.rational_roots == ()
 
 
+def test_certificate_of_the_unit_ideal_is_irrational():
+    # <1> has no point at all, so in particular no rational one
+    cert = irrationality_certificate(Ideal([Polynomial.constant(1, 2)]), 0)
+    assert cert.kind == "irrational"
+    assert cert.minimal_polynomial.to_string() == "1"
+    assert cert.rational_roots == ()
+
+
 def test_perles_certificate():
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
     I = dehomogenized_ideal(8, Y)
