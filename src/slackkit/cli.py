@@ -61,10 +61,10 @@ def _source_matrix(args):
         return specific_slack_matrix(args.builtin)
     M = _load_matrix(getattr(args, kind))
     if kind == "vertices":
-        return slack_matrix(M.to_lists(), object=getattr(args, "object", "polytope"))
+        return slack_matrix(M.rows, object=getattr(args, "object", "polytope"))
     if kind == "matrix":
         return SlackMatrix(M)
-    return symbolic_slack_matrix([[x != 0 for x in row] for row in M.to_lists()])
+    return symbolic_slack_matrix(M)
 
 
 def _numeric(S) -> SlackMatrix:
@@ -136,7 +136,7 @@ def _cmd_ideal(args):
 
 
 def _cmd_gale(args):
-    V = PointConfiguration(_load_matrix(args.vertices).to_lists())
+    V = PointConfiguration(_load_matrix(args.vertices).rows)
     _print_matrix(gale_transform(V).matrix, args.format)
 
 

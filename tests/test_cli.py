@@ -10,6 +10,8 @@ import pytest
 
 SQUARE_JSON = '[["0","0"],["1","0"],["1","1"],["0","1"]]'
 PRISM_TEXT = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 0 1\n1 1 0"
+# the support of the prism's slack matrix
+PRISM_PATTERN = "0 0 0 1 1\n0 0 1 0 1\n0 1 0 1 0\n1 0 0 1 0\n1 0 1 0 0\n0 1 1 0 0"
 
 
 @pytest.fixture
@@ -285,8 +287,11 @@ def test_contains_flag_column_out_of_range_is_domain_error(capsys, prism_file,
 
 @pytest.mark.parametrize("source", ["--vertices", "--pattern"])
 def test_reduce_flag_column_out_of_range_is_domain_error(capsys, prism_file,
-                                                         source):
-    code, out, err = run(capsys, "reduce", "-d", "3", source, prism_file,
+                                                         tmp_path, source):
+    path = tmp_path / "prism-pattern.txt"
+    path.write_text(PRISM_PATTERN)
+    given = prism_file if source == "--vertices" else str(path)
+    code, out, err = run(capsys, "reduce", "-d", "3", source, given,
                          "--flag-indices", "0,99")
     assert code == 1
     assert not out and "column 99" in err
@@ -345,3 +350,37 @@ def test_subset_bound_is_domain_error(capsys, tmp_path):
                              "--object", obj)
         assert code == 1
         assert not out and "3838380 subsets" in err
+
+
+def test_pattern_keeps_its_zeros(capsys, tmp_path):
+    path = tmp_path / "pattern.txt"
+    path.write_text("1 0\n0 1")
+    code, out, _ = run(capsys, "symbolic", "--pattern", str(path))
+    assert (code, out) == (0, "x0 0\n0 x1\n")
+
+
+def test_ideal_of_a_pattern_equals_ideal_of_its_matrix(capsys, square_file,
+                                                        tmp_path):
+    code, slack, _ = run(capsys, "slack-matrix", "--vertices", square_file)
+    assert code == 0
+    matrix = tmp_path / "square-slack.txt"
+    matrix.write_text(slack)
+    pattern = tmp_path / "square-pattern.txt"
+    pattern.write_text("\n".join(" ".join("0" if x == "0" else "1" for x in line.split())
+                                 for line in slack.splitlines()))
+    from_matrix = run(capsys, "ideal", "--matrix", str(matrix))
+    from_pattern = run(capsys, "ideal", "-d", "2", "--pattern", str(pattern))
+    assert from_pattern == from_matrix == (0, "x0*x3*x5*x6 - x1*x2*x4*x7\n", "")
+
+
+@pytest.mark.parametrize("gale,bad", [
+    ("1 0 0 1 -2\n0 1 1 0 -2", "[4]"),  # the square plus its centre
+    ("1 -1 0", "[0, 1]"),  # a repeated point
+], ids=["interior-point", "repeated-point"])
+def test_gale_slack_of_a_non_vertex_set_is_domain_error(capsys, tmp_path, gale,
+                                                         bad):
+    path = tmp_path / "gale.txt"
+    path.write_text(gale)
+    code, out, err = run(capsys, "gale-slack", "--gale", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: points {bad} are not vertices of the hull\n"

@@ -434,6 +434,20 @@ def test_one_point_has_the_empty_hyperplane():
     assert reference_facets_from_vertices(P) == []
 
 
+def test_point_inside_an_edge_on_d_facets_is_not_a_vertex():
+    # in the pyramid over an octahedron the edge from the apex to an
+    # octahedron vertex lies on 4 facets, and so does its midpoint, which
+    # passes a count of facets per point; its facets are a subset of the
+    # octahedron vertex's
+    octahedron = [tuple(s if k == i else 0 for k in range(4))
+                  for i in range(3) for s in (1, -1)]
+    midpoint = (Fraction(1, 2), 0, 0, Fraction(1, 2))
+    V = PointConfiguration(octahedron + [(0, 0, 0, 1), midpoint])
+    with pytest.raises(NonVertexPointError, match=r"points \[7\] "):
+        facets_from_vertices(V)
+    assert len(reference_facets_from_vertices(V)) == 9
+
+
 MOMENT_CURVE_40 = [tuple(t ** k for k in range(1, 7)) for t in range(40)]
 
 

@@ -7,6 +7,7 @@ from slackkit import RationalMatrix, format_rational, parse_rational
 from slackkit.errors import BadRationalError, NonSquareError, RaggedRowsError
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def test_parse_and_format_roundtrip():
@@ -125,3 +126,54 @@ def test_json_roundtrip_with_fractions():
 def test_ragged_rows_rejected():
     with pytest.raises(RaggedRowsError):
         RationalMatrix.from_text("1 2\n3")
+
+
+entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 7]))
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols) up to 6 x 7 with mixed denominators and negative
+    entries, some with a zero column or rows that are combinations of
+    others."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if ncols and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    if nrows >= 2 and draw(st.booleans()):
+        i, k = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2,
+                             unique=True))
+        a, b = draw(entries), draw(entries)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[nrows - 1 - i])]
+    return rows, ncols
+
+
+def from_sympy(S):
+    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_elimination_matches_sympy(matrix):
+    # an oracle that does not share the integer elimination: sympy's rref,
+    # and the RREF of its nullspace
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = matrix
+    M = RationalMatrix(rows, ncols=ncols)
+    S = sympy.Matrix(len(rows), ncols,
+                     [sympy.Rational(x.numerator, x.denominator)
+                      for row in rows for x in row])
+    ref, ref_pivots = S.rref()
+    red, pivots = M.rref()
+    assert pivots == list(ref_pivots)
+    assert (red.nrows, red.ncols) == (len(rows), ncols)
+    assert red.rows == from_sympy(ref)
+    assert M.rank() == len(ref_pivots)
+    null = S.nullspace()
+    K = M.kernel_basis()
+    assert (K.nrows, K.ncols) == (len(null), ncols)
+    if null:
+        assert K.rows == from_sympy(sympy.Matrix.hstack(*null).T.rref()[0])
