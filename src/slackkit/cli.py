@@ -2,6 +2,7 @@
 canonical text or JSON."""
 
 import argparse
+import functools
 import json
 import sys
 
@@ -236,7 +237,10 @@ def _add_common(p, d=False, fmt=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: building it is most of
+    the cost of a small request, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="slackkit")
     sub = ap.add_subparsers(dest="verb", required=True)
 

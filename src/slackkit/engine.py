@@ -29,13 +29,23 @@ selects pairs from a heap keyed once at insertion by (sugar, lcm), applies
 the Gebauer-Moeller criteria M, F and the product criterion when a basis
 element is installed and criterion B when a pair is selected, and returns
 the unit ideal as soon as a constant appears.
+
+A monomial is always reduced by the lowest-index divisor whose leading
+monomial divides it, a choice that depends on the monomial alone, so full
+reduction is a linear map on monomials: NF(sum c_m m) = sum c_m NF(m).  A
+:class:`Reducer` therefore reduces each monomial once with its heap routine,
+memoizes the result, and builds the normal form of a polynomial as the
+integer combination of its terms' memoized forms; the cancellations the heap
+would find only skip work whose contributions sum to zero.  Adding a divisor
+changes normal forms, so it clears the memo.  The Buchberger pair loop adds
+a divisor after nearly every reduction and calls the heap routine directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from .poly import Polynomial
 from .rationals import denominator_lcm
@@ -171,6 +181,8 @@ class Ring:
         return sorted(((pack(unpack(m)), c) for m, c in f), reverse=True)
 
     def max_degree(self, f):
+        if self.graded:  # the leading monomial has the largest degree
+            return self.degree(f[0][0])
         deg = self.degree
         return max(deg(m) for m, _ in f)
 
@@ -229,13 +241,15 @@ class Reducer:
     Divisors are found through bitsets rather than a scan: ``rows[f][k]``
     has bit i set when the exponent in field f of leading monomial i is at
     least k, so the leading monomials dividing m are the bits set in no
-    ``rows[f][e_f(m) + 1]``.  Found divisors are memoized per monomial."""
+    ``rows[f][e_f(m) + 1]``.  Found divisors are memoized per monomial, and
+    so are the normal forms :meth:`normal_form` builds on."""
 
     def __init__(self, ring):
         self.ring = ring
         self.lts = []      # leading monomials
         self.polys = []    # (leading coefficient, tail, extra degree)
         self.cache = {}
+        self.forms = {}    # monomial -> (scale, reduce({monomial: 1}))
         self.rows = [[0] * (min(ring.cap, 127) + 2) for _ in range(ring.nvars)]
         self.scale = 1     # the factor the last reduce multiplied its work by
 
@@ -256,6 +270,7 @@ class Reducer:
                 row[k] |= bit
         self.lts.append(lt)
         self.polys.append((lc, tail, extra))
+        self.forms.clear()
         return len(self.lts) - 1
 
     def divisors(self, m):
@@ -330,8 +345,26 @@ class Reducer:
         return out
 
     def normal_form(self, f):
-        """Primitive normal form of the packed polynomial f."""
-        return normalize(self.reduce(dict(f)))
+        """Normal form of the packed terms f, built from the memoized
+        normal forms of its monomials.  Like ``reduce(dict(f))``, it is
+        ``self.scale`` times the exact remainder, not made primitive."""
+        forms = self.forms
+        parts = []
+        scale = 1
+        for m, c in f:
+            form = forms.get(m)
+            if form is None:
+                out = self.reduce({m: 1})
+                form = forms[m] = (self.scale, out)
+            parts.append((c, form))
+            scale = lcm(scale, form[0])
+        acc = {}
+        for c, (s, out) in parts:
+            k = c * (scale // s)
+            for x, y in out:
+                acc[x] = acc.get(x, 0) + k * y
+        self.scale = scale
+        return sorted(((x, y) for x, y in acc.items() if y), reverse=True)
 
 
 # -- Buchberger ----------------------------------------------------------------
@@ -495,7 +528,7 @@ def interreduce(polys, ring):
     basis = []
     next_compact = 24
     for f in polys:
-        r = red.normal_form(f)
+        r = normalize(red.normal_form(f))
         if not r:
             continue
         basis.append(r)
@@ -527,11 +560,11 @@ def _minimize(polys, ring):
             red = Reducer(ring)
             for g in minimal[:k] + minimal[k + 1:]:
                 red.add(g)
-            out.append(red.normal_form(f))
+            out.append(normalize(red.normal_form(f)))
         red = Reducer(ring)
         for g in out:
             red.add(g)
-        rest = [r for r in map(red.normal_form, rest) if r]
+        rest = [r for f in rest if (r := normalize(red.normal_form(f)))]
         if not rest:
             return out
         polys = out + rest

@@ -22,7 +22,8 @@ from .rationals import denominator_lcm
 # -- normal forms ------------------------------------------------------------
 
 # (elements of G, order, engine Reducer) for the last basis normal_form
-# divided by: callers reduce many polynomials by one basis
+# divided by: callers reduce many polynomials by one basis, and the Reducer
+# keeps the normal form of every monomial it has met
 _last_divisors = None
 
 
@@ -45,7 +46,8 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
             red = Reducer(ring)
             for g in pack_polys([g for g in items if not g.is_zero()], ring):
                 red.add(g)
-        out = red.reduce({ring.pack(m): int(c * scale) for m, c in f.terms.items()})
+        out = red.normal_form((ring.pack(m), int(c * scale))
+                              for m, c in f.terms.items())
         return red, out
 
     start = memo[2].ring if memo is not None else Ring.for_order(order, f.nvars)

@@ -121,7 +121,8 @@ class RationalMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows, ncols=None):
-        rows = [[Fraction(x) for x in row] for row in rows]
+        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+                for row in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

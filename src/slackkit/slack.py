@@ -263,9 +263,12 @@ def _nonzero_minors(grid, k, ring):
                 s = -1 if (C >> (c + 1)).bit_count() & 1 else 1
                 for m, a in f.items():
                     m += unit
-                    g[m] = g.get(m, 0) + s * a
-        return {C: h for C, g in out.items()
-                if (h := {m: a for m, a in g.items() if a})}
+                    v = g.get(m, 0) + s * a
+                    if v:
+                        g[m] = v
+                    else:
+                        del g[m]
+        return {C: g for C, g in out.items() if g}
 
     def walk(rows, dets):
         if len(rows) == k:

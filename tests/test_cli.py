@@ -1,9 +1,13 @@
 """Command-line interface: verbs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import slackkit
 from slackkit import RationalMatrix
-from slackkit.cli import main, parse_matrix_input
+from slackkit.cli import build_parser, main, parse_matrix_input
 
 import pytest
 
@@ -81,6 +85,43 @@ def test_byte_identical_reruns(capsys, square_file):
     outputs = {run(capsys, "ideal", "-d", "2", "--vertices", square_file)[1]
                for _ in range(3)}
     assert len(outputs) == 1
+
+
+def run_any(capsys, *argv):
+    """Like run, also when argparse itself exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_reused_across_calls(capsys, prism_file):
+    # one parser serves every call in a process; each request must print
+    # what it prints with a parser of its own
+    requests = [("slack-matrix", "--bogus"),
+                ("slack-matrix", "--vertices", prism_file, "--format", "json"),
+                ("slack-matrix", "--vertices", prism_file)]
+    alone = []
+    for argv in requests:
+        build_parser.cache_clear()
+        alone.append(run_any(capsys, *argv))
+    build_parser.cache_clear()
+    together = [run_any(capsys, *argv) for argv in requests]
+    assert build_parser.cache_info().misses == 1
+    assert together == alone
+    assert [code for code, _, _ in together] == [2, 0, 0]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.dirname(os.path.dirname(slackkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "slackkit", "builtin", "square"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        run(capsys, "builtin", "square")
 
 
 def test_gale_verb(capsys, square_file):

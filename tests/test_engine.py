@@ -73,6 +73,59 @@ def test_normal_form_matches_sympy(f, divisors, order):
     assert sympy.expand(to_sympy(remainder) - expected) == 0
 
 
+RINGS = {"grevlex": Ring.for_order(GRevLex(), NV),
+         "lex": Ring.for_order(Lex(), NV),
+         "weighted": Ring(NV, [range(NV)], weight={0})}
+# {exponent tuple: int}, with coefficients that make leading ones non-monic
+packed_terms = st.dictionaries(monomial, st.integers(-6, 6).filter(bool),
+                               min_size=1, max_size=4)
+
+
+def exact(f, scale):
+    return [(m, Fraction(c, scale)) for m, c in f]
+
+
+def unpacked(f, scale, ring):
+    return Polynomial(NV, {ring.unpack(m): c for m, c in exact(f, scale)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(RINGS)), st.lists(packed_terms, min_size=1, max_size=4),
+       st.lists(packed_terms, min_size=1, max_size=4))
+def test_memoized_normal_form_matches_heap_reduction(name, divisors, queries):
+    # after each divisor is added every query is asked again, so a normal
+    # form memoized before the add is looked up after it
+    ring = RINGS[name]
+    divisors = [ring.from_terms(g) for g in divisors]
+    queries = [sorted(((ring.pack(m), c) for m, c in f.items()), reverse=True)
+               for f in queries]
+    red = engine.Reducer(ring)
+    for k, g in enumerate(divisors):
+        red.add(g)
+        for f in queries:
+            fresh = engine.Reducer(ring)
+            for h in divisors[:k + 1]:
+                fresh.add(h)
+            expected = fresh.reduce(dict(f))
+            got = red.normal_form(f)
+            assert exact(got, red.scale) == exact(expected, fresh.scale)
+            assert engine.normalize(got) == engine.normalize(expected)
+    if name == "weighted":
+        return
+    # against a reduced basis the remainder is unique, so sympy's must agree
+    basis = engine.groebner(divisors, ring)
+    red = engine.Reducer(ring)
+    for g in basis:
+        red.add(g)
+    exprs = [to_sympy(engine.to_polynomial(g, ring)) for g in basis]
+    for f in queries:
+        got = red.normal_form(f)
+        _, expected = sympy.reduced(to_sympy(unpacked(f, 1, ring)), exprs,
+                                    *SYMS, order=name, domain="QQ")
+        assert sympy.expand(to_sympy(unpacked(got, red.scale, ring))
+                            - expected) == 0
+
+
 @ORACLE
 @given(ideal)
 def test_buchberger_matches_sympy(gens):

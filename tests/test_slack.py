@@ -12,6 +12,7 @@ from slackkit import (GaleTransform, Ideal, PointConfiguration, Polynomial,
                       slack_from_gale_circuits, slack_from_gale_plucker,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix)
+from slackkit import engine
 from slackkit.engine import Ring, normalize
 from slackkit.errors import (DegeneratePatternError, NotACofacetError,
                              UnknownNameError)
@@ -340,16 +341,29 @@ def test_nonzero_minors_match_sympy_determinants():
             assert sympy.expand(det - ours) == 0
 
 
-def test_perles_minor_work_counts():
+def test_perles_minor_work_counts(monkeypatch):
     # deterministic counts that catch an algorithmic regression timing hides:
     # of the 18,876 10-minors, 16,497 are nonzero, 7,325 distinct up to sign
-    # and content, and they interreduce to 15 generators
+    # and content, and they interreduce to 15 generators.  Their terms hold
+    # 791 distinct monomials, and the interreduction runs the heap reduction
+    # once per monomial and divisor list, not once per minor
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
     grid, nvars = _entry_grid(Y)
     ring = Ring(nvars, [range(nvars)])
     minors = [f for _, _, f in _nonzero_minors(grid, 10, ring)]
     assert count_minors(8, Y) == 18876
     assert len(minors) == 16497
-    assert len({tuple(normalize(sorted(f.items(), reverse=True)))
-                for f in minors}) == 7325
+    distinct = {tuple(normalize(sorted(f.items(), reverse=True)))
+                for f in minors}
+    assert len(distinct) == 7325
+    assert len({m for f in distinct for m, _ in f}) == 791
+    reduce = engine.Reducer.reduce
+    calls = []
+
+    def counted(self, *args):
+        calls.append(None)
+        return reduce(self, *args)
+
+    monkeypatch.setattr(engine.Reducer, "reduce", counted)
     assert len(minor_ideal_generators(8, Y)) == 15
+    assert len(calls) == 1546
