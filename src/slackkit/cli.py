@@ -4,6 +4,7 @@ canonical text or JSON."""
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .builtins import BUILTIN_NAMES, specific_slack_matrix
@@ -324,6 +325,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`slackkit builtin ... | head`): as
+        # Python's SIGPIPE note advises, point stdout at devnull so the
+        # flush at exit cannot fail again, and exit 1 without a message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ParseError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

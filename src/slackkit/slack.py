@@ -236,28 +236,78 @@ def pattern_minor(grid, rows, cols, nvars) -> Polynomial:
     return Polynomial(nvars, {m: Fraction(c) for m, c in terms.items() if c})
 
 
-def _nonzero_minors(grid, k, ring):
+def _unit_triangle(grid, k):
+    """Rows R0 and columns C0 of a symbolic grid, at most k - 1 of each, in
+    an order that makes the submatrix lower triangular with nonzero
+    diagonal: cell (R0[i], C0[j]) is zero for j > i and nonzero for j = i.
+    Its determinant is +-(product of the diagonal), a monomial.
+
+    Greedy: each step takes an available column (zero on every row taken
+    so far) and a row in its support, the pair that leaves the most columns
+    available, ties to the lowest column and then the lowest row."""
+    zeros = [sum(1 << c for c, v in enumerate(row) if v is None) for row in grid]
+    avail = (1 << len(grid[0])) - 1
+    rows, cols = [], []
+    while len(rows) < k - 1:
+        best = None
+        for c in range(len(grid[0])):
+            if not avail >> c & 1:
+                continue
+            for r, row in enumerate(grid):
+                if row[c] is not None:
+                    left = (avail & zeros[r]).bit_count()
+                    if best is None or left > best[0]:
+                        best = (left, r, c)
+        if best is None:
+            break
+        _, r, c = best
+        rows.append(r)
+        cols.append(c)
+        avail &= zeros[r]
+    return rows, cols
+
+
+def _nonzero_minors(grid, k, ring, rows0=(), cols0=()):
     """Yield ``(rows, cols, f)`` for every nonzero k-minor of a symbolic
-    grid in lexicographic (row set, column set) order, ``f`` its exact
+    grid whose row set contains ``rows0`` and whose column set contains
+    ``cols0``, in lexicographic (row set, column set) order, ``f`` its exact
     determinant as ``{packed monomial: int}`` in ``ring``.
 
     One depth-first pass over row prefixes: after rows r_1 < ... < r_i it
     holds det(r_1..r_i; C) for every column set C of size i, keyed by
     bitmask, and appending a row expands along it,
     det(C + c) += (-1)^#{c' in C : c' > c} * cell * det(C),
-    so row sets and column sets share their prefixes once."""
+    so row sets and column sets share their prefixes once.  Two rules prune
+    the pass to the minors that contain rows0 x cols0: a row outside rows0
+    is taken only while the rows left to take still fit every rows0 row not
+    yet taken, and a column set C of size i is kept only while at most
+    k - i columns of cols0 are missing from it.  With both empty every
+    nonzero minor is yielded.
+
+    Why the restricted minors suffice: let A = rows0 x cols0 have t < k rows
+    and a monomial determinant D (see :func:`_unit_triangle`).  Once D is
+    inverted, row and column operations turn the matrix into A (+) B, B the
+    Schur complement, without changing its ideal of k-minors, which becomes
+    the ideal of (k - t)-minors of B.  By Sylvester's determinant identity
+    each of those is a k-minor containing rows0 x cols0, divided by D
+    (Bruns and Vetter, Determinantal Rings, section 2).  So saturating by
+    the variables of D gives the same ideal from either set of minors."""
     nrows, ncols = len(grid), len(grid[0])
     units = ring.units
     cells = [[(c, 1 << c, 0 if v == ONE else units[v])
               for c, v in enumerate(row) if v is not None] for row in grid]
-    col_sets = [(cols, sum(1 << c for c in cols))
-                for cols in itertools.combinations(range(ncols), k)]
+    need = sum(1 << c for c in cols0)
+    col_sets = []
+    for extra in itertools.combinations(
+            [c for c in range(ncols) if c not in cols0], k - len(cols0)):
+        cols = tuple(sorted((*cols0, *extra)))
+        col_sets.append((cols, sum(1 << c for c in cols)))
 
-    def extend(dets, r):
+    def extend(dets, r, size):
         out = {}
         for C, f in dets.items():
             for c, bit, unit in cells[r]:
-                if C & bit:
+                if C & bit or (need & ~(C | bit)).bit_count() > k - size:
                     continue
                 g = out.setdefault(C | bit, {})
                 s = -1 if (C >> (c + 1)).bit_count() & 1 else 1
@@ -270,20 +320,45 @@ def _nonzero_minors(grid, k, ring):
                         del g[m]
         return {C: g for C, g in out.items() if g}
 
-    def walk(rows, dets):
-        if len(rows) == k:
+    def walk(rows, dets, todo):
+        # todo: the rows0 rows not taken yet, ascending
+        depth = len(rows)
+        if depth == k:
             for cols, mask in col_sets:
                 f = dets.get(mask)
                 if f:
                     yield rows, cols, f
             return
         start = rows[-1] + 1 if rows else 0
-        for r in range(start, nrows - k + len(rows) + 1):
-            sub = extend(dets, r)
+        stop = nrows - k + depth + 1
+        if todo:
+            # never skip the next rows0 row; take it now if the rows left
+            # to take would otherwise not fit the rows0 rows still to come
+            if k - depth - 1 < len(todo):
+                start = todo[0]
+            stop = min(stop, todo[0] + 1)
+        for r in range(start, stop):
+            sub = extend(dets, r, depth + 1)
             if sub:
-                yield from walk(rows + (r,), sub)
+                yield from walk(rows + (r,), sub,
+                                todo[1:] if todo and r == todo[0] else todo)
 
-    yield from walk((), {0: {0: 1}})
+    yield from walk((), {0: {0: 1}}, tuple(sorted(rows0)))
+
+
+def _minor_generators(grid, nvars, k, rows0=(), cols0=()):
+    """The nonzero k-minors that contain rows0 x cols0, in lexicographic
+    (row set, column set) order, each replaced by its normal form against
+    the minors collected so far (same ideal, far smaller list)."""
+    # every minor has degree k and grevlex reduction never raises the degree,
+    # so a ring whose degree cap is k never overflows
+    ring = Ring(nvars, [range(nvars)], bits=max(8, k.bit_length() + 1))
+    # distinct nonzero minors in enumeration order, packed
+    minors = dict.fromkeys(
+        tuple(engine.normalize(sorted(f.items(), reverse=True)))
+        for _, _, f in _nonzero_minors(grid, k, ring, rows0, cols0))
+    return [to_polynomial(f, ring)
+            for f in engine.interreduce(list(minors), ring)]
 
 
 def minor_ideal_generators(d, S):
@@ -292,16 +367,22 @@ def minor_ideal_generators(d, S):
     its normal form against the minors collected so far (same ideal, far
     smaller list)."""
     grid, nvars = _entry_grid(S)
+    return _minor_generators(grid, nvars, d + 2)
+
+
+def unit_triangle_minors(d, S):
+    """Generators of an ideal whose saturation by the product of the
+    variables equals that of the (d+2)-minors of a symbolic/scaled slack
+    matrix: the minors that contain the greedy unit triangle of
+    :func:`_unit_triangle`, whose determinant is a monomial and so a unit
+    after saturating (Sylvester's identity, see :func:`_nonzero_minors`).
+    Interreduced like :func:`minor_ideal_generators`.  On the scaled Perles
+    matrix the triangle has 9 rows and these are 12 of the 16,497 nonzero
+    10-minors."""
+    grid, nvars = _entry_grid(S)
     k = d + 2
-    # every minor has degree k and grevlex reduction never raises the degree,
-    # so a ring whose degree cap is k never overflows
-    ring = Ring(nvars, [range(nvars)], bits=max(8, k.bit_length() + 1))
-    # distinct nonzero minors in enumeration order, packed
-    minors = dict.fromkeys(
-        tuple(engine.normalize(sorted(f.items(), reverse=True)))
-        for _, _, f in _nonzero_minors(grid, k, ring))
-    return [to_polynomial(f, ring)
-            for f in engine.interreduce(list(minors), ring)]
+    rows0, cols0 = _unit_triangle(grid, k)
+    return _minor_generators(grid, nvars, k, rows0, cols0)
 
 
 def slack_ideal(d, S, object="polytope") -> Ideal:
@@ -321,6 +402,12 @@ def slack_ideal(d, S, object="polytope") -> Ideal:
     A scaled matrix is taken as it is: the result is its dehomogenized
     ideal, whose minors are saturated by the surviving variables (the
     scaled ones do not occur in them).
+
+    Either way the saturated minors are only those that contain a unit
+    triangle of the scaled matrix (:func:`unit_triangle_minors`): its
+    determinant is a monomial, a unit after saturating, and by Sylvester's
+    determinant identity the minors through it generate the same saturated
+    ideal as all (d+2)-minors.
     """
     from .scaling import dehomogenized_ideal, rehomogenize_ideal, set_ones_forest
     if isinstance(S, (list, PointConfiguration)):

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -122,6 +123,43 @@ def test_python_dash_m_runs_the_cli(capsys):
                           env=dict(os.environ, PYTHONPATH=path))
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         run(capsys, "builtin", "square")
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_1_without_a_message(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "stdout"
+    with open(target, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        assert main(["builtin", "perles-reduced"]) == 1
+        # the descriptor now points at devnull, so the flush at exit is harmless
+        os.write(fh.fileno(), b"lost")
+        monkeypatch.undo()
+    assert target.read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_in_a_subprocess(capsys):
+    src = os.path.dirname(os.path.dirname(slackkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "slackkit", "builtin", "square"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+    proc.stdout.close()  # the reader leaves before the first line is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_gale_verb(capsys, square_file):

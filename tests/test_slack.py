@@ -12,14 +12,15 @@ from slackkit import (GaleTransform, Ideal, PointConfiguration, Polynomial,
                       slack_from_gale_circuits, slack_from_gale_plucker,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix)
-from slackkit import engine
+from slackkit import engine, slack
 from slackkit.engine import Ring, normalize
 from slackkit.errors import (DegeneratePatternError, NotACofacetError,
                              UnknownNameError)
 from slackkit.rationals import denominator_lcm
-from slackkit.scaling import set_ones
-from slackkit.slack import (ONE, _entry_grid, _nonzero_minors,
-                            minor_ideal_generators, pattern_minor)
+from slackkit.scaling import dehomogenized_ideal, set_ones, set_ones_forest
+from slackkit.slack import (ONE, _entry_grid, _nonzero_minors, _unit_triangle,
+                            minor_ideal_generators, pattern_minor,
+                            unit_triangle_minors)
 from conftest import PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES
 from test_geometry import unit_simplex
 
@@ -367,3 +368,128 @@ def test_perles_minor_work_counts(monkeypatch):
     monkeypatch.setattr(engine.Reducer, "reduce", counted)
     assert len(minor_ideal_generators(8, Y)) == 15
     assert len(calls) == 1546
+
+
+# -- unit triangles ----------------------------------------------------------
+
+
+@st.composite
+def scaled_patterns(draw):
+    """A support pattern of at most 6 x 7 cells with ones on a random forest
+    of its non-incidence graph, and a minor size k in 2..5."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    sym = SymbolicSlackMatrix(draw(st.lists(
+        st.lists(st.booleans(), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows)))
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    ones = []
+    for v in draw(st.permutations(range(sym.nvars))):
+        i, j = sym.cell_of[v]
+        a, b = find(("r", i)), find(("c", j))
+        if a != b and draw(st.booleans()):
+            parent[a] = b
+            ones.append(v)
+    return ScaledSlackMatrix(sym, ones), draw(st.integers(2, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scaled_patterns())
+def test_unit_triangle_is_a_monomial_minor(case):
+    Y, k = case
+    grid, nvars = _entry_grid(Y)
+    rows, cols = _unit_triangle(grid, k)
+    assert len(rows) == len(cols) <= k - 1
+    for i, r in enumerate(rows):
+        assert grid[r][cols[i]] is not None
+        assert all(grid[r][c] is None for c in cols[i + 1:])
+    det = pattern_minor(grid, sorted(rows), sorted(cols), nvars)
+    assert [abs(c) for c in det.terms.values()] == [1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scaled_patterns(), st.data())
+def test_restricted_minors_are_the_containing_subset(case, data):
+    # the pruned pass yields exactly the unrestricted minors whose rows and
+    # columns contain rows0 and cols0, in the same order; for the unit
+    # triangle and for arbitrary subsets of at most k - 1 rows and columns
+    Y, k = case
+    grid, nvars = _entry_grid(Y)
+    ring = Ring(nvars, [range(nvars)])
+    nrows, ncols = len(grid), len(grid[0])
+    full = list(_nonzero_minors(grid, k, ring))
+    subsets = [_unit_triangle(grid, k), (
+        data.draw(st.sets(st.integers(0, nrows - 1), max_size=min(k - 1, nrows))),
+        data.draw(st.sets(st.integers(0, ncols - 1), max_size=min(k - 1, ncols))))]
+    for rows0, cols0 in subsets:
+        expected = [(rows, cols, f) for rows, cols, f in full
+                    if set(rows0) <= set(rows) and set(cols0) <= set(cols)]
+        assert list(_nonzero_minors(grid, k, ring, rows0, cols0)) == expected
+
+
+def saturated_basis(gens, Y):
+    if not gens:
+        return []
+    ideal = Ideal(gens, nvars=Y.nvars)
+    return saturate_by_variables(ideal, Y.surviving_variables()).groebner_basis()
+
+
+PENTAGON = [(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scaled_patterns())
+@example((set_ones_forest(slack_matrix(PENTAGON))[0], 4))
+@example((set_ones_forest(slack_matrix(PRISM_VERTICES))[0], 5))
+@example((set_ones_forest(slack_matrix(PENTAGON, object="matroid"))[0], 3))
+@example((set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES), 10))
+@example((specific_slack_matrix("sphere1963-reduced"), 6))
+def test_unit_triangle_minors_saturate_like_all_minors(case):
+    # Sylvester's identity: once the triangle's monomial is a unit, the minors
+    # through it generate the ideal all minors generate.  The Perles and
+    # sphere examples are the paper's instances, past the drawn sizes
+    Y, k = case
+    assert (saturated_basis(unit_triangle_minors(k - 2, Y), Y)
+            == saturated_basis(minor_ideal_generators(k - 2, Y), Y)
+            == dehomogenized_ideal(k - 2, Y).groebner_basis())
+
+
+def test_unit_triangle_work_counts(monkeypatch):
+    # deterministic counts of the saturated path: Perles gets a 9-row unit
+    # triangle, so 3 x 4 = 12 of its 10-minors are enumerated instead of
+    # 16,497; sphere #1963 gets 9.  Every heap reduction of the Perles
+    # dehomogenized ideal (interreduction and saturation) is counted too
+    Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
+    rows0, cols0 = _unit_triangle(_entry_grid(Y)[0], 10)
+    assert len(rows0) == len(cols0) == 9
+    assert len(unit_triangle_minors(8, Y)) == 12
+    nonzero_minors = slack._nonzero_minors
+    enumerated = []
+
+    def counted_minors(*args):
+        for minor in nonzero_minors(*args):
+            enumerated.append(minor)
+            yield minor
+
+    reduce = engine.Reducer.reduce
+    calls = []
+
+    def counted_reduce(self, *args):
+        calls.append(None)
+        return reduce(self, *args)
+
+    monkeypatch.setattr(slack, "_nonzero_minors", counted_minors)
+    monkeypatch.setattr(engine.Reducer, "reduce", counted_reduce)
+    assert len(dehomogenized_ideal(8, Y).groebner_basis()) == 12
+    assert len(enumerated) == 12
+    assert len(calls) == 900
+    enumerated.clear()
+    sphere = specific_slack_matrix("sphere1963-reduced")
+    unit = [Polynomial.constant(1, sphere.nvars)]
+    assert dehomogenized_ideal(4, sphere).groebner_basis() == unit
+    assert len(enumerated) == 9
