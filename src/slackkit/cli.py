@@ -8,7 +8,8 @@ import os
 import sys
 
 from .builtins import BUILTIN_NAMES, specific_slack_matrix
-from .errors import ParseError, SlackkitError, UniverseMismatchError
+from .errors import (ParseError, SizeMismatchError, SlackkitError,
+                     UniverseMismatchError)
 from .geometry import GaleTransform, PointConfiguration, gale_transform
 from .rationals import RationalMatrix
 from .scaling import (contains_flag, dehomogenized_ideal,
@@ -143,7 +144,12 @@ def _cmd_gale(args):
 
 
 def _cmd_gale_slack(args):
-    G = GaleTransform(_load_matrix(args.gale))
+    M = _load_matrix(args.gale)
+    if not M.nrows:
+        # `gale` prints a simplex's 0 x n transform as an empty line or []
+        raise SizeMismatchError("empty Gale transform (a simplex): it does "
+                                "not record its number of points")
+    G = GaleTransform(M)
     if args.cofacets is not None:
         cofacets = [_parse_indices(group) for group in args.cofacets.split(";")]
         S = slack_from_gale_plucker(G, cofacets)

@@ -215,17 +215,22 @@ class Polynomial:
         return Polynomial(new_nvars, {m + pad: c for m, c in self.terms.items()})
 
     def substitute_ones(self, var_indices):
-        """Set the given variables to 1."""
-        idx = set(var_indices)
+        """Set the given variables to 1: zero their exponents, merge the terms
+        that become equal and drop those that cancel.  Indices outside the
+        ring are ignored."""
+        idx = [i for i in set(var_indices) if 0 <= i < self.nvars]
         terms = {}
         for m, c in self.terms.items():
-            m2 = tuple(0 if i in idx else e for i, e in enumerate(m))
-            s = terms.get(m2, 0) + c
-            if s:
-                terms[m2] = s
-            else:
-                terms.pop(m2, None)
-        return Polynomial(self.nvars, terms)
+            e = list(m)
+            for i in idx:
+                e[i] = 0
+            m = tuple(e)
+            terms[m] = terms[m] + c if m in terms else c
+        # sums of the Fraction coefficients stay Fractions: skip __init__
+        out = Polynomial.__new__(Polynomial)
+        out.nvars = self.nvars
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
 
     def evaluate(self, values):
         """Full evaluation at a point (list of Fractions, one per variable)."""

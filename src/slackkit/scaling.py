@@ -147,22 +147,58 @@ def dehomogenized_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
 def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
                       F: SpanningForest) -> Polynomial:
     """Reintroduce forest variables leaf-to-root until p is homogeneous in
-    every row and column touched by the forest."""
-    for v, weight in forest_weights(Y.base, F):
-        if p.is_zero():
+    every row and column touched by the forest.
+
+    At the edge v from line S into line N (a row or a column), D is the
+    largest degree of a term in N's variables, and each term is multiplied
+    by v to the power of its gap to D.  The cell of v lies in exactly the
+    lines N and S, so the step raises only those two degrees of a term:
+    each term's row and column degrees are read once, from ``cell_of``, and
+    kept current from edge to edge.  Two terms that agree outside v reach
+    the same exponent of v, so the step makes them equal.  Only then are
+    terms merged, and a merged term whose coefficient cancels is dropped,
+    so the next edge takes its maximum over the terms that remain.  The
+    result is built once, at the end."""
+    sym = Y.base
+    if p.nvars != sym.nvars:
+        raise UniverseMismatchError(
+            f"polynomial in {p.nvars} variables, pattern with {sym.nvars}")
+    terms = {}  # monomial -> [coefficient, row degrees, column degrees]
+    for m, c in p.terms.items():
+        rows, cols = [0] * sym.nrows, [0] * sym.ncols
+        for w, e in enumerate(m):
+            if e:
+                i, j = sym.cell_of[w]
+                rows[i] += e
+                cols[j] += e
+        terms[m] = [c, rows, cols]
+    for edge in reversed(F.edges):
+        if not terms:
             break
-        degs = {m: sum(m[w] for w in weight) for m in p.terms}
-        D = max(degs.values())
-        if all(e == D for e in degs.values()):
+        v = edge.variable
+        kind, n = edge.destination
+        s = edge.source[1]
+        N, S = (1, 2) if kind == "r" else (2, 1)
+        degs = [t[N][n] for t in terms.values()]
+        D = max(degs)
+        if min(degs) == D:
             continue
-        terms = {}
-        for m, c in p.terms.items():
-            gap = D - degs[m]
+        stepped = {}
+        merged = False
+        for m, t in terms.items():
+            gap = D - t[N][n]
             if gap:
+                t[N][n] = D
+                t[S][s] += gap
                 m = m[:v] + (m[v] + gap,) + m[v + 1:]
-            terms[m] = terms.get(m, 0) + c
-        p = Polynomial(p.nvars, terms)
-    return p
+            if m in stepped:
+                stepped[m][0] += t[0]
+                merged = True
+            else:
+                stepped[m] = t
+        terms = ({m: t for m, t in stepped.items() if t[0]} if merged
+                 else stepped)
+    return Polynomial(p.nvars, {m: t[0] for m, t in terms.items()})
 
 
 def rehomogenize_ideal(d, Y: ScaledSlackMatrix, F: SpanningForest = None) -> Ideal:
@@ -187,13 +223,14 @@ def forest_weights(sym: SymbolicSlackMatrix, F: SpanningForest):
     """The edges of F leaf to root, each as ``(edge variable, variables of
     the row or column the edge enters)``: the argument of
     :func:`~slackkit.groebner.homogenize_by_edges` that reintroduces F."""
-    edges = []
-    for edge in reversed(F.edges):
-        kind, idx = edge.destination
-        axis = 0 if kind == "r" else 1
-        edges.append((edge.variable,
-                      [v for v, cell in sym.cell_of.items() if cell[axis] == idx]))
-    return edges
+    lines = {("r", i): [] for i in range(sym.nrows)}
+    lines.update({("c", j): [] for j in range(sym.ncols)})
+    for v in range(sym.nvars):
+        i, j = sym.cell_of[v]
+        lines["r", i].append(v)
+        lines["c", j].append(v)
+    return [(edge.variable, lines[edge.destination])
+            for edge in reversed(F.edges)]
 
 
 # -- flags and reduced matrices ----------------------------------------------

@@ -463,3 +463,19 @@ def test_gale_slack_of_a_non_vertex_set_is_domain_error(capsys, tmp_path, gale,
     code, out, err = run(capsys, "gale-slack", "--gale", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: points {bad} are not vertices of the hull\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gale_slack_of_an_empty_gale_transform_is_domain_error(capsys, tmp_path,
+                                                                fmt):
+    # a triangle's Gale transform has no rows, so its printed form loses n
+    vertices = tmp_path / "triangle.txt"
+    vertices.write_text("0 0\n1 0\n0 1")
+    code, gale, _ = run(capsys, "gale", "--vertices", str(vertices),
+                        "--format", fmt)
+    assert (code, gale) == (0, "\n" if fmt == "text" else "[]\n")
+    path = tmp_path / "gale.txt"
+    path.write_text(gale)
+    assert run(capsys, "gale-slack", "--gale", str(path)) == (
+        1, "", "error: empty Gale transform (a simplex): it does not record "
+               "its number of points\n")

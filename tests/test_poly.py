@@ -10,6 +10,7 @@ from slackkit import (GRevLex, Lex, Multigrading, Polynomial,
 from conftest import PRISM_VERTICES, SQUARE_VERTICES, poly
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def test_lex_lower_index_is_larger():
@@ -137,3 +138,38 @@ def test_substitute_ones_and_evaluate():
     q = p.substitute_ones({1})
     assert q == poly(3, (2, {0: 1}), (1, {2: 2}))
     assert p.evaluate({0: Fraction(1), 1: Fraction(2), 2: Fraction(3)}) == 13
+
+
+def test_substitute_ones_merges_and_cancels():
+    # 2*x0*x1 - 2*x0*x2 + x1^2 + x2 at x1 = x2 = 1: 2*x0 - 2*x0 + 1 + 1
+    p = poly(3, (2, {0: 1, 1: 1}), (-2, {0: 1, 2: 1}), (1, {1: 2}), (1, {2: 1}))
+    q = p.substitute_ones([1, 2])
+    assert q.terms == {(0, 0, 0): Fraction(2)}
+    assert type(q.terms[(0, 0, 0)]) is Fraction
+    assert poly(3, (1, {1: 1}), (-1, {2: 1})).substitute_ones({1, 2}).is_zero()
+
+
+def reference_substitute_ones(p, var_indices):
+    """Rebuild every monomial, one set lookup per exponent."""
+    idx = set(var_indices)
+    terms = {}
+    for m, c in p.terms.items():
+        m2 = tuple(0 if i in idx else e for i, e in enumerate(m))
+        s = terms.get(m2, 0) + c
+        if s:
+            terms[m2] = s
+        else:
+            terms.pop(m2, None)
+    return Polynomial(p.nvars, terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                          st.tuples(*[st.integers(0, 2)] * 4)), max_size=6),
+       st.lists(st.integers(-2, 6), max_size=5))
+def test_substitute_ones_matches_the_exponent_scan(terms, ones):
+    # indices outside 0..3 are ignored, as before
+    p = poly(4, *[(c, dict(enumerate(m))) for c, m in terms])
+    q = p.substitute_ones(ones)
+    assert q == reference_substitute_ones(p, ones)
+    assert all(type(c) is Fraction and c for c in q.terms.values())

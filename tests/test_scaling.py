@@ -1,6 +1,8 @@
 """Forest scaling, dehomogenization, rehomogenization, reduction,
 certificates."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,11 +13,15 @@ from slackkit import (Ideal, Polynomial, contains_flag, dehomogenized_ideal,
                       rehomogenize_poly, set_ones, set_ones_forest,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix)
-from slackkit.errors import NeedsNumericDataError, NotAForestError
+from slackkit.errors import (NeedsNumericDataError, NotAForestError,
+                             UniverseMismatchError)
+from slackkit.scaling import forest_weights
+from slackkit.slack import _entry_grid, pattern_minor
 from conftest import PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES, poly
 from test_geometry import unit_simplex
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 # spanning forest of the prism's non-incidence graph used throughout:
 # every variable except x7 and x11
@@ -194,8 +200,6 @@ def divide_by_common_forest_factor(p, forest_vars, order=None):
 
 def test_rehomogenize_inverts_dehomogenize_on_prism_minors():
     # every 5x5 minor of the prism: H(p^F) = p / common forest factor
-    import itertools
-    from slackkit.slack import _entry_grid, pattern_minor
     sym = prism_sym()
     Y = set_ones(sym, PRISM_FOREST_ONES)
     F = forest_from_ones(Y)
@@ -208,6 +212,151 @@ def test_rehomogenize_inverts_dehomogenize_on_prism_minors():
         dehom = p.substitute_ones(forest_vars)
         assert rehomogenize_poly(dehom, Y, F) == \
             divide_by_common_forest_factor(p, forest_vars)
+
+
+def test_rehomogenize_inverts_dehomogenize_on_perles_minors():
+    # criterion 5 at Perles scale: 50 seeded nonzero 10-minors
+    sym = specific_slack_matrix("perles-reduced")
+    Y = set_ones(sym, PERLES_ONES)
+    F = forest_from_ones(Y)
+    grid, _ = _entry_grid(sym)
+    forest_vars = set(PERLES_ONES)
+    rng = random.Random(0)
+    checked = 0
+    while checked < 50:
+        rows = sorted(rng.sample(range(sym.nrows), 10))
+        cols = sorted(rng.sample(range(sym.ncols), 10))
+        p = pattern_minor(grid, rows, cols, sym.nvars)
+        if p.is_zero():
+            continue
+        dehom = p.substitute_ones(forest_vars)
+        assert rehomogenize_poly(dehom, Y, F) == \
+            divide_by_common_forest_factor(p, forest_vars)
+        assert rehomogenize_poly(p, Y, F) == p  # a minor is multihomogeneous
+        checked += 1
+
+
+def test_rehomogenize_rejects_a_polynomial_of_another_ring():
+    Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
+    F = forest_from_ones(Y)
+    p = poly(5, (1, {0: 1}), (-1, {4: 2}))
+    with pytest.raises(UniverseMismatchError):
+        rehomogenize_poly(p, Y, F)
+
+
+# -- oracle: the edge-by-edge loop that rehomogenize_poly replaces -------------
+
+
+def reference_forest_weights(sym, F):
+    """Each edge leaf to root with the variables of the line it enters, found
+    by scanning every cell."""
+    edges = []
+    for edge in reversed(F.edges):
+        kind, idx = edge.destination
+        axis = 0 if kind == "r" else 1
+        edges.append((edge.variable,
+                      [v for v, cell in sym.cell_of.items() if cell[axis] == idx]))
+    return edges
+
+
+def reference_rehomogenize_poly(p, Y, F):
+    """One new Polynomial per edge, each line degree summed afresh."""
+    for v, weight in reference_forest_weights(Y.base, F):
+        if p.is_zero():
+            break
+        degs = {m: sum(m[w] for w in weight) for m in p.terms}
+        D = max(degs.values())
+        if all(e == D for e in degs.values()):
+            continue
+        terms = {}
+        for m, c in p.terms.items():
+            gap = D - degs[m]
+            if gap:
+                m = m[:v] + (m[v] + gap,) + m[v + 1:]
+            terms[m] = terms.get(m, 0) + c
+        p = Polynomial(p.nvars, terms)
+    return p
+
+
+@functools.cache
+def scaled(name):
+    """(Y, F) for the prism and Perles forests used throughout."""
+    if name == "prism":
+        Y = set_ones(prism_sym(), PRISM_FOREST_ONES)
+    else:
+        Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
+    return Y, forest_from_ones(Y)
+
+
+def _polynomial(nvars, forest, terms, twins):
+    """Sum of the terms, plus for each twin a term and a copy with a forest
+    variable's exponent raised, whose coefficient cancels or not: the two
+    agree outside that variable, so rehomogenizing merges them."""
+    out = [(c, dict(e)) for c, e in terms]
+    for (c, e), k, raise_by, cancel in twins:
+        v = forest[k % len(forest)]
+        e = dict(e)
+        out.append((c, e))
+        out.append((-c if cancel else c + 1, {**e, v: e.get(v, 0) + raise_by}))
+    return poly(nvars, *out)
+
+
+@st.composite
+def scaled_polynomial(draw):
+    name = draw(st.sampled_from(["prism", "perles"]))
+    Y, F = scaled(name)
+    n = Y.base.nvars
+    exponents = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3),
+                                max_size=4)
+    term = st.tuples(st.integers(-3, 3).filter(bool), exponents)
+    twin = st.tuples(term, st.integers(0, 99), st.integers(1, 2),
+                     st.booleans())
+    p = _polynomial(n, sorted(F.variables), draw(st.lists(term, max_size=5)),
+                    draw(st.lists(twin, max_size=3)))
+    if draw(st.booleans()):
+        p = p.substitute_ones(F.variables)  # a dehomogenized input
+    return name, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scaled_polynomial())
+def test_rehomogenize_poly_matches_edge_by_edge_loop(case):
+    name, p = case
+    Y, F = scaled(name)
+    expected = reference_rehomogenize_poly(p, Y, F)
+    got = rehomogenize_poly(p, Y, F)
+    assert got == expected
+    assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+    # the result is multihomogeneous on the forest's lines: a fixed point
+    assert rehomogenize_poly(got, Y, F) == \
+        reference_rehomogenize_poly(got, Y, F) == got
+
+
+@pytest.mark.parametrize("name", ["prism", "perles"])
+def test_rehomogenize_zero_polynomial(name):
+    Y, F = scaled(name)
+    zero = Polynomial.zero(Y.base.nvars)
+    assert rehomogenize_poly(zero, Y, F) == zero
+
+
+def test_rehomogenize_drops_a_merged_term_that_cancels():
+    # x7 and -x4*x7 agree outside the forest variable x4, so its edge merges
+    # them and they cancel; the edges after it see only the x11 term
+    Y, F = scaled("prism")
+    p = poly(12, (1, {7: 1}), (-1, {4: 1, 7: 1}), (1, {11: 1}))
+    got = rehomogenize_poly(p, Y, F)
+    assert got == reference_rehomogenize_poly(p, Y, F)
+    assert got.to_string() == "x5*x8*x11"
+
+
+@pytest.mark.parametrize("name", ["square", "prism", "perles-reduced"])
+def test_forest_weights_match_the_cell_scan(name):
+    sym = symbolic_slack_matrix(specific_slack_matrix(name))
+    forests = [set_ones_forest(sym)[1]]
+    if name == "perles-reduced":
+        forests.append(forest_from_ones(set_ones(sym, PERLES_ONES)))
+    for F in forests:
+        assert forest_weights(sym, F) == reference_forest_weights(sym, F)
 
 
 def test_prism_contains_flag():
