@@ -16,10 +16,6 @@ class UniverseMismatchError(SlackkitError):
     pass
 
 
-class UngradedVariableError(SlackkitError):
-    pass
-
-
 class ZeroDivisorPolynomialError(SlackkitError):
     pass
 

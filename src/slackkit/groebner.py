@@ -2,10 +2,12 @@
 elimination, saturation, containment and radical membership.
 
 The public API works with Fraction-coefficient :class:`Polynomial` values.
-Every operation follows one pattern: pack its input once into the integer
-engine of :mod:`slackkit.engine`, make its engine calls there (under
-:func:`~slackkit.engine.widening`, so that a degree overflow reruns the
-whole operation with wider fields) and unpack the result once.
+An :class:`Ideal` keeps its reduced basis packed for the integer engine of
+:mod:`slackkit.engine`.  Every operation on ideals follows one pattern: it
+reads its input packed (:meth:`Ideal.packed`), makes its engine calls there
+(under :func:`~slackkit.engine.widening`, so that a degree overflow reruns
+the whole operation with wider fields) and returns an ideal that holds the
+packed result.  Fractions come back only when a basis is asked for.
 """
 
 from __future__ import annotations
@@ -14,9 +16,17 @@ from fractions import Fraction
 
 from .engine import (Reducer, Ring, groebner, homogenize_ideal, pack_polys,
                      to_polynomial, widening)
-from .errors import ZeroDivisorPolynomialError
+from .errors import UniverseMismatchError, ZeroDivisorPolynomialError
 from .poly import GRevLex, Polynomial
 from .rationals import denominator_lcm
+
+
+def _check_ring(nvars, polys):
+    """Raise unless every polynomial of ``polys`` has ``nvars`` variables."""
+    for p in polys:
+        if p.nvars != nvars:
+            raise UniverseMismatchError(
+                f"polynomial in {p.nvars} variables, ring of {nvars}")
 
 
 # -- normal forms ------------------------------------------------------------
@@ -31,9 +41,10 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
     """Remainder of multivariate division of f by the list G (the first
     divisor in list order is used at each step)."""
     global _last_divisors
+    items = tuple(G)
+    _check_ring(f.nvars, items)
     if f.is_zero():
         return f
-    items = tuple(G)
     memo = _last_divisors
     if memo is not None and (memo[1] is not order or memo[0] != items):
         memo = None
@@ -63,6 +74,7 @@ def buchberger(gens, order) -> list:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
+    _check_ring(gens[0].nvars, gens)
 
     def run(ring):
         return ring, groebner(pack_polys(gens, ring), ring)
@@ -72,25 +84,62 @@ def buchberger(gens, order) -> list:
 
 
 class Ideal:
-    """A finite generator list plus a memoized reduced grevlex basis."""
+    """A finite generator list plus a memoized reduced grevlex basis.
+
+    The basis is kept packed for the engine, with the :class:`Ring` it is
+    packed in, and the Fraction view is built from it when it is asked for.
+    The operations of this module return ideals that hold only their
+    reduced basis: their ``generators`` are that basis."""
 
     order = GRevLex()
 
     def __init__(self, generators, nvars=None):
-        self.generators = list(generators)
+        generators = list(generators)
         if nvars is None:
-            if not self.generators:
+            if not generators:
                 raise ValueError("empty ideal needs an explicit nvars")
-            nvars = self.generators[0].nvars
+            nvars = generators[0].nvars
+        _check_ring(nvars, generators)
         self.nvars = nvars
-        self._basis = None
+        self._generators = generators
+        self._ring = self._packed = self._basis = None
+
+    @classmethod
+    def _of_basis(cls, ring, basis):
+        """The ideal whose reduced basis is ``basis``, packed in ``ring``."""
+        out = cls([], ring.nvars)
+        out._generators = None
+        out._ring, out._packed = ring, basis
+        return out
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = self.groebner_basis()
+        return self._generators
+
+    def packed(self, ring):
+        """The reduced basis if it is known, else the nonzero generators,
+        packed in ``ring``: any ring whose variables include those of the
+        ideal, at any field width."""
+        if self._packed is None:
+            return pack_polys([g for g in self._generators if not g.is_zero()],
+                              ring)
+        return [ring.convert(f, self._ring) for f in self._packed]
 
     def groebner_basis(self):
         if self._basis is None:
-            self._basis = buchberger(self.generators, self.order)
+            if self._packed is None:
+                def run(ring):
+                    return ring, groebner(self.packed(ring), ring)
+
+                self._ring, self._packed = widening(
+                    run, Ring.for_order(self.order, self.nvars))
+            self._basis = [to_polynomial(f, self._ring) for f in self._packed]
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
+        _check_ring(self.nvars, [f])
         return normal_form(f, self.groebner_basis(), self.order).is_zero()
 
     def is_zero(self):
@@ -105,31 +154,25 @@ class Ideal:
         return [g.to_string(self.order) for g in self.groebner_basis()]
 
 
-def _from_basis(basis, nvars):
-    """Ideal whose generators are its own reduced basis."""
-    out = Ideal(basis, nvars=nvars)
-    out._basis = out.generators
-    return out
-
-
 def ideal_equals(I: Ideal, J: Ideal) -> bool:
     """True iff the reduced grevlex bases coincide."""
     return I.nvars == J.nvars and I.groebner_basis() == J.groebner_basis()
 
 
-def _rabinowitsch(f: Polynomial) -> Polynomial:
-    """1 - t*f in one more variable, t being the new last one."""
-    n = f.nvars
-    terms = {m + (1,): -c for m, c in f.terms.items()}
-    terms[(0,) * (n + 1)] = Fraction(1)
-    return Polynomial(n + 1, terms)
+def _rabinowitsch(f, ring):
+    """1 - t*f packed in ``ring``, t being its last variable and f a
+    polynomial in the variables before it."""
+    scale = denominator_lcm(f.terms.values())
+    terms = {m + (1,): -int(c * scale) for m, c in f.terms.items()}
+    terms[(0,) * ring.nvars] = scale
+    return ring.from_terms(terms)
 
 
-def _eliminate(gens, front, nvars):
-    """Reduced monic grevlex basis, on the first ``nvars`` variables, of the
-    ideal of ``gens`` intersected with the subring free of the variables
-    ``front``; variables of ``gens`` from ``nvars`` on must lie in
-    ``front``.
+def _eliminate(polys, front, nvars):
+    """The ideal of ``polys(ring)``, the generators packed in the ring
+    given, intersected with the subring free of the variables ``front``: an
+    ideal in the first ``nvars`` variables.  The generators' variables from
+    ``nvars`` on must lie in ``front``.
 
     A basis is taken in the block order "grevlex on ``front``, then
     grevlex".  Its elements free of ``front`` form the reduced grevlex basis
@@ -141,13 +184,11 @@ def _eliminate(gens, front, nvars):
     def run(block):
         mask = sum(block.fm << (block.bits * block.field[v]) for v in front)
         final = Ring(nvars, [range(nvars)], bits=block.bits)
-        unpack = block.unpack
-        return final, [final.from_terms({unpack(m)[:nvars]: c for m, c in f})
-                       for f in groebner(pack_polys(gens, block), block)
+        return final, [final.convert(f, block)
+                       for f in groebner(polys(block), block)
                        if not f[0][0] & mask]
 
-    final, kept = widening(run, Ring(size, [front, rest]))
-    return [to_polynomial(f, final) for f in kept]
+    return Ideal._of_basis(*widening(run, Ring(size, [front, rest])))
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
@@ -155,9 +196,10 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     last variable t is eliminated from I + <1 - t*f>."""
     if f.is_zero():
         raise ZeroDivisorPolynomialError("cannot saturate by the zero polynomial")
+    _check_ring(I.nvars, [f])
     n = I.nvars
-    gens = [g.extended(n + 1) for g in I.generators] + [_rabinowitsch(f)]
-    return _from_basis(_eliminate(gens, {n}, n), n)
+    return _eliminate(lambda ring: I.packed(ring) + [_rabinowitsch(f, ring)],
+                      {n}, n)
 
 
 def _bayer_stillman(polys, var, ring):
@@ -202,15 +244,12 @@ def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
     dehomogenized ring.
     """
     n = I.nvars
-    gens = [g for g in I.generators if not g.is_zero()]
-    if not gens:
-        return _from_basis([], n)
     var_indices = sorted(set(var_indices))
 
     def run(ring):
-        polys = homogenize_ideal(pack_polys(gens, ring), ring, n)
+        polys = homogenize_ideal(I.packed(ring), ring, n)
         for v in var_indices:
-            if not polys[0][0][0] & ring.emask:
+            if not polys or not polys[0][0][0] & ring.emask:
                 break
             polys, ring = _bayer_stillman(polys, v, ring)
         final = Ring(n, [range(n)], bits=ring.bits)
@@ -219,8 +258,8 @@ def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
         return final, groebner(polys, final)
 
     # degree in x_0..x_{n-1} first, then grevlex in x_0..x_{n-1}, h
-    final, basis = widening(run, Ring(n + 1, [range(n + 1)], weight=range(n)))
-    return _from_basis([to_polynomial(f, final) for f in basis], n)
+    return Ideal._of_basis(
+        *widening(run, Ring(n + 1, [range(n + 1)], weight=range(n))))
 
 
 def homogenize_by_edges(I: Ideal, edges) -> Ideal:
@@ -239,48 +278,42 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
     rehomogenizes a dehomogenized slack ideal.  A final grevlex run gives
     the reduced basis, which is returned as the generators.
     """
-    n = I.nvars
-    gens = [g for g in I.generators if not g.is_zero()]
-    if not gens:
-        return Ideal([], nvars=n)
     edges = [(v, frozenset(w)) for v, w in edges]
 
     def run(grevlex):
         ring = grevlex
-        polys = pack_polys(gens, ring)
+        polys = I.packed(ring)
         for v, weight in edges:
+            if not polys or not polys[0][0][0] & ring.emask:
+                break
             weighted = grevlex.like(weight=weight)
             polys = homogenize_ideal([weighted.convert(f, ring) for f in polys],
                                      weighted, v)
             ring = weighted
-            if not polys[0][0][0] & ring.emask:
-                break
         return grevlex, groebner([grevlex.convert(f, ring) for f in polys],
                                  grevlex)
 
-    grevlex, polys = widening(run, Ring(n, [range(n)]))
-    return _from_basis([to_polynomial(f, grevlex) for f in polys], n)
+    return Ideal._of_basis(*widening(run, Ring(I.nvars, [range(I.nvars)])))
 
 
 def eliminate(I: Ideal, var_indices) -> Ideal:
     """I intersected with the subring without the given variables."""
-    return _from_basis(_eliminate(I.generators, var_indices, I.nvars), I.nvars)
+    return _eliminate(I.packed, var_indices, I.nvars)
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
     """True iff f lies in the radical of I (1 in I + <1 - t*f>).
 
-    f in I is decided by the memoized basis of I.  Otherwise the grevlex
-    basis of I seeds the Rabinowitsch computation, so that no pair inside it
-    is reduced again."""
+    f in I is decided by the memoized basis of I.  Otherwise that basis
+    seeds the Rabinowitsch computation, so that no pair inside it is
+    reduced again."""
     if I.contains(f):
         return True
     n = I.nvars
-    polys = [g.extended(n + 1) for g in I.groebner_basis()] + [_rabinowitsch(f)]
 
     def run(ring):
-        packed = pack_polys(polys, ring)
-        return ring, groebner(packed[-1:], ring, known=packed[:-1])
+        return ring, groebner([_rabinowitsch(f, ring)], ring,
+                              known=I.packed(ring))
 
     ring, out = widening(run, Ring(n + 1, [range(n + 1)]))
     return len(out) == 1 and not out[0][0][0] & ring.emask

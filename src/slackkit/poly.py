@@ -10,16 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UngradedVariableError, UniverseMismatchError
+from .errors import UniverseMismatchError
 
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
 
 
 # -- monomial orders ---------------------------------------------------------
@@ -45,12 +40,6 @@ class MonomialOrder:
             k.append(-sum(neg))
             k.extend(neg)
         return k
-
-    def compare(self, a, b) -> int:
-        """-1, 0 or 1 as a <, =, > b."""
-        if a == b:
-            return 0
-        return 1 if self.key(a) > self.key(b) else -1
 
 
 class Lex(MonomialOrder):
@@ -113,30 +102,13 @@ class Polynomial:
     def monomial(cls, mono, nvars, coeff=1):
         return cls(nvars, {tuple(mono): Fraction(coeff)})
 
-    # predicates / views -----------------------------------------------------
+    # predicates -------------------------------------------------------------
 
     def is_zero(self):
         return not self.terms
 
     def is_constant(self):
         return all(sum(m) == 0 for m in self.terms)
-
-    def variables(self):
-        used = set()
-        for m in self.terms:
-            used.update(i for i, e in enumerate(m) if e)
-        return used
-
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=0)
-
-    def leading_term(self, order):
-        """(monomial, coefficient) of the largest term; zero poly is an error."""
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
 
     # arithmetic -------------------------------------------------------------
 
@@ -191,13 +163,6 @@ class Polynomial:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def term_mul(self, mono, coeff=1):
-        """Multiply by a single term coeff * x^mono."""
-        mono = tuple(mono)
-        c = Fraction(coeff)
-        return Polynomial(self.nvars,
-                          {mono_mul(m, mono): c * v for m, v in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
                 and self.terms == other.terms)
@@ -205,20 +170,17 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # ring moves -------------------------------------------------------------
-
-    def extended(self, new_nvars):
-        """Same polynomial viewed in a larger ring (new variables appended)."""
-        if new_nvars < self.nvars:
-            raise UniverseMismatchError("cannot shrink with extended()")
-        pad = (0,) * (new_nvars - self.nvars)
-        return Polynomial(new_nvars, {m + pad: c for m, c in self.terms.items()})
+    # substitution -----------------------------------------------------------
 
     def substitute_ones(self, var_indices):
         """Set the given variables to 1: zero their exponents, merge the terms
-        that become equal and drop those that cancel.  Indices outside the
-        ring are ignored."""
-        idx = [i for i in set(var_indices) if 0 <= i < self.nvars]
+        that become equal and drop those that cancel.  An index outside
+        0..nvars-1 raises :class:`UniverseMismatchError`."""
+        idx = set(var_indices)
+        for i in idx:
+            if not 0 <= i < self.nvars:
+                raise UniverseMismatchError(
+                    f"variable x{i} outside universe of {self.nvars}")
         terms = {}
         for m, c in self.terms.items():
             e = list(m)
@@ -231,17 +193,6 @@ class Polynomial:
         out.nvars = self.nvars
         out.terms = {m: c for m, c in terms.items() if c}
         return out
-
-    def evaluate(self, values):
-        """Full evaluation at a point (list of Fractions, one per variable)."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= values[i] ** e
-            total += v
-        return total
 
     # printing ---------------------------------------------------------------
 
@@ -273,54 +224,3 @@ class Polynomial:
 
 def _fmt_frac(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-# -- multigrading ------------------------------------------------------------
-
-
-class Multigrading:
-    """Assignment of each variable to a (row, column) of a symbolic matrix."""
-
-    def __init__(self, row_of, col_of):
-        self.row_of = dict(row_of)
-        self.col_of = dict(col_of)
-
-    def _axis_degree(self, mono, axis_of):
-        deg = {}
-        for i, e in enumerate(mono):
-            if e:
-                try:
-                    k = axis_of[i]
-                except KeyError:
-                    raise UngradedVariableError(f"variable x{i} has no grading")
-                deg[k] = deg.get(k, 0) + e
-        return deg
-
-
-def multidegree(p: Polynomial, g: Multigrading):
-    """Per-row and per-column maximal degrees of p, with homogeneity flags.
-
-    Returns (row_degrees, col_degrees, row_homogeneous, col_homogeneous),
-    the first two as dicts index -> max degree over terms, the last two as
-    dicts index -> bool (every term attains the max).
-    """
-    row_deg, col_deg = {}, {}
-    per_term = []
-    for m in p.terms:
-        rd = g._axis_degree(m, g.row_of)
-        cd = g._axis_degree(m, g.col_of)
-        per_term.append((rd, cd))
-        for k, v in rd.items():
-            row_deg[k] = max(row_deg.get(k, 0), v)
-        for k, v in cd.items():
-            col_deg[k] = max(col_deg.get(k, 0), v)
-    row_homog = {k: all(rd.get(k, 0) == v for rd, _ in per_term)
-                 for k, v in row_deg.items()}
-    col_homog = {k: all(cd.get(k, 0) == v for _, cd in per_term)
-                 for k, v in col_deg.items()}
-    return row_deg, col_deg, row_homog, col_homog
-
-
-def is_multihomogeneous(p: Polynomial, g: Multigrading) -> bool:
-    _, _, rh, ch = multidegree(p, g)
-    return all(rh.values()) and all(ch.values())

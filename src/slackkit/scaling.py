@@ -137,11 +137,8 @@ def dehomogenized_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
     as all of them once the monomial is inverted, so the saturation is the
     same (see :func:`~slackkit.slack.unit_triangle_minors`).  On Perles they
     are 12 minors instead of 16,497."""
-    gens = unit_triangle_minors(d, Y)
-    nvars = Y.base.nvars
-    if not gens:
-        return Ideal([], nvars=nvars)
-    return saturate_by_variables(Ideal(gens, nvars=nvars), Y.surviving_variables())
+    return saturate_by_variables(Ideal(unit_triangle_minors(d, Y), Y.nvars),
+                                 Y.surviving_variables())
 
 
 def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
@@ -214,8 +211,7 @@ def rehomogenize_ideal(d, Y: ScaledSlackMatrix, F: SpanningForest = None) -> Ide
     forest."""
     if F is None:
         F = forest_from_ones(Y)
-    gens = dehomogenized_ideal(d, Y).groebner_basis()
-    return homogenize_by_edges(Ideal(gens, nvars=Y.base.nvars),
+    return homogenize_by_edges(dehomogenized_ideal(d, Y),
                                forest_weights(Y.base, F))
 
 

@@ -16,7 +16,7 @@ from .geometry import (GaleTransform, PointConfiguration, check_vertices,
 from . import engine
 from .engine import Ring, to_polynomial
 from .groebner import Ideal, homogenize_by_edges
-from .poly import Multigrading, Polynomial
+from .poly import Polynomial
 from .rationals import RationalMatrix, integer_row
 
 
@@ -72,11 +72,6 @@ class SymbolicSlackMatrix:
                     k += 1
         self.nvars = k
         self.cell_of = {v: cell for cell, v in self.var_at.items()}
-
-    def multigrading(self) -> Multigrading:
-        return Multigrading(
-            row_of={v: ij[0] for ij, v in self.var_at.items()},
-            col_of={v: ij[1] for ij, v in self.var_at.items()})
 
     def entry_string(self, i, j):
         return f"x{self.var_at[(i, j)]}" if self.support[i][j] else "0"

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger,
-                      forest_from_ones, minor_ideal_generators, normal_form,
-                      radical_membership,
-                      rehomogenize_ideal, saturate_by_variables, set_ones,
+                      dehomogenized_ideal, eliminate, forest_from_ones,
+                      irrationality_certificate, minor_ideal_generators,
+                      normal_form, radical_membership, rehomogenize_ideal,
+                      saturate, saturate_by_variables, set_ones,
                       set_ones_forest, slack_ideal, slack_matrix,
                       specific_slack_matrix, symbolic_slack_matrix)
-from slackkit import engine
+from slackkit import engine, groebner, slack
+from slackkit.groebner import homogenize_by_edges
 from slackkit.engine import FieldOverflow, Ring
-from conftest import PERLES_ONES, poly
+from conftest import PERLES_ONES, compare, poly
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -52,7 +54,7 @@ ideal = st.lists(polynomial, min_size=1, max_size=3).map(
 
 def homogeneous_part(p):
     """The terms of p of its highest degree."""
-    top = p.total_degree()
+    top = max(map(sum, p.terms))
     return Polynomial(p.nvars, {m: c for m, c in p.terms.items() if sum(m) == top})
 
 
@@ -185,6 +187,59 @@ def _power(f, k):
     return out
 
 
+# -- the packed hand-off between operations ----------------------------------
+#
+# An ideal returned by an operation holds only its packed basis, and the next
+# operation reads it packed in its own ring.  Each operation applied to such
+# an ideal must agree with the same operation applied to the ideal rebuilt
+# from its Fraction basis, which packs it again from Fractions.
+
+CHAINED = {
+    "eliminate": lambda I, f: eliminate(I, [0]),
+    "radical_membership": lambda I, f: radical_membership(f, I),
+    "homogenize_by_edges": lambda I, f: homogenize_by_edges(I, [(2, [1, 2])]),
+    "saturate_by_variables": lambda I, f: saturate_by_variables(I, [0, 2]),
+    "saturate": lambda I, f: saturate(I, f),
+}
+
+
+def outcome(result):
+    return result.groebner_basis() if isinstance(result, Ideal) else result
+
+
+def assert_chained_operations_agree(J, f):
+    basis = list(J.groebner_basis())
+    reentered = Ideal(basis, nvars=J.nvars)
+    for name, op in CHAINED.items():
+        assert outcome(op(J, f)) == outcome(op(reentered, f)), name
+    assert J.groebner_basis() == basis
+
+
+@ORACLE
+@given(ideal, polynomial.filter(lambda p: not p.is_zero()))
+def test_operations_on_a_derived_ideal_match_fraction_reentry(gens, f):
+    J = saturate_by_variables(Ideal(gens), [1])
+    assert_chained_operations_agree(J, f)
+    exprs = [to_sympy(g) for g in J.groebner_basis()]
+    assert ours(saturate_by_variables(J, [0, 2]).groebner_basis()) == \
+        sympy_saturation(exprs, [0, 2])
+    t = sympy.Symbol("t")
+    expected = sympy.groebner(exprs + [1 - t * to_sympy(f)], *SYMS, t,
+                              order="grevlex", domain="QQ").exprs == [1]
+    assert radical_membership(f, J) == expected
+
+
+def test_operations_on_a_basis_in_a_widened_ring():
+    # x0^200 does not fit 8-bit fields, so the saturated basis is packed
+    # 16 bits wide, and every operation must read it from there
+    gens = [poly(NV, (1, {0: 200}), (-1, {1: 1, 2: 1})),
+            poly(NV, (1, {1: 2, 2: 1}), (-1, {0: 1, 2: 2}))]
+    J = saturate_by_variables(Ideal(gens), [2])
+    assert J._ring.bits > 8
+    assert_chained_operations_agree(J, poly(NV, (1, {1: 1}), (-1, {})))
+    assert_chained_operations_agree(J, poly(NV, (1, {0: 1, 1: 1})))
+
+
 # -- the forest route of slack_ideal -----------------------------------------
 
 PENTAGON = [(Fraction(t), Fraction(t * t)) for t in (-3, -1, 0, 2, 5)]
@@ -279,7 +334,29 @@ def test_packed_order_is_the_printed_order(data):
     a = data.draw(monomial)
     b = data.draw(monomial | st.permutations(a).map(tuple))
     pa, pb = ring.pack(a), ring.pack(b)
-    assert order.compare(a, b) == (pa > pb) - (pa < pb)
+    assert compare(order, a, b) == (pa > pb) - (pa < pb)
+
+
+def test_certificate_pipeline_converts_at_its_boundary_only(monkeypatch):
+    # Fraction polynomials are made only for the 12 unit-triangle minors
+    # that the minor enumeration returns and for the certificate's minimal
+    # polynomial; they are packed once, on entering the saturation, and the
+    # saturated basis goes to the elimination packed
+    Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
+    calls = {"pack_polys": 0, "to_polynomial": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (engine, groebner, slack):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    cert = irrationality_certificate(dehomogenized_ideal(8, Y), 35)
+    assert cert.minimal_polynomial.to_string() == "x35^2 + x35 - 1"
+    assert calls == {"pack_polys": 1, "to_polynomial": 13}
 
 
 def test_pack_beyond_field_width_raises():

@@ -7,18 +7,23 @@ from fractions import Fraction
 from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger, eliminate,
                       ideal_equals, normal_form, radical_membership, saturate,
                       saturate_by_variables)
-from slackkit.errors import ZeroDivisorPolynomialError
+from slackkit.errors import UniverseMismatchError, ZeroDivisorPolynomialError
 from conftest import poly
 
 import pytest
 
 
 def spoly(f, g, order):
-    from slackkit.poly import mono_div
-    lf, lg = f.leading_term(order), g.leading_term(order)
-    lcm = tuple(map(max, lf[0], lg[0]))
-    return (f.term_mul(mono_div(lcm, lf[0]), 1 / lf[1])
-            - g.term_mul(mono_div(lcm, lg[0]), 1 / lg[1]))
+    lf, lg = max(f.terms, key=order.key), max(g.terms, key=order.key)
+    lcm = tuple(map(max, lf, lg))
+
+    def lifted(p, lt):
+        """p times lcm / lt, made monic."""
+        c = p.terms[lt]
+        return Polynomial(p.nvars, {tuple(a + b - e for a, b, e in zip(m, lcm, lt)):
+                                    v / c for m, v in p.terms.items()})
+
+    return lifted(f, lf) - lifted(g, lg)
 
 
 def assert_groebner(gens, basis, order):
@@ -161,7 +166,7 @@ def test_eliminated_generators_avoid_block():
             poly(3, (1, {0: 2}), (-1, {1: 1}))]
     J = eliminate(Ideal(gens), {0})
     for g in J.groebner_basis():
-        assert 0 not in g.variables()
+        assert all(m[0] == 0 for m in g.terms)
 
 
 def test_ideal_equals_reflexive_and_strict():
@@ -180,3 +185,50 @@ def test_radical_membership_negative():
     x0 = Polynomial.variable(0, 2)
     x1 = Polynomial.variable(1, 2)
     assert not radical_membership(x1, Ideal([x0]))
+
+
+# -- polynomials from a ring of another size are rejected ----------------------
+
+
+def test_ideal_rejects_generators_of_another_ring():
+    with pytest.raises(UniverseMismatchError):
+        Ideal([Polynomial.variable(0, 2), Polynomial.variable(2, 3)])
+    with pytest.raises(UniverseMismatchError):
+        Ideal([Polynomial.variable(0, 2)], nvars=3)
+
+
+@pytest.mark.parametrize("nvars", [(2, 3), (3, 2)])
+def test_buchberger_rejects_generators_of_another_ring(nvars):
+    with pytest.raises(UniverseMismatchError):
+        buchberger([Polynomial.variable(0, n) for n in nvars], GRevLex())
+
+
+def test_normal_form_rejects_divisors_of_another_ring():
+    x2 = Polynomial.variable(2, 3)
+    with pytest.raises(UniverseMismatchError):
+        normal_form(x2, [Polynomial.variable(0, 2)], GRevLex())
+    # the same divisors are accepted and memoized for a polynomial of their
+    # ring, and still rejected for one of another ring after that
+    assert normal_form(Polynomial.variable(0, 2), [Polynomial.variable(0, 2)],
+                       GRevLex()).is_zero()
+    with pytest.raises(UniverseMismatchError):
+        normal_form(Polynomial.variable(0, 3), [Polynomial.variable(0, 2)],
+                    GRevLex())
+
+
+@pytest.mark.parametrize("gens", [[], [Polynomial.variable(0, 2)]],
+                         ids=["zero-ideal", "principal"])
+def test_contains_rejects_a_polynomial_of_another_ring(gens):
+    with pytest.raises(UniverseMismatchError):
+        Ideal(gens, nvars=2).contains(Polynomial.variable(2, 3))
+
+
+def test_saturate_rejects_a_polynomial_of_another_ring():
+    with pytest.raises(UniverseMismatchError):
+        saturate(Ideal([Polynomial.variable(0, 2)]), Polynomial.variable(2, 3))
+
+
+def test_radical_membership_rejects_a_polynomial_of_another_ring():
+    with pytest.raises(UniverseMismatchError):
+        radical_membership(Polynomial.variable(2, 3),
+                           Ideal([Polynomial.variable(0, 2)]))

@@ -1,13 +1,14 @@
-"""Sparse polynomials, monomial orders, multigrading."""
+"""Sparse polynomials, monomial orders, row and column degrees."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from slackkit import (GRevLex, Lex, Multigrading, Polynomial,
-                      is_multihomogeneous, multidegree, slack_matrix,
+from slackkit import (GRevLex, Lex, Polynomial, slack_matrix,
                       symbolic_slack_matrix)
-from conftest import PRISM_VERTICES, SQUARE_VERTICES, poly
+from slackkit.errors import UniverseMismatchError
+from conftest import (PRISM_VERTICES, SQUARE_VERTICES, compare, evaluate,
+                      is_multihomogeneous, line_degrees, poly)
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ def test_lex_lower_index_is_larger():
     order = Lex()
     x0 = (1, 0)
     x1 = (0, 1)
-    assert order.compare(x0, x1) > 0
+    assert compare(order, x0, x1) > 0
 
 
 def test_grevlex_same_degree_tiebreak():
@@ -25,13 +26,13 @@ def test_grevlex_same_degree_tiebreak():
     order = GRevLex()
     x0x2 = (1, 0, 1)
     x1sq = (0, 2, 0)
-    assert order.compare(x0x2, x1sq) < 0
+    assert compare(order, x0x2, x1sq) < 0
 
 
 def test_compare_reflexive():
     for order in (Lex(), GRevLex()):
         m = (2, 0, 1)
-        assert order.compare(m, m) == 0
+        assert compare(order, m, m) == 0
 
 
 def test_order_compatible_with_multiplication():
@@ -41,10 +42,10 @@ def test_order_compatible_with_multiplication():
             a = tuple(rng.randint(0, 3) for _ in range(4))
             b = tuple(rng.randint(0, 3) for _ in range(4))
             m = tuple(rng.randint(0, 3) for _ in range(4))
-            if order.compare(a, b) < 0:
+            if compare(order, a, b) < 0:
                 am = tuple(x + y for x, y in zip(a, m))
                 bm = tuple(x + y for x, y in zip(b, m))
-                assert order.compare(am, bm) < 0
+                assert compare(order, am, bm) < 0
 
 
 def test_difference_of_squares():
@@ -88,56 +89,47 @@ def test_to_string_constants_and_powers():
     assert p.to_string() == "x0^2 + x0 - 1"
 
 
-def test_multidegree_single_monomial():
-    g = Multigrading(row_of={0: 1, 1: 3}, col_of={0: 2, 1: 4})
-    p = poly(2, (1, {0: 1, 1: 1}))
-    rows, cols, rh, ch = multidegree(p, g)
-    assert rows == {1: 1, 3: 1}
-    assert cols == {2: 1, 4: 1}
-    assert all(rh.values()) and all(ch.values())
-
-
 def test_square_binomial_multihomogeneous():
     sym = symbolic_slack_matrix(slack_matrix(SQUARE_VERTICES))
-    g = sym.multigrading()
     p = poly(8, (1, {0: 1, 3: 1, 5: 1, 6: 1}), (-1, {1: 1, 2: 1, 4: 1, 7: 1}))
-    rows, cols, rh, ch = multidegree(p, g)
-    assert all(v == 1 for v in rows.values()) and len(rows) == 4
-    assert all(v == 1 for v in cols.values()) and len(cols) == 4
-    assert is_multihomogeneous(p, g)
+    for m in p.terms:
+        rows, cols = line_degrees(m, sym)
+        assert [d for _, d in rows] == [1] * 4
+        assert [d for _, d in cols] == [1] * 4
+    assert is_multihomogeneous(p, sym)
 
 
 def test_prism_dehomogenized_generator_not_homogeneous():
     from slackkit import specific_slack_matrix
     sym = symbolic_slack_matrix(specific_slack_matrix("prism"))
-    g = sym.multigrading()
     p = poly(12, (1, {7: 1}), (-1, {}))  # x7 - 1
-    _, _, rh, ch = multidegree(p, g)
     i, j = sym.cell_of[7]
-    assert not rh[i]
-    assert not ch[j]
+    x7 = tuple(int(v == 7) for v in range(12))
+    assert line_degrees(x7, sym) == (((i, 1),), ((j, 1),))
+    assert line_degrees((0,) * 12, sym) == ((), ())
+    assert not is_multihomogeneous(p, sym)
 
 
 def test_minors_are_multilinear_per_row_and_column():
     from slackkit.slack import _entry_grid, pattern_minor
     sym = symbolic_slack_matrix(slack_matrix(PRISM_VERTICES))
     grid, _ = _entry_grid(sym)
-    g = sym.multigrading()
     for rows in itertools.combinations(range(6), 5):
         for cols in itertools.combinations(range(5), 5):
             p = pattern_minor(grid, rows, cols, sym.nvars)
             if p.is_zero():
                 continue
-            row_deg, col_deg, rh, ch = multidegree(p, g)
-            assert set(row_deg.values()) == {1} and set(col_deg.values()) == {1}
-            assert all(rh.values()) and all(ch.values())
+            for m in p.terms:
+                row_deg, col_deg = line_degrees(m, sym)
+                assert {d for _, d in row_deg} == {1} == {d for _, d in col_deg}
+            assert is_multihomogeneous(p, sym)
 
 
 def test_substitute_ones_and_evaluate():
     p = poly(3, (2, {0: 1, 1: 1}), (1, {2: 2}))
     q = p.substitute_ones({1})
     assert q == poly(3, (2, {0: 1}), (1, {2: 2}))
-    assert p.evaluate({0: Fraction(1), 1: Fraction(2), 2: Fraction(3)}) == 13
+    assert evaluate(p, {0: Fraction(1), 1: Fraction(2), 2: Fraction(3)}) == 13
 
 
 def test_substitute_ones_merges_and_cancels():
@@ -166,10 +158,15 @@ def reference_substitute_ones(p, var_indices):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(-3, 3).filter(bool),
                           st.tuples(*[st.integers(0, 2)] * 4)), max_size=6),
-       st.lists(st.integers(-2, 6), max_size=5))
+       st.lists(st.integers(0, 3), max_size=5))
 def test_substitute_ones_matches_the_exponent_scan(terms, ones):
-    # indices outside 0..3 are ignored, as before
     p = poly(4, *[(c, dict(enumerate(m))) for c, m in terms])
     q = p.substitute_ones(ones)
     assert q == reference_substitute_ones(p, ones)
     assert all(type(c) is Fraction and c for c in q.terms.values())
+
+
+@pytest.mark.parametrize("ones", [[99], [-1], [0, 4]])
+def test_substitute_ones_outside_the_ring_raises(ones):
+    with pytest.raises(UniverseMismatchError):
+        poly(4, (1, {0: 1, 3: 2})).substitute_ones(ones)

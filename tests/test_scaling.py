@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from slackkit import (Ideal, Polynomial, contains_flag, dehomogenized_ideal,
                       forest_from_ones, ideal_equals, irrationality_certificate,
-                      is_multihomogeneous, non_incidence_graph, rational_roots,
+                      non_incidence_graph, rational_roots,
                       reduced_slack_matrix, rehomogenize_ideal,
                       rehomogenize_poly, set_ones, set_ones_forest,
                       slack_ideal, slack_matrix, specific_slack_matrix,
@@ -17,7 +17,8 @@ from slackkit.errors import (NeedsNumericDataError, NotAForestError,
                              UniverseMismatchError)
 from slackkit.scaling import forest_weights
 from slackkit.slack import _entry_grid, pattern_minor
-from conftest import PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES, poly
+from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES,
+                      is_multihomogeneous, poly)
 from test_geometry import unit_simplex
 
 import pytest
@@ -145,11 +146,10 @@ def test_rehomogenize_fixes_multihomogeneous_input():
 
 def test_rehomogenized_polys_multihomogeneous():
     sym = prism_sym()
-    grading = sym.multigrading()
     Y = set_ones(sym, PRISM_FOREST_ONES)
     F = forest_from_ones(Y)
     for g in dehomogenized_ideal(3, Y).groebner_basis():
-        assert is_multihomogeneous(rehomogenize_poly(g, Y, F), grading)
+        assert is_multihomogeneous(rehomogenize_poly(g, Y, F), sym)
 
 
 PRISM_SLACK_BINOMIALS = {
@@ -193,9 +193,8 @@ def divide_by_common_forest_factor(p, forest_vars, order=None):
             common = masked
         else:
             common = tuple(min(a, b) for a, b in zip(common, masked))
-    from slackkit.poly import mono_div
-    return Polynomial(p.nvars,
-                      {mono_div(m, common): c for m, c in p.terms.items()})
+    return Polynomial(p.nvars, {tuple(a - b for a, b in zip(m, common)): c
+                                for m, c in p.terms.items()})
 
 
 def test_rehomogenize_inverts_dehomogenize_on_prism_minors():

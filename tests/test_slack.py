@@ -21,7 +21,8 @@ from slackkit.scaling import dehomogenized_ideal, set_ones, set_ones_forest
 from slackkit.slack import (ONE, _entry_grid, _nonzero_minors, _unit_triangle,
                             minor_ideal_generators, pattern_minor,
                             unit_triangle_minors)
-from conftest import PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES
+from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES, evaluate,
+                      is_multihomogeneous)
 from test_geometry import unit_simplex
 
 from hypothesis import example, given, settings, strategies as st
@@ -99,11 +100,9 @@ def test_prism_slack_ideal():
 
 
 def test_slack_ideal_generators_multihomogeneous():
-    from slackkit import is_multihomogeneous
     sym = symbolic_slack_matrix(specific_slack_matrix("prism"))
-    g = sym.multigrading()
     I = slack_ideal(3, sym)
-    assert all(is_multihomogeneous(p, g) for p in I.generators)
+    assert all(is_multihomogeneous(p, sym) for p in I.generators)
 
 
 def test_numeric_slack_matrix_lies_on_slack_variety():
@@ -111,7 +110,7 @@ def test_numeric_slack_matrix_lies_on_slack_variety():
     sym = symbolic_slack_matrix(S)
     values = {v: S.entries[i, j] for (i, j), v in sym.var_at.items()}
     I = slack_ideal(3, S)
-    assert all(p.evaluate(values) == 0 for p in I.generators)
+    assert all(evaluate(p, values) == 0 for p in I.generators)
 
 
 def test_gale_circuit_slack_of_square():
@@ -183,12 +182,10 @@ def test_graphic_ideal_of_simplex_is_zero():
 
 
 def test_graphic_ideal_binomials_multihomogeneous():
-    from slackkit import is_multihomogeneous
     sym = symbolic_slack_matrix(specific_slack_matrix("prism"))
     I = graphic_ideal(sym)
-    g = sym.multigrading()
     for p in I.generators:
-        assert is_multihomogeneous(p, g)
+        assert is_multihomogeneous(p, sym)
         assert sorted(p.terms.values()) == [Fraction(-1), Fraction(1)]
 
 
