@@ -105,13 +105,16 @@ def _print_matrix(M: RationalMatrix, fmt):
     print(M.to_json() if fmt == "json" else M.to_text())
 
 
-def _print_pattern(S, fmt):
-    rows = [[S.entry_string(i, j) for j in range(S.ncols)]
-            for i in range(S.nrows)]
+def _print_rows(rows, fmt):
     if fmt == "json":
         print(json.dumps(rows))
     else:
         print("\n".join(" ".join(row) for row in rows))
+
+
+def _print_pattern(S, fmt):
+    _print_rows([[S.entry_string(i, j) for j in range(S.ncols)]
+                 for i in range(S.nrows)], fmt)
 
 
 def _print_ideal(I):
@@ -206,11 +209,8 @@ def _cmd_builtin(args):
     elif isinstance(S, ScaledSlackMatrix):
         _print_pattern(S, args.format)
     else:
-        rows = [["1" if c else "0" for c in row] for row in S.support]
-        if args.format == "json":
-            print(json.dumps(rows))
-        else:
-            print("\n".join(" ".join(row) for row in rows))
+        _print_rows([["1" if c else "0" for c in row] for row in S.support],
+                    args.format)
 
 
 def _cmd_count_minors(args):

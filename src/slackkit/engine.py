@@ -130,9 +130,9 @@ class Ring:
     def widened(self):
         return Ring(self.nvars, self.blocks, self.weight, self.bits * 2)
 
-    def like(self, blocks=None, weight=None):
-        """A ring with the same width and a different order."""
-        return Ring(self.nvars, blocks or self.blocks, weight, self.bits)
+    def like(self, weight=None):
+        """A ring with the same width and blocks, weighted by ``weight``."""
+        return Ring(self.nvars, self.blocks, weight, self.bits)
 
     # monomials ------------------------------------------------------------
 

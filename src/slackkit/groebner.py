@@ -8,6 +8,12 @@ reads its input packed (:meth:`Ideal.packed`), makes its engine calls there
 (under :func:`~slackkit.engine.widening`, so that a degree overflow reruns
 the whole operation with wider fields) and returns an ideal that holds the
 packed result.  Fractions come back only when a basis is asked for.
+
+Saturation takes one path: a fresh variable t is eliminated from
+I + <1 - t*f>, and saturating by a product of variables is saturating by
+that one monomial.  Only :func:`homogenize_by_edges`, which saturates a
+slack ideal by its forest variables, reads a saturation off a
+homogenization instead.
 """
 
 from __future__ import annotations
@@ -27,6 +33,14 @@ def _check_ring(nvars, polys):
         if p.nvars != nvars:
             raise UniverseMismatchError(
                 f"polynomial in {p.nvars} variables, ring of {nvars}")
+
+
+def _check_variables(nvars, var_indices):
+    """Raise unless every index names one of ``nvars`` variables."""
+    for v in var_indices:
+        if not 0 <= v < nvars:
+            raise UniverseMismatchError(
+                f"variable x{v} outside universe of {nvars}")
 
 
 # -- normal forms ------------------------------------------------------------
@@ -193,7 +207,9 @@ def _eliminate(polys, front, nvars):
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity via the extra-variable (Rabinowitsch) trick: a fresh
-    last variable t is eliminated from I + <1 - t*f>."""
+    last variable t is eliminated from I + <1 - t*f> (Cox, Little &
+    O'Shea, *Ideals, Varieties, and Algorithms*, ch. 4 sec. 4).  This is
+    the one saturation path; :func:`saturate_by_variables` takes it too."""
     if f.is_zero():
         raise ZeroDivisorPolynomialError("cannot saturate by the zero polynomial")
     _check_ring(I.nvars, [f])
@@ -202,64 +218,26 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
                       {n}, n)
 
 
-def _bayer_stillman(polys, var, ring):
-    """I : x_var^infinity for a homogeneous ideal, given packed in ``ring``:
-    a grevlex basis with x_var smallest, each element divided by its largest
-    power of x_var (Bayer & Stillman).  Returns the basis and its ring."""
-    n = ring.nvars
-    target = ring.like([[i for i in range(n) if i != var] + [var]])
-    basis = groebner([target.convert(f, ring) for f in polys], target)
-    unit = target.units[var]
-    shift = target.bits * target.field[var]
-    fm = target.fm
-    out = []
-    for f in basis:
-        k = min((m >> shift) & fm for m, _ in f)
-        out.append([(m - k * unit, c) for m, c in f] if k else f)
-    return out, target
-
-
 def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
     """I : (prod x_i)^infinity over the variables x_i, i in ``var_indices``.
 
-    Every input takes one path.  The generators are homogenized with a fresh
-    last variable h (a basis in an order graded by total degree, homogenized
-    element by element; skipped when they are already homogeneous).  The
-    homogenized ideal is saturated by each variable in turn, each step read
-    off a grevlex basis in which the variable is smallest (Bayer & Stillman,
-    *A criterion for detecting m-regularity*, 1987).  Finally h is set to 1
-    and one grevlex basis is taken.  Homogenization commutes with
-    saturating by any variable other than h, so this gives I : x_i^infinity
-    (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8
-    sec. 4).
+    Saturating by each x_i in turn is saturating by their product, one
+    monomial, so this is :func:`saturate` by that monomial: a single
+    elimination of t from I + <1 - t*prod x_i>.  No variable gives the
+    reduced basis of I.
 
     Slack ideals avoid this for most of their variables: saturating the raw
-    minors, or a rehomogenized ideal, by one variable at a time passes
-    through bases far larger than the result (the first step on the Perles
-    rehomogenized ideal alone passes 3,600 elements).  When the variables
-    are the edges of a spanning forest of the non-incidence graph,
-    :func:`homogenize_by_edges` saturates by them one edge at a time
-    instead, and :func:`~slackkit.slack.slack_ideal` uses I_P = H_F(I_P^F)
-    so that only the surviving variables are saturated here, in the small
-    dehomogenized ring.
+    minors, or a rehomogenized ideal, passes through bases far larger than
+    the result.  When the variables are the edges of a spanning forest of
+    the non-incidence graph, :func:`homogenize_by_edges` saturates by them
+    one edge at a time instead, and :func:`~slackkit.slack.slack_ideal`
+    uses I_P = H_F(I_P^F) so that only the surviving variables are
+    saturated here, in the small dehomogenized ring.
     """
-    n = I.nvars
-    var_indices = sorted(set(var_indices))
-
-    def run(ring):
-        polys = homogenize_ideal(I.packed(ring), ring, n)
-        for v in var_indices:
-            if not polys or not polys[0][0][0] & ring.emask:
-                break
-            polys, ring = _bayer_stillman(polys, v, ring)
-        final = Ring(n, [range(n)], bits=ring.bits)
-        unpack = ring.unpack
-        polys = [final.from_terms({unpack(m)[:n]: c for m, c in f}) for f in polys]
-        return final, groebner(polys, final)
-
-    # degree in x_0..x_{n-1} first, then grevlex in x_0..x_{n-1}, h
-    return Ideal._of_basis(
-        *widening(run, Ring(n + 1, [range(n + 1)], weight=range(n))))
+    var_indices = set(var_indices)
+    _check_variables(I.nvars, var_indices)
+    return saturate(I, Polynomial.monomial(
+        [int(v in var_indices) for v in range(I.nvars)], I.nvars))
 
 
 def homogenize_by_edges(I: Ideal, edges) -> Ideal:
@@ -298,6 +276,8 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
 
 def eliminate(I: Ideal, var_indices) -> Ideal:
     """I intersected with the subring without the given variables."""
+    var_indices = set(var_indices)
+    _check_variables(I.nvars, var_indices)
     return _eliminate(I.packed, var_indices, I.nvars)
 
 

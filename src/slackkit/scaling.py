@@ -127,7 +127,8 @@ def forest_from_ones(Y: ScaledSlackMatrix) -> SpanningForest:
 
 def dehomogenized_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
     """Slack ideal of the scaled matrix: (d+2)-minors saturated by the
-    product of the surviving variables.
+    product m of the surviving variables, by one elimination of t from the
+    minors and 1 - t*m (:func:`~slackkit.groebner.saturate_by_variables`).
 
     Only the minors that contain a unit triangle are saturated: rows and
     columns, at most d+1 of each, whose submatrix is lower triangular with

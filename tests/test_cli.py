@@ -71,6 +71,33 @@ def test_builtin_perles_pattern(capsys):
     assert sum(r.count("1") for r in rows) == 36
 
 
+PERLES_SUPPORT = [
+    "0 0 0 1 1 1 0 0 0 0 0 0 0",
+    "0 0 0 1 0 0 1 1 1 0 0 0 0",
+    "0 0 0 0 0 0 1 0 0 1 1 0 0",
+    "0 0 0 0 1 0 0 0 0 0 0 1 1",
+    "0 0 0 0 0 0 0 1 0 1 0 1 0",
+    "1 0 0 0 0 0 0 0 0 0 1 0 1",
+    "0 1 0 0 0 0 0 0 1 0 0 0 0",
+    "0 0 1 0 0 1 0 0 0 0 0 0 0",
+    "1 0 0 1 0 0 0 1 0 0 0 0 0",
+    "0 1 0 0 1 0 0 0 0 1 0 0 0",
+    "0 0 1 0 0 0 1 0 0 0 0 0 1",
+    "0 0 0 0 0 1 0 0 1 0 1 1 0",
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_builtin_perles_support_output(capsys, fmt):
+    code, out, err = run(capsys, "builtin", "perles-reduced", "--format", fmt)
+    assert code == 0 and not err
+    rows = [line.split() for line in PERLES_SUPPORT]
+    if fmt == "json":
+        assert out == json.dumps(rows) + "\n"
+    else:
+        assert out == "\n".join(PERLES_SUPPORT) + "\n"
+
+
 def test_slack_matrix_roundtrip(capsys, prism_file):
     code, out, _ = run(capsys, "slack-matrix", "--vertices", prism_file)
     assert code == 0

@@ -228,6 +228,17 @@ def test_saturate_rejects_a_polynomial_of_another_ring():
         saturate(Ideal([Polynomial.variable(0, 2)]), Polynomial.variable(2, 3))
 
 
+def test_saturate_by_variables_rejects_a_variable_of_another_ring():
+    with pytest.raises(UniverseMismatchError):
+        saturate_by_variables(Ideal([Polynomial.variable(0, 2)]), [5])
+
+
+@pytest.mark.parametrize("var", [-1, 7])
+def test_eliminate_rejects_a_variable_of_another_ring(var):
+    with pytest.raises(UniverseMismatchError):
+        eliminate(Ideal([Polynomial.variable(0, 2)]), [var])
+
+
 def test_radical_membership_rejects_a_polynomial_of_another_ring():
     with pytest.raises(UniverseMismatchError):
         radical_membership(Polynomial.variable(2, 3),
