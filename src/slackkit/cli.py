@@ -244,86 +244,123 @@ def _add_common(p, d=False, fmt=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built once per process: building it is most of
-    the cost of a small request, and parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(prog="slackkit")
-    sub = ap.add_subparsers(dest="verb", required=True)
+def _source_arguments(p, pattern=True, **common):
+    _add_source_flags(p, pattern=pattern)
+    _add_common(p, **common)
 
-    p = sub.add_parser("slack-matrix", help="numeric slack matrix")
-    _add_source_flags(p, pattern=False)
-    _add_common(p)
-    p.set_defaults(func=_cmd_slack_matrix)
 
-    p = sub.add_parser("symbolic", help="symbolic slack matrix")
-    _add_source_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_symbolic)
-
-    p = sub.add_parser("ideal", help="slack ideal generators")
-    _add_source_flags(p)
-    _add_common(p, d=True, fmt=False)
-    p.set_defaults(func=_cmd_ideal)
-
-    p = sub.add_parser("gale", help="Gale transform of vertices")
+def _gale_arguments(p):
     p.add_argument("--vertices", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_gale)
 
-    p = sub.add_parser("gale-slack", help="slack matrix from a Gale transform")
+
+def _gale_slack_arguments(p):
     p.add_argument("--gale", required=True, help="Gale vector matrix file")
     p.add_argument("--cofacets",
                    help="semicolon-separated cofacet index groups")
     _add_common(p)
-    p.set_defaults(func=_cmd_gale_slack)
 
-    for verb, func, needs_d in (("scale", _cmd_scale, False),
-                                ("dehomogenize", _cmd_dehomogenize, True),
-                                ("rehomogenize", _cmd_rehomogenize, True)):
-        p = sub.add_parser(verb)
-        _add_source_flags(p)
-        p.add_argument("--ones", help="comma-separated variable indices to scale to 1")
-        _add_common(p, d=needs_d, fmt=(verb == "scale"))
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("reduce", help="reduced slack matrix")
+def _scaling_arguments(p, d, fmt):
+    _add_source_flags(p)
+    p.add_argument("--ones", help="comma-separated variable indices to scale to 1")
+    _add_common(p, d=d, fmt=fmt)
+
+
+def _reduce_arguments(p):
     _add_source_flags(p)
     p.add_argument("--flag-indices", dest="flag_indices")
     _add_common(p, d=True)
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("contains-flag")
+
+def _contains_flag_arguments(p):
     _add_source_flags(p, pattern=False)
     p.add_argument("--indices", required=True)
     _add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_contains_flag)
 
-    p = sub.add_parser("graphic-ideal", help="toric ideal of the non-incidence graph")
-    _add_source_flags(p)
-    _add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_graphic_ideal)
 
-    p = sub.add_parser("certificate", help="irrationality certificate (JSON)")
+def _certificate_arguments(p):
     _add_source_flags(p)
     p.add_argument("--ones")
     p.add_argument("--variable", type=int, required=True,
                    help="variable to eliminate down to")
     _add_common(p, d=True, fmt=False)
-    p.set_defaults(func=_cmd_certificate)
 
-    p = sub.add_parser("builtin", help="print a stored slack matrix")
+
+def _builtin_arguments(p):
     p.add_argument("name", choices=BUILTIN_NAMES)
     _add_common(p)
-    p.set_defaults(func=_cmd_builtin)
 
-    p = sub.add_parser("count-minors")
+
+def _count_minors_arguments(p):
     _add_source_flags(p)
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
     _add_common(p, d=True, fmt=False)
-    p.set_defaults(func=_cmd_count_minors)
 
+
+# (verb, its line in the top-level help or None, handler, function adding
+# its arguments), in the order the top-level usage and help list them
+_VERBS = (
+    ("slack-matrix", "numeric slack matrix", _cmd_slack_matrix,
+     functools.partial(_source_arguments, pattern=False)),
+    ("symbolic", "symbolic slack matrix", _cmd_symbolic, _source_arguments),
+    ("ideal", "slack ideal generators", _cmd_ideal,
+     functools.partial(_source_arguments, d=True, fmt=False)),
+    ("gale", "Gale transform of vertices", _cmd_gale, _gale_arguments),
+    ("gale-slack", "slack matrix from a Gale transform", _cmd_gale_slack,
+     _gale_slack_arguments),
+    ("scale", None, _cmd_scale,
+     functools.partial(_scaling_arguments, d=False, fmt=True)),
+    ("dehomogenize", None, _cmd_dehomogenize,
+     functools.partial(_scaling_arguments, d=True, fmt=False)),
+    ("rehomogenize", None, _cmd_rehomogenize,
+     functools.partial(_scaling_arguments, d=True, fmt=False)),
+    ("reduce", "reduced slack matrix", _cmd_reduce, _reduce_arguments),
+    ("contains-flag", None, _cmd_contains_flag, _contains_flag_arguments),
+    ("graphic-ideal", "toric ideal of the non-incidence graph",
+     _cmd_graphic_ideal, functools.partial(_source_arguments, fmt=False)),
+    ("certificate", "irrationality certificate (JSON)", _cmd_certificate,
+     _certificate_arguments),
+    ("builtin", "print a stored slack matrix", _cmd_builtin,
+     _builtin_arguments),
+    ("count-minors", None, _cmd_count_minors, _count_minors_arguments),
+)
+
+
+class _VerbParser:
+    """Stands in for a verb's argument parser as the subparser argparse
+    keeps; the first attribute argparse reads builds the parser, and every
+    attribute is read from it.
+
+    The top-level parser names every verb in its usage, help and errors,
+    but a request parses with one verb's parser, and building all of them
+    would be most of the cost of a small request."""
+
+    def __init__(self, func, add_arguments, **kwargs):
+        self._build = (func, add_arguments, kwargs)
+
+    @functools.cached_property
+    def parser(self):
+        func, add_arguments, kwargs = self._build
+        p = argparse.ArgumentParser(**kwargs)
+        add_arguments(p)
+        p.set_defaults(func=func)
+        return p
+
+    def __getattr__(self, name):
+        return getattr(self.parser, name)
+
+
+@functools.cache
+def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each verb's own parser is built on its first request."""
+    ap = argparse.ArgumentParser(prog="slackkit")
+    sub = ap.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
+    for verb, line, func, add_arguments in _VERBS:
+        listed = {} if line is None else {"help": line}
+        sub.add_parser(verb, func=func, add_arguments=add_arguments, **listed)
     return ap
 
 

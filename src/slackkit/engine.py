@@ -1,11 +1,11 @@
 """The Groebner engine behind ``groebner``, ``slack`` and ``scaling``.
 
 Monomials are packed into one Python int (Monagan & Pearce, CASC 2007).  A
-:class:`Ring` fixes the number of variables, a field width of ``bits`` bits
-and a monomial order.  The low fields hold the exponent vector, one field per
-variable with its top bit kept clear as a guard; the high fields hold the
-order key, a vector of linear forms in the exponents.  Both parts are linear
-in the exponents, so
+:class:`Ring` fixes a universe of variables, the subset of it that it
+carries, a field width of ``bits`` bits and a monomial order.  The low fields
+hold the exponent vector, one field per carried variable with its top bit
+kept clear as a guard; the high fields hold the order key, a vector of
+linear forms in the exponents.  Both parts are linear in the exponents, so
 
 * multiplication is one addition,
 * comparison in the monomial order is int comparison,
@@ -16,6 +16,15 @@ then reverse lexicographically, the first block most significant), optionally
 preceded by the degree in a chosen set of variables.  Grevlex, lex, block
 elimination orders and the "degree in one row of the slack matrix, then
 grevlex" orders of edge-by-edge homogenization are all of that form.
+
+A ring packs a subset of its universe: a variable it does not carry has
+exponent zero in all of its monomials.  The operations that build a ring
+from an ideal (saturation, elimination, radical membership, the minors of a
+slack matrix) carry only the variables their input uses.  A variable that
+occurs nowhere adds zero to every degree and never breaks a tie, so every
+order compares the packed monomials as it would over the whole universe:
+the pairs, reductions and bases are the same, and only the ints are
+shorter.
 
 Total degrees are capped at ``2**(bits-1) - 1`` so that neither an exponent
 field nor a key field can overflow.  Every place that makes a monomial of
@@ -56,25 +65,31 @@ class FieldOverflow(ArithmeticError):
 
 
 class Ring:
-    """Packing of monomials in ``nvars`` variables under one monomial order.
+    """Packing of monomials over a subset of ``nvars`` variables under one
+    monomial order.
 
-    ``blocks`` lists the variables block by block, most significant block
-    first and, inside a block, most significant variable first.  ``weight``
-    is an optional set of variables whose total degree is compared before
-    everything else.
+    ``nvars`` is the size of the universe: the length of the exponent
+    tuples :meth:`pack` takes and :meth:`unpack` returns.  ``blocks`` lists
+    the variables the ring carries, block by block, most significant block
+    first and, inside a block, most significant variable first; each gets
+    one packed field, ``size`` fields in all.  A variable left out has
+    exponent zero in every monomial of the ring.  ``weight`` is an optional
+    set of variables whose total degree is compared before everything else.
     """
 
     def __init__(self, nvars, blocks, weight=None, bits=8):
-        n = nvars
         B = bits
-        self.nvars = n
+        self.nvars = nvars
         self.bits = B
         self.blocks = [tuple(b) for b in blocks if len(b)]
         self.weight = frozenset(weight) if weight else frozenset()
-        if sorted(v for b in self.blocks for v in b) != list(range(n)):
-            raise ValueError("blocks must list every variable exactly once")
+        carried = sorted(v for b in self.blocks for v in b)
+        if carried and (carried[0] < 0 or carried[-1] >= nvars
+                        or len(set(carried)) < len(carried)):
+            raise ValueError("blocks must list distinct variables of the universe")
+        self.size = n = len(carried)
         fm = (1 << B) - 1
-        field = [0] * n
+        field = [None] * nvars
         top = n
         bmasks = []
         for blk in self.blocks:
@@ -86,6 +101,10 @@ class Ring:
             bmasks.append(mask)
             top = lo
         self.field = field
+        self.absent = tuple(v for v in range(nvars) if field[v] is None)
+        # an absent variable reads the bits above the exponent part, which
+        # are zero once the key is masked off
+        self.shifts = [B * (n if f is None else f) for f in field]
         self.fm = fm
         self.E = E = B * n
         self.emask = (1 << E) - 1
@@ -120,7 +139,8 @@ class Ring:
             def key(e):
                 return block_key(e) | ((((e & wmask) * ones) >> ts) & fm) << E
         self.key = key
-        self.units = [self.full(1 << (B * field[v])) for v in range(n)]
+        self.units = [None if f is None else self.full(1 << (B * f))
+                      for f in field]
 
     @classmethod
     def for_order(cls, order, nvars, bits=8):
@@ -141,22 +161,27 @@ class Ring:
         return (self.key(e) << self.E) | e
 
     def pack(self, exps):
+        """Packed monomial from its exponent tuple over the universe."""
         if sum(exps) > self.cap:
             raise FieldOverflow(f"degree {sum(exps)} exceeds {self.cap}")
+        for v in self.absent:
+            if exps[v]:
+                raise ValueError(f"the ring does not carry variable {v}")
         units = self.units
         return sum(e * units[v] for v, e in enumerate(exps) if e)
 
     def unpack(self, m):
+        """The exponent tuple over the universe of a packed monomial."""
         e = m & self.emask
-        B, fm = self.bits, self.fm
-        return tuple((e >> (B * f)) & fm for f in self.field)
+        fm = self.fm
+        return tuple((e >> s) & fm for s in self.shifts)
 
     def fields(self, m):
         """The exponent fields of m, lowest field first."""
         if self.bits == 8:
-            return (m & self.emask).to_bytes(self.nvars, "little")
+            return (m & self.emask).to_bytes(self.size, "little")
         B, fm = self.bits, self.fm
-        return [(m >> (B * j)) & fm for j in range(self.nvars)]
+        return [(m >> (B * j)) & fm for j in range(self.size)]
 
     def degree(self, m):
         return ((((m & self.emask) * self.ones) >> self.top_shift) & self.fm)
@@ -250,7 +275,7 @@ class Reducer:
         self.polys = []    # (leading coefficient, tail, extra degree)
         self.cache = {}
         self.forms = {}    # monomial -> (scale, reduce({monomial: 1}))
-        self.rows = [[0] * (min(ring.cap, 127) + 2) for _ in range(ring.nvars)]
+        self.rows = [[0] * (min(ring.cap, 127) + 2) for _ in range(ring.size)]
         self.scale = 1     # the factor the last reduce multiplied its work by
 
     def add(self, f):

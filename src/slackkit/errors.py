@@ -16,6 +16,16 @@ class UniverseMismatchError(SlackkitError):
     pass
 
 
+def variable_outside(index, nvars):
+    """The error for a variable index that names none of ``nvars``
+    variables, with the index as given."""
+    if not nvars:
+        return UniverseMismatchError(f"variable index {index} in a ring "
+                                     "without variables")
+    return UniverseMismatchError(
+        f"variable index {index} outside 0..{nvars - 1}")
+
+
 class ZeroDivisorPolynomialError(SlackkitError):
     pass
 

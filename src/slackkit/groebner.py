@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .engine import (Reducer, Ring, groebner, homogenize_ideal, pack_polys,
                      to_polynomial, widening)
-from .errors import UniverseMismatchError, ZeroDivisorPolynomialError
+from .errors import (UniverseMismatchError, ZeroDivisorPolynomialError,
+                     variable_outside)
 from .poly import GRevLex, Polynomial
 from .rationals import denominator_lcm
 
@@ -39,8 +40,7 @@ def _check_variables(nvars, var_indices):
     """Raise unless every index names one of ``nvars`` variables."""
     for v in var_indices:
         if not 0 <= v < nvars:
-            raise UniverseMismatchError(
-                f"variable x{v} outside universe of {nvars}")
+            raise variable_outside(v, nvars)
 
 
 # -- normal forms ------------------------------------------------------------
@@ -168,6 +168,24 @@ class Ideal:
         return [g.to_string(self.order) for g in self.groebner_basis()]
 
 
+def _variables(I: Ideal, *polys):
+    """The set of variables that occur in I, in its reduced basis if that
+    is known and else in its generators, or in one of ``polys``."""
+    used = set()
+    if I._packed is not None:
+        acc = 0  # a field of the OR is nonzero iff the variable occurs
+        for f in I._packed:
+            for m, _ in f:
+                acc |= m
+        used.update(v for v, e in enumerate(I._ring.unpack(acc)) if e)
+    else:
+        polys += tuple(I._generators)
+    for p in polys:
+        for m in p.terms:
+            used.update(v for v, e in enumerate(m) if e)
+    return used
+
+
 def ideal_equals(I: Ideal, J: Ideal) -> bool:
     """True iff the reduced grevlex bases coincide."""
     return I.nvars == J.nvars and I.groebner_basis() == J.groebner_basis()
@@ -182,22 +200,22 @@ def _rabinowitsch(f, ring):
     return ring.from_terms(terms)
 
 
-def _eliminate(polys, front, nvars):
+def _eliminate(polys, front, rest, nvars):
     """The ideal of ``polys(ring)``, the generators packed in the ring
     given, intersected with the subring free of the variables ``front``: an
-    ideal in the first ``nvars`` variables.  The generators' variables from
+    ideal in the variables ``rest`` of a universe of ``nvars``.  The
+    generators use only variables of ``front`` and ``rest``, and those from
     ``nvars`` on must lie in ``front``.
 
-    A basis is taken in the block order "grevlex on ``front``, then
-    grevlex".  Its elements free of ``front`` form the reduced grevlex basis
-    of the intersection."""
-    front = sorted(set(front))
+    A basis is taken in the block order "grevlex on ``front``, then grevlex
+    on ``rest``".  Its elements free of ``front`` form the reduced grevlex
+    basis of the intersection."""
+    front, rest = sorted(front), sorted(rest)
     size = max([nvars, *(v + 1 for v in front)])
-    rest = [v for v in range(size) if v not in front]
 
     def run(block):
         mask = sum(block.fm << (block.bits * block.field[v]) for v in front)
-        final = Ring(nvars, [range(nvars)], bits=block.bits)
+        final = Ring(nvars, [rest], bits=block.bits)
         return final, [final.convert(f, block)
                        for f in groebner(polys(block), block)
                        if not f[0][0] & mask]
@@ -209,13 +227,14 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity via the extra-variable (Rabinowitsch) trick: a fresh
     last variable t is eliminated from I + <1 - t*f> (Cox, Little &
     O'Shea, *Ideals, Varieties, and Algorithms*, ch. 4 sec. 4).  This is
-    the one saturation path; :func:`saturate_by_variables` takes it too."""
+    the one saturation path; :func:`saturate_by_variables` takes it too.
+    Its rings carry t and the variables of I and f only."""
     if f.is_zero():
         raise ZeroDivisorPolynomialError("cannot saturate by the zero polynomial")
     _check_ring(I.nvars, [f])
     n = I.nvars
     return _eliminate(lambda ring: I.packed(ring) + [_rabinowitsch(f, ring)],
-                      {n}, n)
+                      {n}, _variables(I, f), n)
 
 
 def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
@@ -275,10 +294,13 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
 
 
 def eliminate(I: Ideal, var_indices) -> Ideal:
-    """I intersected with the subring without the given variables."""
+    """I intersected with the subring without the given variables; its
+    rings carry the variables of I only."""
     var_indices = set(var_indices)
     _check_variables(I.nvars, var_indices)
-    return _eliminate(I.packed, var_indices, I.nvars)
+    used = _variables(I)
+    return _eliminate(I.packed, used & var_indices, used - var_indices,
+                      I.nvars)
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
@@ -286,7 +308,8 @@ def radical_membership(f: Polynomial, I: Ideal) -> bool:
 
     f in I is decided by the memoized basis of I.  Otherwise that basis
     seeds the Rabinowitsch computation, so that no pair inside it is
-    reduced again."""
+    reduced again.  Its ring carries t and the variables of I and f
+    only."""
     if I.contains(f):
         return True
     n = I.nvars
@@ -295,5 +318,6 @@ def radical_membership(f: Polynomial, I: Ideal) -> bool:
         return ring, groebner([_rabinowitsch(f, ring)], ring,
                               known=I.packed(ring))
 
-    ring, out = widening(run, Ring(n + 1, [range(n + 1)]))
+    carried = sorted(_variables(I, f)) + [n]
+    ring, out = widening(run, Ring(n + 1, [carried]))
     return len(out) == 1 and not out[0][0][0] & ring.emask

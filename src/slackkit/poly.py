@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UniverseMismatchError
+from .errors import UniverseMismatchError, variable_outside
 
 
 def mono_mul(a, b):
@@ -93,7 +93,7 @@ class Polynomial:
     @classmethod
     def variable(cls, i, nvars):
         if not 0 <= i < nvars:
-            raise UniverseMismatchError(f"variable x{i} outside universe of {nvars}")
+            raise variable_outside(i, nvars)
         e = [0] * nvars
         e[i] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
@@ -179,8 +179,7 @@ class Polynomial:
         idx = set(var_indices)
         for i in idx:
             if not 0 <= i < self.nvars:
-                raise UniverseMismatchError(
-                    f"variable x{i} outside universe of {self.nvars}")
+                raise variable_outside(i, self.nvars)
         terms = {}
         for m, c in self.terms.items():
             e = list(m)

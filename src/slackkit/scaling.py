@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (NeedsNumericDataError, NoFlagFoundError,
-                     NotAForestError, SizeMismatchError, UniverseMismatchError)
+                     NotAForestError, SizeMismatchError, UniverseMismatchError,
+                     variable_outside)
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
 from .poly import Polynomial
@@ -379,8 +380,7 @@ def irrationality_certificate(I: Ideal, keep: int) -> Certificate:
     which has no root at all: the variety is empty, so there is no
     realization, rational or not, and the result is "irrational"."""
     if not 0 <= keep < I.nvars:
-        raise UniverseMismatchError(
-            f"variable x{keep} outside universe of {I.nvars}")
+        raise variable_outside(keep, I.nvars)
     others = set(range(I.nvars)) - {keep}
     basis = eliminate(I, others).groebner_basis()
     if not basis:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
-                     NotACofacetError, ScaledMatrixError, SizeMismatchError)
+                     NotACofacetError, ScaledMatrixError, variable_outside)
 from .geometry import (GaleTransform, PointConfiguration, check_vertices,
                        facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
@@ -88,7 +88,7 @@ class ScaledSlackMatrix:
         self.ones_at = frozenset(ones_at)
         for v in self.ones_at:
             if v not in base.cell_of:
-                raise SizeMismatchError(f"no variable x{v} in the pattern")
+                raise variable_outside(v, base.nvars)
 
     @property
     def nrows(self):
@@ -346,8 +346,10 @@ def _minor_generators(grid, nvars, k, rows0=(), cols0=()):
     (row set, column set) order, each replaced by its normal form against
     the minors collected so far (same ideal, far smaller list)."""
     # every minor has degree k and grevlex reduction never raises the degree,
-    # so a ring whose degree cap is k never overflows
-    ring = Ring(nvars, [range(nvars)], bits=max(8, k.bit_length() + 1))
+    # so a ring whose degree cap is k never overflows; it carries only the
+    # variables of the grid
+    used = sorted({v for row in grid for v in row if v is not None and v != ONE})
+    ring = Ring(nvars, [used], bits=max(8, k.bit_length() + 1))
     # distinct nonzero minors in enumeration order, packed
     minors = dict.fromkeys(
         tuple(engine.normalize(sorted(f.items(), reverse=True)))

@@ -1,10 +1,12 @@
 """Command-line interface: verbs, formats, exit codes."""
 
+import argparse
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import slackkit
 from slackkit import RationalMatrix
@@ -125,21 +127,64 @@ def run_any(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_parser_is_reused_across_calls(capsys, prism_file):
-    # one parser serves every call in a process; each request must print
-    # what it prints with a parser of its own
+def test_parser_is_reused_across_calls(capsys, monkeypatch, prism_file):
+    # one top-level parser serves every call in a process, and each verb's
+    # parser is built once, on the verb's first request; each request must
+    # print what it prints with parsers of its own
     requests = [("slack-matrix", "--bogus"),
                 ("slack-matrix", "--vertices", prism_file, "--format", "json"),
-                ("slack-matrix", "--vertices", prism_file)]
+                ("bogus",),
+                ("builtin", "square"),
+                ("slack-matrix", "--vertices", prism_file),
+                ("builtin", "square", "--format", "json")]
     alone = []
     for argv in requests:
         build_parser.cache_clear()
         alone.append(run_any(capsys, *argv))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
     build_parser.cache_clear()
     together = [run_any(capsys, *argv) for argv in requests]
     assert build_parser.cache_info().misses == 1
+    assert built == ["slackkit", "slackkit slack-matrix", "slackkit builtin"]
     assert together == alone
-    assert [code for code, _, _ in together] == [2, 0, 0]
+    assert [code for code, _, _ in together] == [2, 0, 2, 0, 0, 0]
+
+
+# stdout, stderr and exit code of help and usage-error requests, as printed
+# when every verb's parser was built up front, 80 columns wide
+USAGE = json.loads((Path(__file__).parent / "golden_cli_usage.json").read_text())
+
+
+def test_usage_output_in_a_fresh_process():
+    src = os.path.dirname(os.path.dirname(slackkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    for case in USAGE:
+        proc = subprocess.run([sys.executable, "-m", "slackkit", *case["argv"]],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_usage_output_after_other_verbs(capsys, monkeypatch, prism_file):
+    # verbs already parsed must not change what help and errors list
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser.cache_clear()
+    for argv in (("certificate", "-d", "2", "--builtin", "square",
+                  "--variable", "1"),
+                 ("slack-matrix", "--vertices", prism_file),
+                 ("builtin", "square")):
+        run_any(capsys, *argv)
+    for case in USAGE:
+        assert run_any(capsys, *case["argv"]) == \
+            (case["code"], case["stdout"], case["stderr"]), case["argv"]
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -309,14 +354,23 @@ def test_non_integer_ones_is_usage_error(capsys):
 def test_unknown_ones_variable_is_domain_error(capsys):
     code, _, err = run(capsys, "scale", "--builtin", "prism", "--ones", "999")
     assert code == 1
-    assert "x999" in err
+    assert err == "error: variable index 999 outside 0..11\n"
 
 
 def test_unknown_certificate_variable_is_domain_error(capsys):
     code, out, err = run(capsys, "certificate", "-d", "2", "--builtin", "square",
                          "--variable", "999")
     assert code == 1
-    assert not out and "x999" in err
+    assert not out and err == "error: variable index 999 outside 0..7\n"
+
+
+@pytest.mark.parametrize("flags", [("--variable", "-1"),
+                                   ("--ones", "-1", "--variable", "35")])
+def test_negative_variable_index_is_domain_error(capsys, flags):
+    # the index is printed as given, not pasted into a variable name
+    code, out, err = run(capsys, "certificate", "-d", "8", "--builtin",
+                         "perles-reduced", *flags)
+    assert (code, out, err) == (1, "", "error: variable index -1 outside 0..35\n")
 
 
 def test_repeated_ones_index_closes_no_cycle(capsys):

@@ -26,9 +26,9 @@ NV = 3
 SYMS = sympy.symbols(f"x0:{NV}")
 
 
-def to_sympy(p):
+def to_sympy(p, syms=SYMS):
     return sum(sympy.Rational(c.numerator, c.denominator)
-               * sympy.Mul(*[s ** e for s, e in zip(SYMS, m)])
+               * sympy.Mul(*[s ** e for s, e in zip(syms, m)])
                for m, c in p.terms.items())
 
 
@@ -40,8 +40,8 @@ def sympy_basis(exprs, order="grevlex", gens=SYMS):
     return {sympy.expand(g) for g in G.exprs}
 
 
-def ours(basis):
-    return {sympy.expand(to_sympy(g)) for g in basis}
+def ours(basis, syms=SYMS):
+    return {sympy.expand(to_sympy(g, syms)) for g in basis}
 
 
 monomial = st.tuples(*[st.integers(0, 2)] * NV)
@@ -135,12 +135,12 @@ def test_buchberger_matches_sympy(gens):
         sympy_basis([to_sympy(g) for g in gens])
 
 
-def sympy_saturation(exprs, var_indices):
+def sympy_saturation(exprs, var_indices, syms=SYMS):
     t = sympy.Symbol("t")
-    prod = sympy.Mul(*[SYMS[v] for v in var_indices])
-    G = sympy.groebner(list(exprs) + [1 - t * prod], t, *SYMS, order="lex",
+    prod = sympy.Mul(*[syms[v] for v in var_indices])
+    G = sympy.groebner(list(exprs) + [1 - t * prod], t, *syms, order="lex",
                        domain="QQ")
-    return sympy_basis([g for g in G.exprs if not g.has(t)])
+    return sympy_basis([g for g in G.exprs if not g.has(t)], gens=syms)
 
 
 @ORACLE
@@ -186,6 +186,64 @@ def _power(f, k):
     for _ in range(k - 1):
         out = out * f
     return out
+
+
+# -- rings over the variables in use -----------------------------------------
+#
+# Saturation, elimination and radical membership pack their rings over the
+# variables their input uses.  Generators in x1 and x3 of a 6-variable ring
+# leave four variables out of those rings; sympy works over all six.
+
+WIDE_NV = 6
+WIDE_SYMS = sympy.symbols(f"x0:{WIDE_NV}")
+
+
+def sparse_polynomial(variables):
+    """Polynomials of the 6-variable ring in the given variables only."""
+    exponents = st.tuples(*[st.integers(0, 2)] * len(variables))
+    return st.lists(st.tuples(st.integers(-3, 3).filter(bool), exponents),
+                    min_size=1, max_size=3).map(lambda ts: poly(WIDE_NV, *[
+                        (c, dict(zip(variables, e))) for c, e in ts]))
+
+
+sparse_ideal = st.lists(sparse_polynomial((1, 3)), min_size=1, max_size=3).map(
+    lambda ps: [p for p in ps if not p.is_zero()]).filter(bool)
+
+
+@ORACLE
+@given(sparse_ideal, st.sets(st.integers(0, WIDE_NV - 1)))
+def test_saturate_by_variables_in_a_subset_matches_sympy(gens, var_indices):
+    # the saturating variables may lie outside the generators' x1 and x3
+    J = saturate_by_variables(Ideal(gens), var_indices)
+    assert ours(J.groebner_basis(), WIDE_SYMS) == sympy_saturation(
+        [to_sympy(g, WIDE_SYMS) for g in gens], var_indices, WIDE_SYMS)
+
+
+@ORACLE
+@given(sparse_ideal, st.sets(st.integers(0, WIDE_NV - 1)))
+def test_eliminate_in_a_subset_matches_sympy(gens, var_indices):
+    # a lex basis with the eliminated variables first holds a basis of the
+    # elimination ideal in its elements free of them
+    front = [WIDE_SYMS[v] for v in sorted(var_indices)]
+    back = [s for v, s in enumerate(WIDE_SYMS) if v not in var_indices]
+    G = sympy.groebner([to_sympy(g, WIDE_SYMS) for g in gens], *front, *back,
+                       order="lex", domain="QQ")
+    expected = sympy_basis([g for g in G.exprs if not g.has(*front)],
+                           gens=WIDE_SYMS)
+    J = eliminate(Ideal(gens), var_indices)
+    assert ours(J.groebner_basis(), WIDE_SYMS) == expected
+
+
+@ORACLE
+@given(sparse_ideal, sparse_polynomial((1, 3, 5)))
+def test_radical_membership_in_a_subset_matches_sympy(gens, f):
+    # f may bring in x5, which no generator uses
+    t = sympy.Symbol("t")
+    exprs = [to_sympy(g, WIDE_SYMS) for g in gens]
+    exprs.append(1 - t * to_sympy(f, WIDE_SYMS))
+    expected = sympy.groebner(exprs, *WIDE_SYMS, t, order="grevlex",
+                              domain="QQ").exprs == [1]
+    assert radical_membership(f, Ideal(gens)) == expected
 
 
 # -- the packed hand-off between operations ----------------------------------
@@ -358,6 +416,32 @@ def test_certificate_pipeline_converts_at_its_boundary_only(monkeypatch):
     cert = irrationality_certificate(dehomogenized_ideal(8, Y), 35)
     assert cert.minimal_polynomial.to_string() == "x35^2 + x35 - 1"
     assert calls == {"pack_polys": 1, "to_polynomial": 13}
+
+
+def test_certificate_rings_carry_the_variables_in_use(monkeypatch):
+    # the Perles universe has 36 variables, 37 with the saturation's t; the
+    # saturation carries t and the 12 surviving variables, the elimination
+    # those 12
+    Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
+    rings = []
+    run = groebner.groebner
+
+    def recorded(polys, ring, known=()):
+        rings.append((ring.nvars, ring.size))
+        return run(polys, ring, known)
+
+    monkeypatch.setattr(groebner, "groebner", recorded)
+    cert = irrationality_certificate(dehomogenized_ideal(8, Y), 35)
+    assert cert.minimal_polynomial.to_string() == "x35^2 + x35 - 1"
+    assert rings == [(37, 13), (36, 12)]
+
+
+def test_pack_of_a_variable_the_ring_does_not_carry_raises():
+    ring = Ring(6, [[3, 1]])
+    assert ring.size == 2
+    assert ring.unpack(ring.pack((0, 2, 0, 5, 0, 0))) == (0, 2, 0, 5, 0, 0)
+    with pytest.raises(ValueError, match="does not carry variable 4"):
+        ring.pack((0, 1, 0, 0, 1, 0))
 
 
 def test_pack_beyond_field_width_raises():
