@@ -2,24 +2,25 @@
 
 Facets of a polytope, hyperplanes of a point configuration's matroid and
 positive circuits of a Gale transform are found by one enumeration,
-:func:`_hyperplanes`: for the rows of a matrix W of rank r it takes the
-kernel of every (r-1)-subset of rows that spans a hyperplane, and records
-the values of one kernel vector on all rows.  Facets are the hyperplanes of
-[1|V] with one-signed values.  Circuits of the Gale columns are cocircuits
-(hyperplane complements) of the dual configuration (Oxley, *Matroid Theory*,
-2.1), and the positive ones are the complements of facets (Ziegler,
-*Lectures on Polytopes*, ch. 6).  The search visits C(n, r-1) subsets;
-above ``MAX_HYPERPLANE_SUBSETS`` it raises
-:class:`~slackkit.errors.TooManySubsetsError` before it starts.  At d = 3 a
-subset takes 0.08 ms among 8 points and 0.12 ms among 25 (2 cores, Python
-3.11), so the bound is 1.5 to 2 minutes of search.  The search runs on
-integer-scaled rows and returns exact rationals, so results are
-reproducible bit for bit.
+:func:`_hyperplanes`: for the rows of a matrix W of rank r it walks every
+(r-1)-subset of rows that spans a hyperplane, reads the functional that
+cuts it out off the subset's signed maximal minors, and records its values
+on all rows.  Facets are the hyperplanes of [1|V] with one-signed values.
+Circuits of the Gale columns are cocircuits (hyperplane complements) of the
+dual configuration (Oxley, *Matroid Theory*, 2.1), and the positive ones
+are the complements of facets (Ziegler, *Lectures on Polytopes*, ch. 6).
+The search visits C(n, r-1) subsets; above ``MAX_HYPERPLANE_SUBSETS`` it
+raises :class:`~slackkit.errors.TooManySubsetsError` before it starts.  At
+d = 3 a subset takes about 0.02 ms among 8 points, 0.025 ms among 25, 0.05
+ms among 60 and 0.1 ms among 120 (2 cores, Python 3.11): past the walk it
+costs one dot product per point.  The largest search the bound allows at
+d = 3, among 182 points, would take about 0.15 ms a subset at that rate,
+so about 2.5 minutes.  The search runs on integer-scaled rows
+and returns exact rationals, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -28,7 +29,7 @@ from operator import mul
 from .errors import (BadPointConfigurationError, NonVertexPointError,
                      NotFullDimensionalError, SizeMismatchError,
                      TooManySubsetsError)
-from .rationals import RationalMatrix, int_kernel, int_rref, integer_row
+from .rationals import RationalMatrix, int_cofactors, int_kernel, int_rref
 
 MAX_HYPERPLANE_SUBSETS = 10**6
 
@@ -37,7 +38,8 @@ class PointConfiguration:
     """A list of n distinct points in Q^d."""
 
     def __init__(self, points):
-        pts = [[Fraction(x) for x in p] for p in points]
+        pts = [[x if isinstance(x, Fraction) else Fraction(x) for x in p]
+               for p in points]
         if not pts:
             raise BadPointConfigurationError("empty point configuration")
         d = len(pts[0])
@@ -91,54 +93,79 @@ class GaleTransform:
         return f"GaleTransform({self.matrix.nrows}x{self.matrix.ncols})"
 
 
-def _hyperplanes(W: RationalMatrix):
-    """The hyperplanes of the rows of W, as {flat: (vec, values)}.
+def _hyperplanes(rows, ncols, one_signed=False):
+    """The hyperplanes of the integer ``rows`` of a matrix W, as
+    {flat: (c, values)}; with ``one_signed`` only those whose values are all
+    >= 0 or all <= 0.
 
-    W has rank r.  Each (r-1)-subset of rows that spans a rank-(r-1) space
-    has a kernel of dimension ncols - r + 1; ``vec`` is its first RREF basis
-    row that is nonzero on some row of W, ``values`` is W @ vec, and the flat
-    is the zero set of ``values``.  The RREF basis of a subspace is unique,
-    so every spanning subset of a flat yields the same ``vec``; only the
-    first is kept.
-
-    The search runs on W's rows scaled to integers: with row i scaled by
-    k_i and ``iv`` the integer kernel row with pivot iv[p], the values are
-    the integer dot products W_i . iv / (k_i * iv[p]), so Fractions are built
-    only for a flat's first subset.
+    W has rank r and pivot columns P.  For each (r-1)-subset S of rows that
+    spans a rank-(r-1) space, c is its cofactor vector over P
+    (:func:`~slackkit.rationals.int_cofactors`) placed at P and zero
+    elsewhere, so c . w = det(S + w; P) for every row w.  It vanishes on the
+    rows of S and, W being of full column rank r on P, not on all of W; so
+    ``values`` = W @ c, integers, vanish exactly on the flat spanned by S.
+    Two subsets of one flat give proportional c; only the first counts.
+    The subsets are walked in lexicographic order and share their prefixes'
+    fraction-free steps, so besides the one elimination that finds P a
+    subset costs the steps for its last row and a dot product per row.
     """
-    scaled = [integer_row(row) for row in W.rows]
-    rows = [ints for ints, _ in scaled]
-    r = len(int_rref(rows, W.ncols)[1])
+    pivots = int_rref(rows, ncols)[1]
+    r = len(pivots)
     if r == 0:
         return {}
-    count = comb(W.nrows, r - 1)
+    count = comb(len(rows), r - 1)
     if count > MAX_HYPERPLANE_SUBSETS:
         raise TooManySubsetsError(
-            f"{count} subsets of {r - 1} among {W.nrows} points to search; "
+            f"{count} subsets of {r - 1} among {len(rows)} points to search; "
             f"the bound is {MAX_HYPERPLANE_SUBSETS}")
+    at_pivots = [[row[p] for p in pivots] for row in rows]
     out = {}
-    for subset in itertools.combinations(range(W.nrows), r - 1):
-        kernel = int_kernel([rows[i] for i in subset], W.ncols)
-        if len(kernel) != W.ncols - r + 1:
+    for _, v in int_cofactors(rows, pivots):
+        values = [sum(map(mul, v, w)) for w in at_pivots]
+        flat = frozenset(i for i, s in enumerate(values) if s == 0)
+        if flat in out:
             continue
-        # the kernel is one dimension larger than the annihilator of W's
-        # rows, so some basis row is nonzero on a row of W; it then vanishes
-        # exactly on the flat spanned by the subset
-        for iv, p in zip(*int_rref(kernel, W.ncols)):
-            ints = [sum(map(mul, iv, row)) for row in rows]
-            if any(ints):
-                break
-        flat = frozenset(i for i, s in enumerate(ints) if s == 0)
-        if flat not in out:
-            q = iv[p]
-            out[flat] = ([Fraction(x, q) for x in iv],
-                         [Fraction(s, k * q) for s, (_, k) in zip(ints, scaled)])
-    return out
+        out[flat] = None
+        if not one_signed or min(values) >= 0 or max(values) <= 0:
+            c = [0] * ncols
+            for p, x in zip(pivots, v):
+                c[p] = x
+            out[flat] = (c, values)
+    return {flat: h for flat, h in out.items() if h}
 
 
-def _affine(vec, flat):
-    """The affine hyperplane of a kernel vector of [1|V]."""
-    return AffineHyperplane(offset=vec[0], normal=tuple(-x for x in vec[1:]),
+def _kernel_row(c, kernel):
+    """The first row of the reduced row echelon basis of ker(W_S) that is
+    nonzero on W, for a functional c of :func:`_hyperplanes`, as integers
+    and the denominator they share.
+
+    ``kernel`` is :func:`~slackkit.rationals.int_rref` of ker(W), and
+    ker(W_S) is ker(W) plus the line of c.  Reduced by ``kernel``, c becomes
+    c' with leading index q, so the basis rows are those of ``kernel``, the
+    ones with pivot below q cleared at q by c', and c' / c'[q].  The rows of
+    ``kernel`` vanish on W, so the first row nonzero on W is the first one
+    with pivot below q and a nonzero entry at q, cleared, or else c' / c'[q].
+    With W of full column rank ``kernel`` is empty and the row is c / c[q].
+    """
+    red, pivots = kernel
+    for row, p in zip(red, pivots):
+        if c[p]:
+            a, b = row[p], c[p]
+            c = [a * x - b * y for x, y in zip(c, row)]
+    q = next(j for j, x in enumerate(c) if x)
+    for row, p in zip(red, pivots):
+        if p > q:
+            break
+        if row[q]:
+            return [c[q] * x - row[q] * y for x, y in zip(row, c)], row[p] * c[q]
+    return c, c[q]
+
+
+def _affine(vec, den, flat):
+    """The affine hyperplane of the kernel vector vec / den of [1|V], vec
+    integers."""
+    return AffineHyperplane(offset=Fraction(vec[0], den),
+                            normal=tuple(Fraction(-x, den) for x in vec[1:]),
                             incident=flat)
 
 
@@ -147,7 +174,10 @@ def facets_from_vertices(V: PointConfiguration):
     incidence sets.  Inputs must be full-dimensional vertex sets.
 
     The facets are the hyperplanes of [1|V] whose values on the points are
-    one-signed; a negative one is flipped.
+    one-signed.  [1|V] has full column rank, so the kernel row of a flat is
+    its functional over the functional's leading entry (:func:`_kernel_row`);
+    dividing by the leading entry's absolute value instead, after flipping a
+    functional with nonpositive values, keeps the slacks nonnegative.
     """
     d = V.dim
     hom = V.homogenized()
@@ -155,11 +185,11 @@ def facets_from_vertices(V: PointConfiguration):
         raise NotFullDimensionalError(
             f"points span affine dimension {hom.rank() - 1}, expected {d}")
     facets = {}
-    for flat, (vec, values) in _hyperplanes(hom).items():
-        if all(s >= 0 for s in values):
-            facets[flat] = _affine(vec, flat)
-        elif all(s <= 0 for s in values):
-            facets[flat] = _affine([-x for x in vec], flat)
+    for flat, (c, values) in _hyperplanes(hom.integer_rows(), d + 1,
+                                          one_signed=True).items():
+        if min(values) < 0:
+            c = [-x for x in c]
+        facets[flat] = _affine(c, abs(next(x for x in c if x)), flat)
     check_vertices(facets, V.n, d)
     return [facets[inc] for inc in sorted(facets, key=sorted)]
 
@@ -192,11 +222,16 @@ def matroid_hyperplanes(V: PointConfiguration):
     """All hyperplanes (rank r-1 flats) of the matroid of homogenized points,
     sorted by their incidence sets.
 
-    Normals come from kernel vectors and carry no canonical sign.  A single
-    point has one hyperplane, the empty flat.
+    Normals are the kernel rows of :func:`_kernel_row`, with a leading 1 and
+    no canonical sign otherwise.  A single point has one hyperplane, the
+    empty flat.
     """
-    flats = _hyperplanes(V.homogenized())
-    return [_affine(flats[flat][0], flat) for flat in sorted(flats, key=sorted)]
+    rows = V.homogenized().integer_rows()
+    ncols = V.dim + 1
+    flats = _hyperplanes(rows, ncols)
+    kernel = int_rref(int_kernel(rows, ncols), ncols)
+    return [_affine(*_kernel_row(flats[flat][0], kernel), flat)
+            for flat in sorted(flats, key=sorted)]
 
 
 def gale_transform(V: PointConfiguration) -> GaleTransform:
@@ -214,17 +249,20 @@ def positive_circuits(G: GaleTransform):
     The circuits of the columns of G are the cocircuits (hyperplane
     complements) of the rows of K^T, where the rows of K span the kernel of
     G: the values of a hyperplane's functional form a dependence of minimal
-    support.  A 0-row transform (simplex) yields all singleton circuits.
+    support.  Any integer basis K does: another basis changes K^T by an
+    invertible map of its columns, which keeps the flats and the values.  A
+    0-row transform (simplex) yields all singleton circuits.
     """
-    K = G.matrix.kernel_basis()
+    n = G.n
+    K = int_kernel(G.matrix.integer_rows(), n)
     circuits = []
-    for _, values in _hyperplanes(K.transpose()).values():
-        if all(s >= 0 for s in values) or all(s <= 0 for s in values):
-            support = tuple(i for i, s in enumerate(values) if s != 0)
-            scale = 1 / values[support[0]]
-            circuits.append(Circuit(
-                support=support,
-                coefficients=tuple(values[i] * scale for i in support)))
+    for _, values in _hyperplanes([[v[i] for v in K] for i in range(n)],
+                                  len(K), one_signed=True).values():
+        support = tuple(i for i, s in enumerate(values) if s != 0)
+        first = values[support[0]]
+        circuits.append(Circuit(
+            support=support,
+            coefficients=tuple(Fraction(values[i], first) for i in support)))
     circuits.sort(key=lambda c: c.support)
     return circuits
 

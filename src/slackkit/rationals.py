@@ -6,10 +6,12 @@ boundary, not the arithmetic: :func:`integer_row` scales a row once by the
 lcm of its denominators, and all elimination runs on those integers.
 :func:`int_rref` is fraction-free Gauss-Jordan elimination on primitive
 integer rows and :func:`int_kernel` reads an integer kernel basis off it;
-determinants use Bareiss elimination.  Fractions come back only in the
-results of :meth:`RationalMatrix.rref` and
-:meth:`RationalMatrix.kernel_basis`, where each pivot row is divided by its
-pivot once; :meth:`RationalMatrix.rank` builds no Fraction at all.
+:func:`int_cofactors` walks row subsets by Bareiss steps and reads each
+one's signed maximal minors off by Cramer's rule; determinants use Bareiss
+elimination.  Fractions come back only in the results of
+:meth:`RationalMatrix.rref` and :meth:`RationalMatrix.kernel_basis`, where
+each pivot row is divided by its pivot once; :meth:`RationalMatrix.rank`
+builds no Fraction at all.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import BadRationalError, NonSquareError, RaggedRowsError
 
@@ -32,8 +35,10 @@ def parse_rational(token: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
+    """Render a Fraction (or an int) as "p/q", or "p" when the denominator
+    is 1."""
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -110,6 +115,74 @@ def int_kernel(rows, ncols):
     return basis
 
 
+def int_cofactors(rows, cols):
+    """Yield ``(subset, v)`` for every set of k - 1 of the integer ``rows``,
+    k = len(cols), in lexicographic order, whose cofactor vector ``v`` over
+    the columns ``cols`` is nonzero.  ``v[j]`` is the signed maximal minor
+    (-1)^(k-1-j) * det(subset; cols without cols[j]), so for every row w,
+    v . (w at cols) = det(subset + w; cols) with w appended last.  By
+    Cramer's rule v spans the kernel of the subset's rows at ``cols``, and
+    it is nonzero exactly when those rows have rank k - 1 there.
+
+    One depth-first pass over row prefixes, carrying the prefix in Bareiss
+    form: for rows s_1 < ... < s_t with pivot columns p_1, ..., p_t,
+    echelon row i holds det(s_1..s_i; p_1..p_{i-1}, j) for every column j
+    of ``cols``.  An appended row is brought to that form by t exact
+    fraction-free steps, so subsets share their prefixes' work, and a row
+    that vanishes there is dependent on the prefix, which is not extended
+    through it.  At k - 1 rows Cramer's rule
+    reads v off by back substitution: the free column f gets the pivot
+    minor, every pivot column the minor with f in its place.
+
+    The first descent takes the first row independent of the prefix at
+    every depth.  If it ends short of k - 1 rows, every row it passed over
+    depends on its prefix and too few rows are left to reach k - 1, so the
+    rows have rank below k - 1 at ``cols`` and the walk stops there instead
+    of trying every independent prefix."""
+    k = len(cols)
+    if k == 0:
+        return
+    sub = [[row[c] for c in cols] for row in rows]
+    last = len(rows) - k + 1  # the deepest row the first pick can take
+    found = False
+
+    def walk(subset, echelon, pivots):
+        nonlocal found
+        depth = len(subset)
+        if depth == k - 1:
+            found = True
+            yield subset, _cramer(echelon, pivots, k)
+            return
+        for i in range(subset[-1] + 1 if subset else 0, last + depth + 1):
+            w, prev = sub[i], 1
+            for row, p in zip(echelon, pivots):
+                a, b = row[p], w[p]
+                w = [(a * x - b * y) // prev for x, y in zip(w, row)]
+                prev = a
+            p = next((j for j, x in enumerate(w) if x), None)
+            if p is not None:
+                yield from walk(subset + (i,), echelon + [w], pivots + [p])
+                if not found:
+                    return
+
+    yield from walk((), [], [])
+
+
+def _cramer(echelon, pivots, k):
+    """The cofactor vector of :func:`int_cofactors` from the Bareiss form of
+    k - 1 rows of rank k - 1."""
+    f = next(j for j in range(k) if j not in pivots)
+    v = [0] * k
+    # the last pivot entry is the minor on the pivot columns in pivot order
+    v[f] = echelon[-1][pivots[-1]] if echelon else 1
+    for row, p in zip(reversed(echelon), reversed(pivots)):
+        v[p] = -sum(map(mul, row, v)) // row[p]
+    # sorting the pivot columns and moving f to the end fix the sign
+    swaps = k - 1 - f + sum(a > b for i, a in enumerate(pivots)
+                            for b in pivots[i + 1:])
+    return [-x for x in v] if swaps & 1 else v
+
+
 def _divide_pivots(red, pivots):
     """The Fraction rows of ``int_rref``'s echelon form with pivots 1."""
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(red, pivots)]
@@ -164,22 +237,24 @@ class RationalMatrix:
     def column(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def _integer_rows(self):
+    def integer_rows(self):
+        """The rows, each scaled to integers by the lcm of its
+        denominators."""
         return [integer_row(row)[0] for row in self.rows]
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        red, pivots = int_rref(self._integer_rows(), self.ncols)
+        red, pivots = int_rref(self.integer_rows(), self.ncols)
         rows = _divide_pivots(red, pivots)
         rows += [[Fraction(0)] * self.ncols for _ in range(self.nrows - len(rows))]
         return RationalMatrix(rows, ncols=self.ncols), pivots
 
     def rank(self) -> int:
-        return len(int_rref(self._integer_rows(), self.ncols)[1])
+        return len(int_rref(self.integer_rows(), self.ncols)[1])
 
     def kernel_basis(self) -> "RationalMatrix":
         """Rows form a basis of the right kernel, normalized to RREF."""
-        kernel = int_kernel(self._integer_rows(), self.ncols)
+        kernel = int_kernel(self.integer_rows(), self.ncols)
         return RationalMatrix(_divide_pivots(*int_rref(kernel, self.ncols)),
                               ncols=self.ncols)
 

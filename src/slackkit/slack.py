@@ -17,7 +17,7 @@ from . import engine
 from .engine import Ring, to_polynomial
 from .groebner import Ideal, homogenize_by_edges
 from .poly import Polynomial
-from .rationals import RationalMatrix, integer_row
+from .rationals import RationalMatrix, int_cofactors, integer_row
 
 
 class SlackMatrix:
@@ -136,7 +136,8 @@ def slack_matrix(V, object="polytope") -> SlackMatrix:
     points = [integer_row(row) for row in V.homogenized().rows]
     cols = []
     for hp in hyperplanes:
-        h, k = integer_row([hp.offset, *(-a for a in hp.normal)])
+        h, k = integer_row([hp.offset, *hp.normal])
+        h[1:] = [-a for a in h[1:]]
         cols.append([Fraction(sum(map(mul, h, x)), k * kx) for x, kx in points])
     entries = RationalMatrix([[cols[j][i] for j in range(len(cols))]
                               for i in range(V.n)])
@@ -440,9 +441,22 @@ def slack_from_gale_circuits(G: GaleTransform) -> SlackMatrix:
 def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
     """Fill a slack matrix with Pluecker coordinates of G: entry (i, j) for i
     in cofacet C_j is +-pluecker(G, C_j minus i), signs fixed per column to
-    make all entries positive."""
+    make all entries positive.
+
+    A cofacet C of size k takes the first k - 1 rows of G, on the
+    integer-scaled rows, whose cofactor vector over C is nonzero
+    (:func:`~slackkit.rationals.int_cofactors`).  By Cramer's rule that
+    vector spans the kernel of those rows at C, and its entries are the
+    (k-1)-minors of G at C; with k = rank + 1 they are the Pluecker
+    coordinates.  The columns C have rank k - 1 exactly when every row of G
+    is orthogonal to that vector.  Only a column that passes every check is
+    turned into Fractions, divided once by the product of its rows' integer
+    scale factors.
+    """
     M = G.matrix
     n = G.n
+    scaled = [integer_row(row) for row in M.rows]
+    rows = [ints for ints, _ in scaled]
     cols = []
     for cofacet in cofacets:
         cofacet = sorted(cofacet)
@@ -459,26 +473,22 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
         if k > M.nrows + 1:
             raise NotACofacetError(
                 f"cofacet {cofacet} has size {k}, expected at most {M.nrows + 1}")
-        sub = M.submatrix(range(M.nrows), cofacet)
-        if sub.rank() != k - 1:
+        subset, v = next(int_cofactors(rows, cofacet), (None, None))
+        if v is None or any(sum(row[i] * x for i, x in zip(cofacet, v))
+                            for row in rows):
             raise NotACofacetError(f"{cofacet} does not support a circuit")
-        # k-1 rows of full rank turn Cramer's rule into signed minors;
-        # with k = rank+1 these are the Pluecker coordinates of G
-        row_idx = next(r for r in itertools.combinations(range(M.nrows), k - 1)
-                       if sub.submatrix(r, range(k)).rank() == k - 1)
-        col = [Fraction(0)] * n
-        for pos, i in enumerate(cofacet):
-            rest = [c for c in range(k) if c != pos]
-            val = sub.submatrix(row_idx, rest).det()
-            col[i] = -val if pos % 2 else val
-        nonzero = [x for x in col if x != 0]
-        if len(nonzero) != len(cofacet):
+        col = [0] * n
+        for i, x in zip(cofacet, v):
+            col[i] = x
+        nonzero = [x for x in col if x]
+        if len(nonzero) != k:
             raise NotACofacetError(f"{cofacet} does not support a circuit")
         if not (all(x > 0 for x in nonzero) or all(x < 0 for x in nonzero)):
             raise NotACofacetError(f"{cofacet} has no positive dependence")
+        scale = math.prod(scaled[r][1] for r in subset)
         if nonzero[0] < 0:
-            col = [-x for x in col]
-        cols.append(col)
+            scale = -scale
+        cols.append([Fraction(x, scale) for x in col])
     cols.sort(key=lambda col: sorted(i for i, x in enumerate(col) if x == 0))
     entries = RationalMatrix([[cols[j][i] for j in range(len(cols))]
                               for i in range(n)])

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 from slackkit import (GaleTransform, PointConfiguration, RationalMatrix,
                       facets_from_vertices, gale_transform, matroid_hyperplanes,
-                      pluecker, positive_circuits, slack_matrix)
+                      pluecker, positive_circuits, slack_from_gale_plucker,
+                      slack_matrix)
+from slackkit import geometry
 from slackkit.errors import (BadPointConfigurationError, NonVertexPointError,
                              NotFullDimensionalError, SizeMismatchError,
                              SlackkitError, TooManySubsetsError)
@@ -471,3 +473,75 @@ def test_subset_bound_fails_fast(search):
 def test_bad_point_configuration(points):
     with pytest.raises(BadPointConfigurationError):
         PointConfiguration(points)
+
+
+def first_spanning_rows(M, cols):
+    """The lexicographically first len(cols) - 1 rows of M that have rank
+    len(cols) - 1 on the columns cols."""
+    sub = M.submatrix(range(M.nrows), cols)
+    return next(r for r in itertools.combinations(range(M.nrows), len(cols) - 1)
+                if sub.submatrix(r, range(len(cols))).rank() == len(cols) - 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(full_dimensional(), lower_dimensional()))
+def test_plucker_slack_entries_are_pluecker_coordinates(points):
+    # oracle: by Cramer's rule entry i of a cofacet's column is
+    # (-1)^(position of i) det(rows; C minus i), up to one sign per column,
+    # with Bareiss determinants of the first spanning rows; with
+    # k = rank + 1 those rows are all of G and the entries are
+    # +-pluecker(G, C minus i)
+    V = PointConfiguration(points)
+    assume(V.n >= V.dim + 1)
+    G = gale_transform(V)
+    cofacets = [c.support for c in positive_circuits(G)]
+    assume(cofacets)
+    S = slack_from_gale_plucker(G, cofacets)
+    M = G.matrix
+    for cofacet in cofacets:
+        j = S.incidence.index(frozenset(range(V.n)) - set(cofacet))
+        rows = M.submatrix(first_spanning_rows(M, cofacet), range(V.n))
+        column = [S.entries[i, j] for i in range(V.n)]
+        minors = [(-1) ** pos * pluecker(rows, [c for c in cofacet if c != i])
+                  for pos, i in enumerate(cofacet)]
+        sign = 1 if minors[0] * column[cofacet[0]] > 0 else -1
+        assert [column[i] for i in cofacet] == [sign * x for x in minors]
+        assert all(x > 0 for x in minors) or all(x < 0 for x in minors)
+        assert all(column[i] == 0 for i in range(V.n) if i not in cofacet)
+        if len(cofacet) == M.nrows + 1:
+            assert [abs(column[i]) for i in cofacet] == \
+                [abs(pluecker(M, [c for c in cofacet if c != i])) for i in cofacet]
+
+
+def paraboloid(n):
+    """n points (x, y, x^2 + y^2) on a grid, all vertices of their hull."""
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    return [(x, y, x * x + y * y) for x, y in grid[:n]]
+
+
+@pytest.mark.parametrize("search", [
+    facets_from_vertices,
+    matroid_hyperplanes,
+    lambda V: positive_circuits(gale_transform(V)),
+], ids=["facets", "matroid", "circuits"])
+def test_hyperplane_search_eliminations_do_not_grow_with_subsets(
+        monkeypatch, search):
+    # each search eliminates a fixed number of times, not once or twice per
+    # (r-1)-subset (C(12, 3) = 220 subsets among 12 points)
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "int_rref", counted(geometry.int_rref))
+    monkeypatch.setattr(geometry, "int_kernel", counted(geometry.int_kernel))
+    counts = []
+    for n in (6, 12):
+        V = PointConfiguration(paraboloid(n))
+        calls.clear()
+        search(V)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3

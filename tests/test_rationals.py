@@ -1,9 +1,11 @@
 """Exact rational matrices: rank, kernel, determinant, serialization."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from slackkit import RationalMatrix, format_rational, parse_rational
+from slackkit.rationals import int_cofactors
 from slackkit.errors import BadRationalError, NonSquareError, RaggedRowsError
 
 import pytest
@@ -15,6 +17,7 @@ def test_parse_and_format_roundtrip():
     assert parse_rational("-5") == Fraction(-5)
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(7)) == "7"
+    assert format_rational(-2) == "-2"
 
 
 def test_parse_rejects_garbage():
@@ -177,3 +180,40 @@ def test_elimination_matches_sympy(matrix):
     assert (K.nrows, K.ncols) == (len(null), ncols)
     if null:
         assert K.rows == from_sympy(sympy.Matrix.hstack(*null).T.rref()[0])
+
+
+@st.composite
+def cofactor_cases(draw):
+    """Small integer matrices, often with zero or repeated rows, and a
+    sorted set of k of their columns."""
+    ncols = draw(st.integers(1, 6))
+    k = draw(st.integers(1, ncols))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         max_size=7))
+    if len(rows) >= 2 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    cols = sorted(draw(st.lists(st.integers(0, ncols - 1), min_size=k,
+                                max_size=k, unique=True)))
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cofactor_cases())
+def test_int_cofactors_are_signed_maximal_minors(case):
+    # oracle: a Bareiss determinant per (subset, column), every subset
+    rows, cols = case
+    k = len(cols)
+    want = []
+    for subset in itertools.combinations(range(len(rows)), k - 1):
+        v = [(-1) ** (k - 1 - j) * RationalMatrix(
+                [[rows[s][c] for c in cols if c != cols[j]] for s in subset]
+            ).det() for j in range(k)]
+        if any(v):
+            want.append((subset, v))
+    assert list(int_cofactors(rows, cols)) == want
+    # v . w is the determinant with w appended, also for w outside rows
+    for subset, v in want:
+        w = [5, -2, 3, 1, -4, 6][:k]
+        M = RationalMatrix([[rows[s][c] for c in cols] for s in subset] + [w])
+        assert sum(x * y for x, y in zip(v, w)) == M.det()

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 from slackkit import (GaleTransform, Ideal, PointConfiguration, Polynomial,
@@ -157,6 +159,53 @@ def test_plucker_rejects_non_cofacet():
     G = GaleTransform(RationalMatrix([[1, -1, 1, -1]]))
     with pytest.raises(NotACofacetError):
         slack_from_gale_plucker(G, [(0, 2)])
+
+
+PLUCKER_GALE = [[1, 2, -3, 0, 0], [0, 0, 0, 1, -1]]
+
+
+@pytest.mark.parametrize("cofacet, message", [
+    ([], "[] does not support a circuit"),
+    ([0, 0], "[0, 0] does not support a circuit"),
+    ([0, 3], "[0, 3] does not support a circuit"),  # independent columns
+    ([0, 1, 2], "[0, 1, 2] does not support a circuit"),  # rank 1 < k - 1
+    ([0, 1], "[0, 1] has no positive dependence"),
+    ([0, 1, 2, 3], "cofacet [0, 1, 2, 3] has size 4, expected at most 3"),
+    ([0, 5], "[0, 5] has a point outside 0..4"),
+], ids=["empty", "duplicate", "independent", "low-rank", "not-positive",
+        "too-large", "outside"])
+def test_plucker_rejects_non_cofacets_by_name(cofacet, message):
+    G = GaleTransform(RationalMatrix(PLUCKER_GALE))
+    with pytest.raises(NotACofacetError) as info:
+        slack_from_gale_plucker(G, [cofacet])
+    assert str(info.value) == message
+
+
+def test_plucker_column_below_full_size():
+    # columns 0 and 2, (1, 0) and (-3, 0), are parallel: a cofacet of size 2
+    # in a rank-2 Gale, whose column is the cofactor vector of the first row
+    G = GaleTransform(RationalMatrix(PLUCKER_GALE))
+    S = slack_from_gale_plucker(G, [(2, 0), (4, 3)])
+    assert S.entries.to_lists() == [["0", "3"], ["0", "0"], ["0", "1"],
+                                    ["1", "0"], ["1", "0"]]
+
+
+def test_plucker_rejects_a_low_rank_cofacet_fast():
+    # 30 rows of rank 10 on 16 columns: a walk through every independent
+    # prefix would visit millions of row sets before finding no 15
+    # independent ones
+    rng = random.Random(0)
+    base = [[rng.randint(-3, 3) for _ in range(16)] for _ in range(10)]
+    rows = []
+    for _ in range(30):
+        coeffs = [rng.randint(-2, 2) for _ in base]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, base))
+                     for j in range(16)])
+    G = GaleTransform(RationalMatrix(rows))
+    start = time.perf_counter()
+    with pytest.raises(NotACofacetError, match="does not support a circuit"):
+        slack_from_gale_plucker(G, [range(16)])
+    assert time.perf_counter() - start < 5
 
 
 def test_plucker_simplex_singletons():
