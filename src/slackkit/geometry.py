@@ -93,23 +93,24 @@ class GaleTransform:
         return f"GaleTransform({self.matrix.nrows}x{self.matrix.ncols})"
 
 
-def _hyperplanes(rows, ncols, one_signed=False):
-    """The hyperplanes of the integer ``rows`` of a matrix W, as
+def _hyperplanes(rows, pivots, one_signed=False):
+    """The hyperplanes of the integer ``rows`` of a matrix W whose pivot
+    columns (:func:`~slackkit.rationals.int_rref`) are P = ``pivots``, as
     {flat: (c, values)}; with ``one_signed`` only those whose values are all
     >= 0 or all <= 0.
 
-    W has rank r and pivot columns P.  For each (r-1)-subset S of rows that
-    spans a rank-(r-1) space, c is its cofactor vector over P
+    W has rank r = |P|.  For each (r-1)-subset S of rows that spans a
+    rank-(r-1) space, c is its cofactor vector over P
     (:func:`~slackkit.rationals.int_cofactors`) placed at P and zero
     elsewhere, so c . w = det(S + w; P) for every row w.  It vanishes on the
     rows of S and, W being of full column rank r on P, not on all of W; so
     ``values`` = W @ c, integers, vanish exactly on the flat spanned by S.
-    Two subsets of one flat give proportional c; only the first counts.
-    The subsets are walked in lexicographic order and share their prefixes'
-    fraction-free steps, so besides the one elimination that finds P a
-    subset costs the steps for its last row and a dot product per row.
+    Two subsets of one flat give proportional c; only the first counts, and
+    only flats that are kept are recorded: a rejected flat is rejected again
+    on any later subset.  The subsets are walked in lexicographic order and
+    share their prefixes' fraction-free steps, so a subset costs the steps
+    for its last row and a dot product per row.
     """
-    pivots = int_rref(rows, ncols)[1]
     r = len(pivots)
     if r == 0:
         return {}
@@ -122,16 +123,15 @@ def _hyperplanes(rows, ncols, one_signed=False):
     out = {}
     for _, v in int_cofactors(rows, pivots):
         values = [sum(map(mul, v, w)) for w in at_pivots]
-        flat = frozenset(i for i, s in enumerate(values) if s == 0)
-        if flat in out:
+        if one_signed and min(values) < 0 < max(values):
             continue
-        out[flat] = None
-        if not one_signed or min(values) >= 0 or max(values) <= 0:
-            c = [0] * ncols
+        flat = frozenset(i for i, s in enumerate(values) if s == 0)
+        if flat not in out:
+            c = [0] * len(rows[0])
             for p, x in zip(pivots, v):
                 c[p] = x
             out[flat] = (c, values)
-    return {flat: h for flat, h in out.items() if h}
+    return out
 
 
 def _kernel_row(c, kernel):
@@ -180,12 +180,13 @@ def facets_from_vertices(V: PointConfiguration):
     functional with nonpositive values, keeps the slacks nonnegative.
     """
     d = V.dim
-    hom = V.homogenized()
-    if hom.rank() != d + 1:
+    rows = V.homogenized().integer_rows()
+    pivots = int_rref(rows, d + 1)[1]
+    if len(pivots) != d + 1:
         raise NotFullDimensionalError(
-            f"points span affine dimension {hom.rank() - 1}, expected {d}")
+            f"points span affine dimension {len(pivots) - 1}, expected {d}")
     facets = {}
-    for flat, (c, values) in _hyperplanes(hom.integer_rows(), d + 1,
+    for flat, (c, values) in _hyperplanes(rows, pivots,
                                           one_signed=True).items():
         if min(values) < 0:
             c = [-x for x in c]
@@ -228,7 +229,7 @@ def matroid_hyperplanes(V: PointConfiguration):
     """
     rows = V.homogenized().integer_rows()
     ncols = V.dim + 1
-    flats = _hyperplanes(rows, ncols)
+    flats = _hyperplanes(rows, int_rref(rows, ncols)[1])
     kernel = int_rref(int_kernel(rows, ncols), ncols)
     return [_affine(*_kernel_row(flats[flat][0], kernel), flat)
             for flat in sorted(flats, key=sorted)]
@@ -255,9 +256,10 @@ def positive_circuits(G: GaleTransform):
     """
     n = G.n
     K = int_kernel(G.matrix.integer_rows(), n)
+    rows = [[v[i] for v in K] for i in range(n)]
     circuits = []
-    for _, values in _hyperplanes([[v[i] for v in K] for i in range(n)],
-                                  len(K), one_signed=True).values():
+    for _, values in _hyperplanes(rows, int_rref(rows, len(K))[1],
+                                  one_signed=True).values():
         support = tuple(i for i, s in enumerate(values) if s != 0)
         first = values[support[0]]
         circuits.append(Circuit(

@@ -2,8 +2,9 @@
 elimination, saturation, containment and radical membership.
 
 The public API works with Fraction-coefficient :class:`Polynomial` values.
-An :class:`Ideal` keeps its reduced basis packed for the integer engine of
-:mod:`slackkit.engine`.  Every operation on ideals follows one pattern: it
+An :class:`Ideal` holds packed polynomials only, for the integer engine of
+:mod:`slackkit.engine`: its generators, packed once when it is built, and
+then its reduced basis.  Every operation on ideals follows one pattern: it
 reads its input packed (:meth:`Ideal.packed`), makes its engine calls there
 (under :func:`~slackkit.engine.widening`, so that a degree overflow reruns
 the whole operation with wider fields) and returns an ideal that holds the
@@ -100,10 +101,14 @@ def buchberger(gens, order) -> list:
 class Ideal:
     """A finite generator list plus a memoized reduced grevlex basis.
 
-    The basis is kept packed for the engine, with the :class:`Ring` it is
-    packed in, and the Fraction view is built from it when it is asked for.
-    The operations of this module return ideals that hold only their
-    reduced basis: their ``generators`` are that basis."""
+    The ideal holds its polynomials packed for the engine, with the grevlex
+    :class:`Ring` they are packed in: Fraction generators are packed once,
+    when the ideal is built, and replaced by the reduced basis once that is
+    computed.  ``generators`` are the Fraction polynomials the ideal was
+    built from.  The operations of this module return ideals that hold only
+    their reduced basis: their ``generators`` are that basis.  Other
+    Fraction views are built from the packed polynomials when they are
+    asked for."""
 
     order = GRevLex()
 
@@ -114,41 +119,48 @@ class Ideal:
                 raise ValueError("empty ideal needs an explicit nvars")
             nvars = generators[0].nvars
         _check_ring(nvars, generators)
-        self.nvars = nvars
+        nonzero = [g for g in generators if not g.is_zero()]
+
+        def run(ring):
+            return ring, pack_polys(nonzero, ring)
+
+        self._hold(*widening(run, Ring.for_order(self.order, nvars)), False)
         self._generators = generators
-        self._ring = self._packed = self._basis = None
 
     @classmethod
-    def _of_basis(cls, ring, basis):
-        """The ideal whose reduced basis is ``basis``, packed in ``ring``."""
-        out = cls([], ring.nvars)
-        out._generators = None
-        out._ring, out._packed = ring, basis
+    def _of_packed(cls, ring, polys, reduced=True):
+        """The ideal of the nonzero ``polys``, packed in the grevlex
+        ``ring``; ``reduced`` tells that they are its reduced basis."""
+        out = cls.__new__(cls)
+        out._hold(ring, polys, reduced)
         return out
+
+    def _hold(self, ring, polys, reduced):
+        self.nvars = ring.nvars
+        self._ring, self._packed, self._reduced = ring, polys, reduced
+        self._generators = self._basis = None
 
     @property
     def generators(self):
         if self._generators is None:
-            self._generators = self.groebner_basis()
+            self._generators = (self.groebner_basis() if self._reduced else
+                                [to_polynomial(f, self._ring) for f in self._packed])
         return self._generators
 
     def packed(self, ring):
-        """The reduced basis if it is known, else the nonzero generators,
-        packed in ``ring``: any ring whose variables include those of the
-        ideal, at any field width."""
-        if self._packed is None:
-            return pack_polys([g for g in self._generators if not g.is_zero()],
-                              ring)
+        """The reduced basis if it is known, else the generators, packed in
+        ``ring``: any ring whose variables include those of the ideal, at
+        any field width."""
         return [ring.convert(f, self._ring) for f in self._packed]
 
     def groebner_basis(self):
         if self._basis is None:
-            if self._packed is None:
+            if not self._reduced:
                 def run(ring):
                     return ring, groebner(self.packed(ring), ring)
 
-                self._ring, self._packed = widening(
-                    run, Ring.for_order(self.order, self.nvars))
+                self._ring, self._packed = widening(run, self._ring)
+                self._reduced = True
             self._basis = [to_polynomial(f, self._ring) for f in self._packed]
         return self._basis
 
@@ -169,17 +181,12 @@ class Ideal:
 
 
 def _variables(I: Ideal, *polys):
-    """The set of variables that occur in I, in its reduced basis if that
-    is known and else in its generators, or in one of ``polys``."""
-    used = set()
-    if I._packed is not None:
-        acc = 0  # a field of the OR is nonzero iff the variable occurs
-        for f in I._packed:
-            for m, _ in f:
-                acc |= m
-        used.update(v for v, e in enumerate(I._ring.unpack(acc)) if e)
-    else:
-        polys += tuple(I._generators)
+    """The set of variables that occur in I or in one of ``polys``."""
+    acc = 0  # a field of the OR is nonzero iff the variable occurs
+    for f in I._packed:
+        for m, _ in f:
+            acc |= m
+    used = {v for v, e in enumerate(I._ring.unpack(acc)) if e}
     for p in polys:
         for m in p.terms:
             used.update(v for v, e in enumerate(m) if e)
@@ -220,7 +227,7 @@ def _eliminate(polys, front, rest, nvars):
                        for f in groebner(polys(block), block)
                        if not f[0][0] & mask]
 
-    return Ideal._of_basis(*widening(run, Ring(size, [front, rest])))
+    return Ideal._of_packed(*widening(run, Ring(size, [front, rest])))
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
@@ -290,7 +297,7 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
         return grevlex, groebner([grevlex.convert(f, ring) for f in polys],
                                  grevlex)
 
-    return Ideal._of_basis(*widening(run, Ring(I.nvars, [range(I.nvars)])))
+    return Ideal._of_packed(*widening(run, Ring(I.nvars, [range(I.nvars)])))
 
 
 def eliminate(I: Ideal, var_indices) -> Ideal:

@@ -15,7 +15,7 @@ from .groebner import (Ideal, eliminate, homogenize_by_edges,
 from .poly import Polynomial
 from .rationals import denominator_lcm
 from .slack import (ScaledSlackMatrix, SlackMatrix, SymbolicSlackMatrix,
-                    symbolic_slack_matrix, unit_triangle_minors)
+                    symbolic_slack_matrix, unit_triangle_ideal)
 
 # graph nodes: ("r", i) for rows, ("c", j) for columns
 
@@ -137,9 +137,9 @@ def dehomogenized_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
     variables (scaled ones contribute 1) and a unit after saturating.  By
     Sylvester's determinant identity those minors generate the same ideal
     as all of them once the monomial is inverted, so the saturation is the
-    same (see :func:`~slackkit.slack.unit_triangle_minors`).  On Perles they
+    same (see :func:`~slackkit.slack.unit_triangle_ideal`).  On Perles they
     are 12 minors instead of 16,497."""
-    return saturate_by_variables(Ideal(unit_triangle_minors(d, Y), Y.nvars),
+    return saturate_by_variables(unit_triangle_ideal(d, Y),
                                  Y.surviving_variables())
 
 

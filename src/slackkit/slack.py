@@ -14,7 +14,7 @@ from .geometry import (GaleTransform, PointConfiguration, check_vertices,
                        facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
 from . import engine
-from .engine import Ring, to_polynomial
+from .engine import Ring
 from .groebner import Ideal, homogenize_by_edges
 from .poly import Polynomial
 from .rationals import RationalMatrix, int_cofactors, integer_row
@@ -342,10 +342,11 @@ def _nonzero_minors(grid, k, ring, rows0=(), cols0=()):
     yield from walk((), {0: {0: 1}}, tuple(sorted(rows0)))
 
 
-def _minor_generators(grid, nvars, k, rows0=(), cols0=()):
-    """The nonzero k-minors that contain rows0 x cols0, in lexicographic
-    (row set, column set) order, each replaced by its normal form against
-    the minors collected so far (same ideal, far smaller list)."""
+def _minor_ideal(grid, nvars, k, rows0=(), cols0=()):
+    """The ideal of the nonzero k-minors that contain rows0 x cols0, in
+    lexicographic (row set, column set) order, each replaced by its normal
+    form against the minors collected so far (same ideal, far smaller
+    list).  The ideal keeps them packed in the ring of the minors."""
     # every minor has degree k and grevlex reduction never raises the degree,
     # so a ring whose degree cap is k never overflows; it carries only the
     # variables of the grid
@@ -355,8 +356,8 @@ def _minor_generators(grid, nvars, k, rows0=(), cols0=()):
     minors = dict.fromkeys(
         tuple(engine.normalize(sorted(f.items(), reverse=True)))
         for _, _, f in _nonzero_minors(grid, k, ring, rows0, cols0))
-    return [to_polynomial(f, ring)
-            for f in engine.interreduce(list(minors), ring)]
+    return Ideal._of_packed(ring, engine.interreduce(list(minors), ring),
+                            reduced=False)
 
 
 def minor_ideal_generators(d, S):
@@ -365,22 +366,22 @@ def minor_ideal_generators(d, S):
     its normal form against the minors collected so far (same ideal, far
     smaller list)."""
     grid, nvars = _entry_grid(S)
-    return _minor_generators(grid, nvars, d + 2)
+    return _minor_ideal(grid, nvars, d + 2).generators
 
 
-def unit_triangle_minors(d, S):
-    """Generators of an ideal whose saturation by the product of the
-    variables equals that of the (d+2)-minors of a symbolic/scaled slack
-    matrix: the minors that contain the greedy unit triangle of
+def unit_triangle_ideal(d, S) -> Ideal:
+    """An ideal whose saturation by the product of the variables equals
+    that of the (d+2)-minors of a symbolic/scaled slack matrix: the ideal of
+    the minors that contain the greedy unit triangle of
     :func:`_unit_triangle`, whose determinant is a monomial and so a unit
     after saturating (Sylvester's identity, see :func:`_nonzero_minors`).
-    Interreduced like :func:`minor_ideal_generators`.  On the scaled Perles
-    matrix the triangle has 9 rows and these are 12 of the 16,497 nonzero
-    10-minors."""
+    Its generators are interreduced like :func:`minor_ideal_generators`,
+    and kept packed.  On the scaled Perles matrix the triangle has 9 rows
+    and the minors are 12 of the 16,497 nonzero 10-minors."""
     grid, nvars = _entry_grid(S)
     k = d + 2
     rows0, cols0 = _unit_triangle(grid, k)
-    return _minor_generators(grid, nvars, k, rows0, cols0)
+    return _minor_ideal(grid, nvars, k, rows0, cols0)
 
 
 def slack_ideal(d, S, object="polytope") -> Ideal:
@@ -402,7 +403,7 @@ def slack_ideal(d, S, object="polytope") -> Ideal:
     scaled ones do not occur in them).
 
     Either way the saturated minors are only those that contain a unit
-    triangle of the scaled matrix (:func:`unit_triangle_minors`): its
+    triangle of the scaled matrix (:func:`unit_triangle_ideal`): its
     determinant is a monomial, a unit after saturating, and by Sylvester's
     determinant identity the minors through it generate the same saturated
     ideal as all (d+2)-minors.
@@ -462,13 +463,6 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
         cofacet = sorted(cofacet)
         if any(not 0 <= i < n for i in cofacet):
             raise NotACofacetError(f"{cofacet} has a point outside 0..{n - 1}")
-        if M.nrows == 0:
-            if len(cofacet) != 1:
-                raise NotACofacetError(f"{cofacet} is not a cofacet of a 0-row Gale")
-            col = [Fraction(0)] * n
-            col[cofacet[0]] = Fraction(1)
-            cols.append(col)
-            continue
         k = len(cofacet)
         if k > M.nrows + 1:
             raise NotACofacetError(

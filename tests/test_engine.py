@@ -397,10 +397,10 @@ def test_packed_order_is_the_printed_order(data):
 
 
 def test_certificate_pipeline_converts_at_its_boundary_only(monkeypatch):
-    # Fraction polynomials are made only for the 12 unit-triangle minors
-    # that the minor enumeration returns and for the certificate's minimal
-    # polynomial; they are packed once, on entering the saturation, and the
-    # saturated basis goes to the elimination packed
+    # the only Fraction polynomial made is the certificate's minimal
+    # polynomial: the 12 unit-triangle minors go to the saturation packed in
+    # the ring of the minors, and the saturated basis goes to the
+    # elimination packed
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
     calls = {"pack_polys": 0, "to_polynomial": 0}
     for name in calls:
@@ -415,7 +415,7 @@ def test_certificate_pipeline_converts_at_its_boundary_only(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     cert = irrationality_certificate(dehomogenized_ideal(8, Y), 35)
     assert cert.minimal_polynomial.to_string() == "x35^2 + x35 - 1"
-    assert calls == {"pack_polys": 1, "to_polynomial": 13}
+    assert calls == {"pack_polys": 0, "to_polynomial": 1}
 
 
 def test_certificate_rings_carry_the_variables_in_use(monkeypatch):
@@ -466,6 +466,16 @@ def test_input_beyond_field_width_widens():
                           for m, c in g.terms.items())) for g in basis}
 
 
+def test_ideal_of_generators_beyond_field_width_widens_when_built():
+    # the generators are packed once, when the ideal is built: x0^200 does
+    # not fit 8-bit fields, so they are packed at 16 bits
+    gens = [poly(2, (1, {0: 200}), (-1, {1: 1})), poly(2, (1, {1: 2}), (-1, {0: 1}))]
+    I = Ideal(gens)
+    assert I._ring.bits == 16
+    assert I.generators == gens
+    assert I.groebner_basis() == buchberger(gens, GRevLex())
+
+
 def test_spair_beyond_field_width_widens():
     # inputs of degree 71 fit, but their S-pair lcm x0^70*x1^70 does not
     gens = [poly(3, (1, {0: 70, 1: 1}), (-1, {2: 1})),
@@ -496,8 +506,9 @@ def test_widened_ring_agrees_on_random_ideals():
 
 def test_interreduce_keeps_an_element_another_leading_monomial_divides():
     # x0^2 - x1 comes first (fewer terms), x0 - x2 + x3 + x4 later; the
-    # latter's leading monomial divides the former's, and the compaction
-    # that the 5-term fillers trigger must not drop x0^2 - x1
+    # latter's leading monomial divides the former's.  Each polynomial is
+    # reduced only by the ones before it, so x0^2 - x1 is kept as it is, and
+    # with the 28 5-term fillers the list still generates the ideal
     gens = [poly(8, (1, {0: 2}), (-1, {1: 1})),
             poly(8, (1, {0: 1}), (-1, {2: 1}), (1, {3: 1}), (1, {4: 1}))]
     # fillers: distinct degree-6 monomials in x5, x6, x7 plus a fixed tail,

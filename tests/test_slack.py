@@ -22,7 +22,7 @@ from slackkit.rationals import denominator_lcm
 from slackkit.scaling import dehomogenized_ideal, set_ones, set_ones_forest
 from slackkit.slack import (ONE, _entry_grid, _nonzero_minors, _unit_triangle,
                             minor_ideal_generators, pattern_minor,
-                            unit_triangle_minors)
+                            unit_triangle_ideal)
 from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES, evaluate,
                       is_multihomogeneous)
 from test_geometry import unit_simplex
@@ -217,6 +217,21 @@ def test_plucker_simplex_singletons():
         [False, True, True],
         [True, False, True],
         [True, True, False]]
+
+
+def test_plucker_singletons_of_a_tetrahedron():
+    # a tetrahedron's Gale transform has no rows: each singleton cofacet
+    # has the empty row set and cofactor vector (1), so its column is one 1
+    G = gale_transform(PointConfiguration(unit_simplex(3)))
+    assert G.matrix.nrows == 0
+    S = slack_from_gale_plucker(G, [[i] for i in range(4)])
+    assert S.entries.to_lists() == [["0", "0", "0", "1"], ["0", "0", "1", "0"],
+                                    ["0", "1", "0", "0"], ["1", "0", "0", "0"]]
+    with pytest.raises(NotACofacetError, match=r"^\[\] does not support a circuit$"):
+        slack_from_gale_plucker(G, [[]])
+    with pytest.raises(NotACofacetError,
+                       match=r"^cofacet \[0, 1\] has size 2, expected at most 1$"):
+        slack_from_gale_plucker(G, [[0, 1]])
 
 
 def test_graphic_ideal_of_square():
@@ -478,10 +493,7 @@ def test_restricted_minors_are_the_containing_subset(case, data):
         assert list(_nonzero_minors(grid, k, ring, rows0, cols0)) == expected
 
 
-def saturated_basis(gens, Y):
-    if not gens:
-        return []
-    ideal = Ideal(gens, nvars=Y.nvars)
+def saturated_basis(ideal, Y):
     return saturate_by_variables(ideal, Y.surviving_variables()).groebner_basis()
 
 
@@ -500,8 +512,9 @@ def test_unit_triangle_minors_saturate_like_all_minors(case):
     # through it generate the ideal all minors generate.  The Perles and
     # sphere examples are the paper's instances, past the drawn sizes
     Y, k = case
-    assert (saturated_basis(unit_triangle_minors(k - 2, Y), Y)
-            == saturated_basis(minor_ideal_generators(k - 2, Y), Y)
+    all_minors = Ideal(minor_ideal_generators(k - 2, Y), nvars=Y.nvars)
+    assert (saturated_basis(unit_triangle_ideal(k - 2, Y), Y)
+            == saturated_basis(all_minors, Y)
             == dehomogenized_ideal(k - 2, Y).groebner_basis())
 
 
@@ -514,7 +527,7 @@ def test_unit_triangle_work_counts(monkeypatch):
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
     rows0, cols0 = _unit_triangle(_entry_grid(Y)[0], 10)
     assert len(rows0) == len(cols0) == 9
-    assert len(unit_triangle_minors(8, Y)) == 12
+    assert len(unit_triangle_ideal(8, Y).generators) == 12
     nonzero_minors = slack._nonzero_minors
     enumerated = []
 
