@@ -225,11 +225,10 @@ def _cmd_count_minors(args):
     print(count_minors(_infer_d(args, S), S=S))
 
 
-def _add_source_flags(p, vertices=True, pattern=True):
-    if vertices:
-        p.add_argument("--vertices", help="vertex matrix file ('-' = stdin)")
-        p.add_argument("--object", choices=("polytope", "matroid"),
-                       default="polytope")
+def _add_source_flags(p, pattern=True):
+    p.add_argument("--vertices", help="vertex matrix file ('-' = stdin)")
+    p.add_argument("--object", choices=("polytope", "matroid"),
+                   default="polytope")
     p.add_argument("--matrix", help="numeric slack matrix file")
     if pattern:
         p.add_argument("--pattern", help="0/1 support pattern file")

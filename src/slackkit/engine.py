@@ -19,8 +19,8 @@ grevlex" orders of edge-by-edge homogenization are all of that form.
 
 A ring packs a subset of its universe: a variable it does not carry has
 exponent zero in all of its monomials.  The operations that build a ring
-from an ideal (saturation, elimination, radical membership, the minors of a
-slack matrix) carry only the variables their input uses.  A variable that
+from an ideal (saturation, elimination, the minors of a slack matrix) carry
+only the variables their input uses.  A variable that
 occurs nowhere adds zero to every degree and never breaks a tie, so every
 order compares the packed monomials as it would over the whole universe:
 the pairs, reductions and bases are the same, and only the ints are
@@ -397,17 +397,15 @@ class Reducer:
 # -- Buchberger ----------------------------------------------------------------
 
 
-def groebner(polys, ring, known=()):
-    """Reduced Groebner basis of the ideal generated by ``known`` and
-    ``polys`` (packed in ``ring``); ``known`` must already be a Groebner
-    basis, so pairs among its elements are never formed.
+def groebner(polys, ring):
+    """Reduced Groebner basis of the ideal generated by ``polys`` (packed in
+    ``ring``).
 
     Returns the basis sorted by leading monomial, descending; the unit ideal
     is ``[[(0, 1)]]``.
     """
     polys = [normalize(list(f)) for f in polys if f]
-    known = [normalize(list(f)) for f in known if f]
-    for f in known + polys:
+    for f in polys:
         if not f[0][0] & ring.emask:
             return [[(0, 1)]]
     G = ring.guard
@@ -429,7 +427,7 @@ def groebner(polys, ring, known=()):
     active = []        # indices whose leading monomial is minimal
     heap = []          # (sugar, lcm, i, j); i < 0 marks input j
 
-    def install(f, s, pairs=True):
+    def install(f, s):
         idx = red.add(f)
         lt = f[0][0]
         a = lt & emask
@@ -438,52 +436,49 @@ def groebner(polys, ring, known=()):
         sugar.append(s)
         ltdeg.append(da)
         extra = polys_of[idx][2]
-        if pairs:
-            # Gebauer-Moeller: the pair (j, idx) has lcm lt * u_j with
-            # u_j = lt_j / gcd(lt_j, lt); keep one pair per minimal u_j (M, F)
-            # and drop it if lt_j and lt are coprime (product criterion)
-            classes = {}
-            for j in active:
-                b = lte[j]
-                t = (b | G) - a
-                gb = t & G
-                u = t & (gb - (gb >> shift))
-                prev = classes.get(u)
-                if prev is None:
-                    classes[u] = ~j if u == b else j
-                elif prev >= 0 and u == b:
-                    classes[u] = ~j
-            kept = []
-            single = 0
-            # a divisor of u is numerically smaller, so ascending order
-            # meets every divisor first
-            for u in sorted(classes):
-                if u & single:
+        # Gebauer-Moeller: the pair (j, idx) has lcm lt * u_j with
+        # u_j = lt_j / gcd(lt_j, lt); keep one pair per minimal u_j (M, F)
+        # and drop it if lt_j and lt are coprime (product criterion)
+        classes = {}
+        for j in active:
+            b = lte[j]
+            t = (b | G) - a
+            gb = t & G
+            u = t & (gb - (gb >> shift))
+            prev = classes.get(u)
+            if prev is None:
+                classes[u] = ~j if u == b else j
+            elif prev >= 0 and u == b:
+                classes[u] = ~j
+        kept = []
+        single = 0
+        # a divisor of u is numerically smaller, so ascending order
+        # meets every divisor first
+        for u in sorted(classes):
+            if u & single:
+                continue
+            for k in kept:
+                if not (u - k) & G:
+                    break
+            else:
+                if u & (u - 1) or not u & ones:
+                    kept.append(u)
+                else:  # a single variable
+                    single |= u * fm
+                j = classes[u]
+                if j < 0:
                     continue
-                for k in kept:
-                    if not (u - k) & G:
-                        break
-                else:
-                    if u & (u - 1) or not u & ones:
-                        kept.append(u)
-                    else:  # a single variable
-                        single |= u * fm
-                    j = classes[u]
-                    if j < 0:
-                        continue
-                    du = degree(u)
-                    dl = da + du
-                    if dl + max(extra, polys_of[j][2]) > cap:
-                        raise FieldOverflow("an S-pair leaves the packed field width")
-                    sj = sugar[j] + dl - ltdeg[j]
-                    si = s + du
-                    heappush(heap, (si if si > sj else sj,
-                                    lt + ((key(u) << E) | u), j, idx))
+                du = degree(u)
+                dl = da + du
+                if dl + max(extra, polys_of[j][2]) > cap:
+                    raise FieldOverflow("an S-pair leaves the packed field width")
+                sj = sugar[j] + dl - ltdeg[j]
+                si = s + du
+                heappush(heap, (si if si > sj else sj,
+                                lt + ((key(u) << E) | u), j, idx))
         active[:] = [j for j in active if (lte[j] - a) & G]
         active.append(idx)
 
-    for f in known:
-        install(f, ring.max_degree(f), pairs=False)
     for k, f in enumerate(polys):
         heappush(heap, (ring.max_degree(f), f[0][0], -1, k))
 

@@ -11,10 +11,11 @@ the whole operation with wider fields) and returns an ideal that holds the
 packed result.  Fractions come back only when a basis is asked for.
 
 Saturation takes one path: a fresh variable t is eliminated from
-I + <1 - t*f>, and saturating by a product of variables is saturating by
-that one monomial.  Only :func:`homogenize_by_edges`, which saturates a
-slack ideal by its forest variables, reads a saturation off a
-homogenization instead.
+I + <1 - t*f>.  Saturating by a product of variables is saturating by that
+one monomial, and f lies in the radical of I exactly when I : f^infinity
+is <1>, so radical membership is a saturation too.  Only
+:func:`homogenize_by_edges`, which saturates a slack ideal by its forest
+variables, reads a saturation off a homogenization instead.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ def _check_variables(nvars, var_indices):
 
 # -- normal forms ------------------------------------------------------------
 
-# (elements of G, order, engine Reducer) for the last basis normal_form
-# divided by: callers reduce many polynomials by one basis, and the Reducer
-# keeps the normal form of every monomial it has met
+# (elements of G, order, number of variables, engine Reducer) for the last
+# basis normal_form divided by: callers reduce many polynomials by one basis,
+# and the Reducer keeps the normal form of every monomial it has met
 _last_divisors = None
 
 
@@ -61,13 +62,13 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
     if f.is_zero():
         return f
     memo = _last_divisors
-    if memo is not None and (memo[1] is not order or memo[0] != items):
+    if memo is not None and memo[:3] != (items, order, f.nvars):
         memo = None
     scale = denominator_lcm(f.terms.values())
 
     def run(ring):
-        if memo is not None and memo[2].ring is ring:
-            red = memo[2]
+        if memo is not None and memo[3].ring is ring:
+            red = memo[3]
         else:
             red = Reducer(ring)
             for g in pack_polys([g for g in items if not g.is_zero()], ring):
@@ -76,9 +77,9 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
                               for m, c in f.terms.items())
         return red, out
 
-    start = memo[2].ring if memo is not None else Ring.for_order(order, f.nvars)
+    start = memo[3].ring if memo is not None else Ring.for_order(order, f.nvars)
     red, out = widening(run, start)
-    _last_divisors = (items, order, red)
+    _last_divisors = (items, order, f.nvars, red)
     unpack = red.ring.unpack
     scale *= red.scale
     return Polynomial(f.nvars, {unpack(m): Fraction(c, scale) for m, c in out})
@@ -128,9 +129,11 @@ class Ideal:
         self._generators = generators
 
     @classmethod
-    def _of_packed(cls, ring, polys, reduced=True):
-        """The ideal of the nonzero ``polys``, packed in the grevlex
-        ``ring``; ``reduced`` tells that they are its reduced basis."""
+    def of_packed(cls, ring, polys, reduced=True):
+        """The ideal of the nonzero engine polynomials ``polys``, packed in
+        the grevlex :class:`~slackkit.engine.Ring` ``ring``, with no Fraction
+        polynomial built; ``reduced`` tells that they are its reduced
+        basis."""
         out = cls.__new__(cls)
         out._hold(ring, polys, reduced)
         return out
@@ -148,7 +151,7 @@ class Ideal:
         return self._generators
 
     def packed(self, ring):
-        """The reduced basis if it is known, else the generators, packed in
+        """The reduced basis once computed, else the generators, packed in
         ``ring``: any ring whose variables include those of the ideal, at
         any field width."""
         return [ring.convert(f, self._ring) for f in self._packed]
@@ -227,7 +230,7 @@ def _eliminate(polys, front, rest, nvars):
                        for f in groebner(polys(block), block)
                        if not f[0][0] & mask]
 
-    return Ideal._of_packed(*widening(run, Ring(size, [front, rest])))
+    return Ideal.of_packed(*widening(run, Ring(size, [front, rest])))
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
@@ -297,7 +300,7 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
         return grevlex, groebner([grevlex.convert(f, ring) for f in polys],
                                  grevlex)
 
-    return Ideal._of_packed(*widening(run, Ring(I.nvars, [range(I.nvars)])))
+    return Ideal.of_packed(*widening(run, Ring(I.nvars, [range(I.nvars)])))
 
 
 def eliminate(I: Ideal, var_indices) -> Ideal:
@@ -311,20 +314,12 @@ def eliminate(I: Ideal, var_indices) -> Ideal:
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
-    """True iff f lies in the radical of I (1 in I + <1 - t*f>).
+    """True iff f lies in the radical of I, that is iff I : f^infinity is
+    <1> (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 4
+    sec. 2).
 
-    f in I is decided by the memoized basis of I.  Otherwise that basis
-    seeds the Rabinowitsch computation, so that no pair inside it is
-    reduced again.  Its ring carries t and the variables of I and f
-    only."""
+    f in I is decided by the memoized basis of I; otherwise this is one
+    :func:`saturate`."""
     if I.contains(f):
         return True
-    n = I.nvars
-
-    def run(ring):
-        return ring, groebner([_rabinowitsch(f, ring)], ring,
-                              known=I.packed(ring))
-
-    carried = sorted(_variables(I, f)) + [n]
-    ring, out = widening(run, Ring(n + 1, [carried]))
-    return len(out) == 1 and not out[0][0][0] & ring.emask
+    return saturate(I, f)._packed == [[(0, 1)]]  # the reduced basis of <1>

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UniverseMismatchError, variable_outside
+from .rationals import format_rational
 
 
 def mono_mul(a, b):
@@ -206,11 +207,11 @@ class Polynomial:
             factors = [f"x{i}" if e == 1 else f"x{i}^{e}"
                        for i, e in enumerate(m) if e]
             if not factors:
-                body = _fmt_frac(abs(c))
+                body = format_rational(abs(c))
             elif abs(c) == 1:
                 body = "*".join(factors)
             else:
-                body = _fmt_frac(abs(c)) + "*" + "*".join(factors)
+                body = format_rational(abs(c)) + "*" + "*".join(factors)
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:
@@ -219,7 +220,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.to_string()})"
-
-
-def _fmt_frac(q):
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

@@ -234,9 +234,6 @@ class RationalMatrix:
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
         return RationalMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
 
-    def column(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
-
     def integer_rows(self):
         """The rows, each scaled to integers by the lcm of its
         denominators."""

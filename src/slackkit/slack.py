@@ -356,8 +356,8 @@ def _minor_ideal(grid, nvars, k, rows0=(), cols0=()):
     minors = dict.fromkeys(
         tuple(engine.normalize(sorted(f.items(), reverse=True)))
         for _, _, f in _nonzero_minors(grid, k, ring, rows0, cols0))
-    return Ideal._of_packed(ring, engine.interreduce(list(minors), ring),
-                            reduced=False)
+    return Ideal.of_packed(ring, engine.interreduce(list(minors), ring),
+                           reduced=False)
 
 
 def minor_ideal_generators(d, S):

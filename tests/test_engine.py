@@ -426,14 +426,37 @@ def test_certificate_rings_carry_the_variables_in_use(monkeypatch):
     rings = []
     run = groebner.groebner
 
-    def recorded(polys, ring, known=()):
+    def recorded(polys, ring):
         rings.append((ring.nvars, ring.size))
-        return run(polys, ring, known)
+        return run(polys, ring)
 
     monkeypatch.setattr(groebner, "groebner", recorded)
     cert = irrationality_certificate(dehomogenized_ideal(8, Y), 35)
     assert cert.minimal_polynomial.to_string() == "x35^2 + x35 - 1"
     assert rings == [(37, 13), (36, 12)]
+
+
+def test_radical_membership_is_one_saturation(monkeypatch):
+    # f in I is read off the basis of I; otherwise radical membership makes
+    # the one engine run of the saturation, in its block ring "t, then the
+    # variables of I and f" (x3 occurs in neither I nor x0 nor x1)
+    x0, x1, x2, x3 = (Polynomial.variable(v, 4) for v in range(4))
+    I = Ideal([x0 * x0, x1 * x2])
+    I.groebner_basis()
+    runs = []
+    run = groebner.groebner
+
+    def recorded(polys, ring):
+        runs.append((ring.nvars, ring.blocks))
+        return run(polys, ring)
+
+    monkeypatch.setattr(groebner, "groebner", recorded)
+    assert radical_membership(x0 * x0 * x3 + x1 * x2, I)
+    assert runs == []
+    assert radical_membership(x0, I)
+    assert runs == [(5, [(4,), (0, 1, 2)])]
+    assert not radical_membership(x1, I)
+    assert runs == [(5, [(4,), (0, 1, 2)])] * 2
 
 
 def test_pack_of_a_variable_the_ring_does_not_carry_raises():

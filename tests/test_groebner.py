@@ -216,6 +216,22 @@ def test_normal_form_rejects_divisors_of_another_ring():
                     GRevLex())
 
 
+def test_normal_form_memo_keeps_the_ring_of_no_divisors():
+    # no divisors are the same list in every ring: the reducer memoized for
+    # a 4-variable polynomial must not serve a 1-variable one
+    order = GRevLex()
+    assert normal_form(Polynomial.variable(0, 4), [], order) == \
+        Polynomial.variable(0, 4)
+    out = normal_form(Polynomial.variable(0, 1), [], order)
+    assert out == Polynomial.variable(0, 1)
+    assert list(out.terms) == [(1,)]
+
+
+def test_zero_ideals_of_two_sizes_decide_membership_in_turn():
+    assert not Ideal([], nvars=1).contains(Polynomial.variable(0, 1))
+    assert not Ideal([], nvars=4).contains(Polynomial.variable(3, 4))
+
+
 @pytest.mark.parametrize("gens", [[], [Polynomial.variable(0, 2)]],
                          ids=["zero-ideal", "principal"])
 def test_contains_rejects_a_polynomial_of_another_ring(gens):
