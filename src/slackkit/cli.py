@@ -51,20 +51,26 @@ def _parse_indices(text):
         raise UsageError(f"not a list of integer indices: {text!r}") from None
 
 
+def _given_sources(args):
+    return [name for name in ("vertices", "matrix", "pattern", "builtin")
+            if getattr(args, name, None)]
+
+
 def _source_matrix(args):
     """Resolve --vertices / --matrix / --pattern / --builtin into a slack
     matrix object (numeric, symbolic or scaled)."""
-    given = [name for name in ("vertices", "matrix", "pattern", "builtin")
-             if getattr(args, name, None)]
+    given = _given_sources(args)
     if len(given) != 1:
         raise UsageError(
             "need exactly one of --vertices, --matrix, --pattern, --builtin")
     kind = given[0]
+    if args.object is not None and kind != "vertices":
+        raise UsageError("--object applies to --vertices only")
     if kind == "builtin":
         return specific_slack_matrix(args.builtin)
     M = _load_matrix(getattr(args, kind))
     if kind == "vertices":
-        return slack_matrix(M.rows, object=getattr(args, "object", "polytope"))
+        return slack_matrix(M.rows, object=args.object or "polytope")
     if kind == "matrix":
         return SlackMatrix(M)
     return symbolic_slack_matrix(M)
@@ -79,12 +85,16 @@ def _numeric(S) -> SlackMatrix:
 def _infer_d(args, S):
     # a d-polytope's slack matrix has rank d + 1, and the slack ideal of a
     # rank-r matroid takes d = r - 1
+    rank = S.rank() if isinstance(S, SlackMatrix) else None
     if args.d is not None:
         if args.d < 0:
             raise UsageError(f"-d must be non-negative, got {args.d}")
+        if rank is not None and rank != args.d + 1:
+            raise UsageError(f"-d {args.d} does not fit the input: its slack "
+                             f"matrix has rank {rank}, so d is {rank - 1}")
         return args.d
-    if isinstance(S, SlackMatrix):
-        return S.rank() - 1
+    if rank is not None:
+        return rank - 1
     raise UsageError("-d is required with pattern input")
 
 
@@ -214,7 +224,11 @@ def _cmd_builtin(args):
 
 
 def _cmd_count_minors(args):
-    if args.rows is not None and args.cols is not None:
+    if args.rows is not None or args.cols is not None:
+        if args.rows is None or args.cols is None:
+            raise UsageError("--rows and --cols go together")
+        if _given_sources(args):
+            raise UsageError("--rows and --cols replace the source matrix")
         if args.d is None:
             raise UsageError("-d is required")
         if args.rows < 0 or args.cols < 0:
@@ -227,8 +241,7 @@ def _cmd_count_minors(args):
 
 def _add_source_flags(p, pattern=True):
     p.add_argument("--vertices", help="vertex matrix file ('-' = stdin)")
-    p.add_argument("--object", choices=("polytope", "matroid"),
-                   default="polytope")
+    p.add_argument("--object", choices=("polytope", "matroid"))
     p.add_argument("--matrix", help="numeric slack matrix file")
     if pattern:
         p.add_argument("--pattern", help="0/1 support pattern file")

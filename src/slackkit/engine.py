@@ -5,7 +5,8 @@ Monomials are packed into one Python int (Monagan & Pearce, CASC 2007).  A
 carries, a field width of ``bits`` bits and a monomial order.  The low fields
 hold the exponent vector, one field per carried variable with its top bit
 kept clear as a guard; the high fields hold the order key, a vector of
-linear forms in the exponents.  Both parts are linear in the exponents, so
+linear functions of the exponents.  Both parts are linear in the exponents,
+so
 
 * multiplication is one addition,
 * comparison in the monomial order is int comparison,
@@ -40,25 +41,16 @@ element is installed and criterion B when a pair is selected, and returns
 the unit ideal as soon as a constant appears.
 
 A monomial is always reduced by the lowest-index divisor whose leading
-monomial divides it, a choice that depends on the monomial alone, so full
-reduction is a linear map on monomials: NF(sum c_m m) = sum c_m NF(m).  A
-:class:`Reducer` therefore reduces each monomial once with its heap routine,
-memoizes the result, and builds the normal form of a polynomial as the
-integer combination of its terms' memoized forms; the cancellations the heap
-would find only skip work whose contributions sum to zero.  Adding a divisor
-changes normal forms, so it clears the memo.  The Buchberger pair loop adds
-a divisor after nearly every reduction and calls the heap routine directly.
-:func:`interreduce` is one pass of memoized normal forms: each polynomial,
-simplest first, is reduced by those kept before it and, if a remainder is
-left, kept and added as a divisor.  Most of the 7,325 distinct Perles
-10-minors reduce to zero, so the divisors change only 15 times.
+monomial divides it, a choice that depends on the monomial alone: a divisor
+added later has a higher index.  So a :class:`Reducer` memoizes the divisor
+it finds for each monomial, and the memo outlives every ``add``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .poly import Polynomial
 from .rationals import denominator_lcm
@@ -270,15 +262,13 @@ class Reducer:
     Divisors are found through bitsets rather than a scan: ``rows[f][k]``
     has bit i set when the exponent in field f of leading monomial i is at
     least k, so the leading monomials dividing m are the bits set in no
-    ``rows[f][e_f(m) + 1]``.  Found divisors are memoized per monomial, and
-    so are the normal forms :meth:`normal_form` builds on."""
+    ``rows[f][e_f(m) + 1]``.  Found divisors are memoized per monomial."""
 
     def __init__(self, ring):
         self.ring = ring
         self.lts = []      # leading monomials
         self.polys = []    # (leading coefficient, tail, extra degree)
         self.cache = {}
-        self.forms = {}    # monomial -> (scale, reduce({monomial: 1}))
         self.rows = [[0] * (min(ring.cap, 127) + 2) for _ in range(ring.size)]
         self.scale = 1     # the factor the last reduce multiplied its work by
 
@@ -299,7 +289,6 @@ class Reducer:
                 row[k] |= bit
         self.lts.append(lt)
         self.polys.append((lc, tail, extra))
-        self.forms.clear()
         return len(self.lts) - 1
 
     def divisors(self, m):
@@ -370,28 +359,6 @@ class Reducer:
                         del work[x]
         self.scale = scale
         return out
-
-    def normal_form(self, f):
-        """Normal form of the packed terms f, built from the memoized
-        normal forms of its monomials.  Like ``reduce(dict(f))``, it is
-        ``self.scale`` times the exact remainder, not made primitive."""
-        forms = self.forms
-        parts = []
-        scale = 1
-        for m, c in f:
-            form = forms.get(m)
-            if form is None:
-                out = self.reduce({m: 1})
-                form = forms[m] = (self.scale, out)
-            parts.append((c, form))
-            scale = lcm(scale, form[0])
-        acc = {}
-        for c, (s, out) in parts:
-            k = c * (scale // s)
-            for x, y in out:
-                acc[x] = acc.get(x, 0) + k * y
-        self.scale = scale
-        return sorted(((x, y) for x, y in acc.items() if y), reverse=True)
 
 
 # -- Buchberger ----------------------------------------------------------------
@@ -548,7 +515,7 @@ def interreduce(polys, ring):
     basis = []
     for f in sorted((f for f in polys if f),
                     key=lambda f: (len(f), ring.max_degree(f))):
-        r = normalize(red.normal_form(f))
+        r = normalize(red.reduce(dict(f)))
         if r:
             basis.append(r)
             red.add(r)

@@ -229,8 +229,9 @@ def matroid_hyperplanes(V: PointConfiguration):
     """
     rows = V.homogenized().integer_rows()
     ncols = V.dim + 1
-    flats = _hyperplanes(rows, int_rref(rows, ncols)[1])
-    kernel = int_rref(int_kernel(rows, ncols), ncols)
+    red, pivots = int_rref(rows, ncols)
+    flats = _hyperplanes(rows, pivots)
+    kernel = int_rref(int_kernel(red, pivots, ncols), ncols)
     return [_affine(*_kernel_row(flats[flat][0], kernel), flat)
             for flat in sorted(flats, key=sorted)]
 
@@ -255,7 +256,7 @@ def positive_circuits(G: GaleTransform):
     0-row transform (simplex) yields all singleton circuits.
     """
     n = G.n
-    K = int_kernel(G.matrix.integer_rows(), n)
+    K = int_kernel(*int_rref(G.matrix.integer_rows(), n), n)
     rows = [[v[i] for v in K] for i in range(n)]
     circuits = []
     for _, values in _hyperplanes(rows, int_rref(rows, len(K))[1],

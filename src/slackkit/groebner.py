@@ -49,7 +49,7 @@ def _check_variables(nvars, var_indices):
 
 # (elements of G, order, number of variables, engine Reducer) for the last
 # basis normal_form divided by: callers reduce many polynomials by one basis,
-# and the Reducer keeps the normal form of every monomial it has met
+# and the Reducer keeps the divisor it found for every monomial it has met
 _last_divisors = None
 
 
@@ -73,8 +73,8 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
             red = Reducer(ring)
             for g in pack_polys([g for g in items if not g.is_zero()], ring):
                 red.add(g)
-        out = red.normal_form((ring.pack(m), int(c * scale))
-                              for m, c in f.terms.items())
+        out = red.reduce({ring.pack(m): int(c * scale)
+                          for m, c in f.terms.items()})
         return red, out
 
     start = memo[3].ring if memo is not None else Ring.for_order(order, f.nvars)

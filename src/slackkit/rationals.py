@@ -98,12 +98,12 @@ def int_rref(rows, ncols):
     return m[:len(pivots)], pivots
 
 
-def int_kernel(rows, ncols):
-    """Integer rows spanning the right kernel of the integer ``rows``.
+def int_kernel(red, pivots, ncols):
+    """Integer rows spanning the right kernel of rows whose echelon form
+    ``(red, pivots)`` :func:`int_rref` returned.
 
-    One row per free column f of :func:`int_rref`: L at f, with L the lcm
-    of the pivots, and -red[r][f] * L / pivot_r at each pivot column."""
-    red, pivots = int_rref(rows, ncols)
+    One row per free column f: L at f, with L the lcm of the pivots, and
+    -red[r][f] * L / pivot_r at each pivot column."""
     L = lcm(*(row[p] for row, p in zip(red, pivots)))
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -251,7 +251,8 @@ class RationalMatrix:
 
     def kernel_basis(self) -> "RationalMatrix":
         """Rows form a basis of the right kernel, normalized to RREF."""
-        kernel = int_kernel(self.integer_rows(), self.ncols)
+        kernel = int_kernel(*int_rref(self.integer_rows(), self.ncols),
+                            self.ncols)
         return RationalMatrix(_divide_pivots(*int_rref(kernel, self.ncols)),
                               ncols=self.ncols)
 

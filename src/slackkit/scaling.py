@@ -200,9 +200,10 @@ def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
     return Polynomial(p.nvars, {m: t[0] for m, t in terms.items()})
 
 
-def rehomogenize_ideal(d, Y: ScaledSlackMatrix, F: SpanningForest = None) -> Ideal:
+def rehomogenize_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
     """H_F(I_P^F): the dehomogenized ideal rehomogenized leaf to root and
-    saturated by the forest variables.
+    saturated by the forest variables, F the forest of Y's ones
+    (:func:`forest_from_ones`).
 
     Each forest edge, leaf to root as in :func:`rehomogenize_poly`, is one
     step of :func:`~slackkit.groebner.homogenize_by_edges`: a basis of the
@@ -211,10 +212,8 @@ def rehomogenize_ideal(d, Y: ScaledSlackMatrix, F: SpanningForest = None) -> Ide
     which saturates by it.  For a maximal forest the result is the slack
     ideal itself (see :func:`~slackkit.slack.slack_ideal`), whatever the
     forest."""
-    if F is None:
-        F = forest_from_ones(Y)
     return homogenize_by_edges(dehomogenized_ideal(d, Y),
-                               forest_weights(Y.base, F))
+                               forest_weights(Y.base, forest_from_ones(Y)))
 
 
 def forest_weights(sym: SymbolicSlackMatrix, F: SpanningForest):

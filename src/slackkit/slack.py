@@ -413,8 +413,7 @@ def slack_ideal(d, S, object="polytope") -> Ideal:
         S = slack_matrix(S, object=object)
     if isinstance(S, ScaledSlackMatrix):
         return dehomogenized_ideal(d, S)
-    Y, forest = set_ones_forest(symbolic_slack_matrix(S))
-    return rehomogenize_ideal(d, Y, forest)
+    return rehomogenize_ideal(d, set_ones_forest(symbolic_slack_matrix(S))[0])
 
 
 def slack_from_gale_circuits(G: GaleTransform) -> SlackMatrix:

@@ -424,6 +424,45 @@ def test_count_minors_negative_rows_is_usage_error(capsys):
     assert not out and "--rows" in err
 
 
+def test_object_without_vertices_is_usage_error(capsys):
+    # --object picks the columns of a vertex set; no other source reads it
+    code, out, err = run(capsys, "slack-matrix", "--builtin", "square",
+                         "--object", "matroid")
+    assert code == 2
+    assert not out and "--object" in err
+
+
+@pytest.mark.parametrize("sizes", [("--rows", "3", "--cols", "3"),
+                                   ("--rows", "3")], ids=["both", "rows-only"])
+def test_count_minors_sizes_with_a_source_is_usage_error(capsys, sizes):
+    code, out, err = run(capsys, "count-minors", "-d", "1", *sizes,
+                         "--builtin", "square")
+    assert code == 2
+    assert not out and "--rows" in err
+
+
+def test_count_minors_of_a_source(capsys):
+    # d is inferred from the prism's rank: its one 6 x 5 matrix has six
+    # 5-minors, as a 6 x 5 grid of nonzeros does
+    assert run(capsys, "count-minors", "--builtin", "prism") == (0, "6\n", "")
+    assert run(capsys, "count-minors", "-d", "3", "--rows", "6",
+               "--cols", "5") == (0, "6\n", "")
+
+
+def test_d_not_fitting_numeric_input_is_usage_error(capsys):
+    code, out, err = run(capsys, "ideal", "-d", "5", "--builtin", "square")
+    assert code == 2
+    assert not out and "rank 3" in err
+
+
+def test_reduce_without_a_flag_is_domain_error(capsys, tmp_path):
+    # no column of this matrix has a zero, so no column starts a flag
+    path = tmp_path / "no-zeros.txt"
+    path.write_text("1 2\n3 4")
+    assert run(capsys, "reduce", "--matrix", str(path)) == (
+        1, "", "error: no flag found among the columns\n")
+
+
 def test_scaled_verbs_infer_d_from_numeric_input(capsys, square_file, tmp_path):
     # d is read off the numeric source matrix before its pattern is scaled
     matrix = tmp_path / "square-slack.txt"

@@ -9,7 +9,7 @@ from slackkit import (GaleTransform, PointConfiguration, RationalMatrix,
                       facets_from_vertices, gale_transform, matroid_hyperplanes,
                       pluecker, positive_circuits, slack_from_gale_plucker,
                       slack_matrix)
-from slackkit import geometry
+from slackkit import geometry, rationals
 from slackkit.errors import (BadPointConfigurationError, NonVertexPointError,
                              NotFullDimensionalError, SizeMismatchError,
                              SlackkitError, TooManySubsetsError)
@@ -522,15 +522,18 @@ def paraboloid(n):
 
 @pytest.mark.parametrize("search, eliminations", [
     (facets_from_vertices, 1),
-    (matroid_hyperplanes, 3),
-    (lambda V: positive_circuits(gale_transform(V)), 2),
+    (matroid_hyperplanes, 2),
+    (lambda V: positive_circuits(gale_transform(V)), 4),
 ], ids=["facets", "matroid", "circuits"])
 def test_hyperplane_search_eliminations_do_not_grow_with_subsets(
         monkeypatch, search, eliminations):
     # each search eliminates a fixed number of times, not once or twice per
-    # (r-1)-subset (C(12, 3) = 220 subsets among 12 points); the facet
+    # (r-1)-subset (C(12, 3) = 220 subsets among 12 points).  Every
+    # int_rref is counted, in either module, rank's included; int_kernel
+    # reads its basis off an echelon form and eliminates nothing.  The facet
     # search reads its dimension check off the elimination that finds the
-    # pivot columns
+    # pivot columns, and the matroid search reads its kernel off it too;
+    # the circuits take two for the Gale transform and two for the search
     calls = []
 
     def counted(f):
@@ -540,8 +543,7 @@ def test_hyperplane_search_eliminations_do_not_grow_with_subsets(
         return wrapper
 
     monkeypatch.setattr(geometry, "int_rref", counted(geometry.int_rref))
-    monkeypatch.setattr(geometry, "int_kernel", counted(geometry.int_kernel))
-    monkeypatch.setattr(RationalMatrix, "rank", counted(RationalMatrix.rank))
+    monkeypatch.setattr(rationals, "int_rref", counted(rationals.int_rref))
     counts = []
     for n in (6, 12):
         V = PointConfiguration(paraboloid(n))

@@ -6,8 +6,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from slackkit import (Ideal, Polynomial, contains_flag, dehomogenized_ideal,
-                      forest_from_ones, ideal_equals, irrationality_certificate,
+from slackkit import (Ideal, Polynomial, SymbolicSlackMatrix, contains_flag,
+                      dehomogenized_ideal, forest_from_ones, ideal_equals,
+                      irrationality_certificate,
                       non_incidence_graph, rational_roots,
                       reduced_slack_matrix, rehomogenize_ideal,
                       rehomogenize_poly, set_ones, set_ones_forest,
@@ -22,7 +23,7 @@ from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES,
 from test_geometry import unit_simplex
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 # spanning forest of the prism's non-incidence graph used throughout:
 # every variable except x7 and x11
@@ -66,6 +67,32 @@ def test_forest_size_matches_components():
         _, forest = set_ones_forest(sym)
         components = len(forest.roots)
         assert len(forest.edges) == len(g.nodes) - components
+
+
+PENTAGON = [(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)]
+
+
+@st.composite
+def support_patterns(draw):
+    """A 0/1 pattern of at most 7 x 7 cells."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return SymbolicSlackMatrix(draw(st.lists(
+        st.lists(st.booleans(), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(support_patterns())
+@example(prism_sym())
+@example(specific_slack_matrix("perles-reduced"))
+@example(symbolic_slack_matrix(slack_matrix(SQUARE_VERTICES)))
+@example(symbolic_slack_matrix(slack_matrix(PENTAGON)))
+@example(symbolic_slack_matrix(slack_matrix(PENTAGON, object="matroid")))
+def test_bfs_forest_is_the_forest_of_its_ones(sym):
+    # rehomogenize_ideal walks forest_from_ones of the scaled matrix, so the
+    # slack ideal walks the BFS forest that set_ones_forest scaled
+    Y, F = set_ones_forest(sym)
+    assert forest_from_ones(Y) == F
 
 
 def test_set_ones_accepts_spanning_tree():
@@ -407,6 +434,12 @@ def test_reduced_slack_matrix_rejects_flagless_columns():
     disjoint = [j for j in range(4) if not (S.incidence[0] & S.incidence[j])]
     with pytest.raises(NoFlagFoundError):
         reduced_slack_matrix(2, S, flag_indices=[0, disjoint[0]])
+
+
+def test_rational_roots_include_zero():
+    # x^3 - x^2 = x^2 (x - 1): zero is a root through the factor x^2
+    assert rational_roots(poly(1, (1, {0: 3}), (-1, {0: 2})), 0) == \
+        [Fraction(0), Fraction(1)]
 
 
 def test_rational_roots_quadratic():

@@ -84,6 +84,14 @@ def test_square_slack_ideal_golden():
     assert I.to_strings() == ["x0*x3*x5*x6 - x1*x2*x4*x7"]
 
 
+@pytest.mark.parametrize("obj", ["polytope", "matroid"])
+def test_slack_ideal_of_points_equals_ideal_of_their_matrix(obj):
+    expected = slack_ideal(2, slack_matrix(SQUARE_VERTICES, object=obj))
+    for points in (list(SQUARE_VERTICES), PointConfiguration(SQUARE_VERTICES)):
+        assert slack_ideal(2, points, object=obj).to_strings() == \
+            expected.to_strings()
+
+
 def test_simplex_slack_ideal_is_zero():
     I = slack_ideal(3, slack_matrix(unit_simplex(3)))
     assert I.is_zero()
@@ -407,8 +415,8 @@ def test_perles_minor_work_counts(monkeypatch):
     # deterministic counts that catch an algorithmic regression timing hides:
     # of the 18,876 10-minors, 16,497 are nonzero, 7,325 distinct up to sign
     # and content, and they interreduce to 15 generators.  Their terms hold
-    # 791 distinct monomials, and the interreduction runs the heap reduction
-    # once per monomial and divisor list, not once per minor
+    # 791 distinct monomials; the interreduction runs the heap reduction
+    # once per distinct minor
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
     grid, nvars = _entry_grid(Y)
     ring = Ring(nvars, [range(nvars)])
@@ -428,7 +436,7 @@ def test_perles_minor_work_counts(monkeypatch):
 
     monkeypatch.setattr(engine.Reducer, "reduce", counted)
     assert len(minor_ideal_generators(8, Y)) == 15
-    assert len(calls) == 1546
+    assert len(calls) == 7325
 
 
 # -- unit triangles ----------------------------------------------------------
@@ -547,7 +555,7 @@ def test_unit_triangle_work_counts(monkeypatch):
     monkeypatch.setattr(engine.Reducer, "reduce", counted_reduce)
     assert len(dehomogenized_ideal(8, Y).groebner_basis()) == 12
     assert len(enumerated) == 12
-    assert len(calls) == 287
+    assert len(calls) == 266
     enumerated.clear()
     sphere = specific_slack_matrix("sphere1963-reduced")
     unit = [Polynomial.constant(1, sphere.nvars)]
