@@ -84,7 +84,7 @@ def _numeric(S) -> SlackMatrix:
 
 def _infer_d(args, S):
     # a d-polytope's slack matrix has rank d + 1, and the slack ideal of a
-    # rank-r matroid takes d = r - 1
+    # rank-r matroid takes d = r - 1; either has at least d + 1 rows
     rank = S.rank() if isinstance(S, SlackMatrix) else None
     if args.d is not None:
         if args.d < 0:
@@ -92,6 +92,9 @@ def _infer_d(args, S):
         if rank is not None and rank != args.d + 1:
             raise UsageError(f"-d {args.d} does not fit the input: its slack "
                              f"matrix has rank {rank}, so d is {rank - 1}")
+        if S is not None and S.nrows <= args.d:
+            raise UsageError(f"-d {args.d} does not fit the input: it has "
+                             f"{S.nrows} rows, fewer than d + 1")
         return args.d
     if rank is not None:
         return rank - 1

@@ -146,10 +146,6 @@ class Ring:
     def widened(self):
         return Ring(self.nvars, self.blocks, self.weight, self.bits * 2)
 
-    def like(self, weight=None):
-        """A ring with the same width and blocks, weighted by ``weight``."""
-        return Ring(self.nvars, self.blocks, weight, self.bits)
-
     # monomials ------------------------------------------------------------
 
     def full(self, e):
@@ -405,18 +401,17 @@ def groebner(polys, ring):
         extra = polys_of[idx][2]
         # Gebauer-Moeller: the pair (j, idx) has lcm lt * u_j with
         # u_j = lt_j / gcd(lt_j, lt); keep one pair per minimal u_j (M, F)
-        # and drop it if lt_j and lt are coprime (product criterion)
+        # and drop it if lt_j and lt are coprime (product criterion); no
+        # active leading monomial divides another, so a class with u_j = lt_j
+        # has j as its only member
         classes = {}
         for j in active:
             b = lte[j]
             t = (b | G) - a
             gb = t & G
             u = t & (gb - (gb >> shift))
-            prev = classes.get(u)
-            if prev is None:
+            if u not in classes:
                 classes[u] = ~j if u == b else j
-            elif prev >= 0 and u == b:
-                classes[u] = ~j
         kept = []
         single = 0
         # a divisor of u is numerically smaller, so ascending order
@@ -521,29 +516,3 @@ def interreduce(polys, ring):
             red.add(r)
     return basis
 
-
-def homogenize_ideal(polys, ring, var):
-    """Generators of the homogenization of the ideal of ``polys`` in the
-    degree of ``ring.weight``, with the variable ``var``.
-
-    Polynomials already homogeneous in that degree are returned as they are.
-    Otherwise a basis in the ring's order, which compares that degree first,
-    is homogenized element by element: that gives a basis of the
-    homogenized ideal (Cox, Little & O'Shea, *Ideals, Varieties, and
-    Algorithms*, ch. 8 sec. 4).  The unit ideal comes back as ``[[(0, 1)]]``.
-    """
-    wdeg = ring.weight_degree
-    if all(len({wdeg(m) for m, _ in f}) == 1 for f in polys):
-        return polys
-    basis = groebner(polys, ring)
-    if not basis[0][0][0] & ring.emask:
-        return basis
-    unit = ring.units[var]
-    out = []
-    for f in basis:
-        top = wdeg(f[0][0])  # the order compares this degree first
-        f = [(m + (top - wdeg(m)) * unit, c) for m, c in f]
-        if ring.max_degree(f) > ring.cap:
-            raise FieldOverflow("homogenization leaves the packed field width")
-        out.append(f)
-    return out

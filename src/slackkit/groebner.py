@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import (Reducer, Ring, groebner, homogenize_ideal, pack_polys,
+from .engine import (FieldOverflow, Reducer, Ring, groebner, pack_polys,
                      to_polynomial, widening)
 from .errors import (UniverseMismatchError, ZeroDivisorPolynomialError,
                      variable_outside)
@@ -58,12 +58,13 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
     divisor in list order is used at each step)."""
     global _last_divisors
     items = tuple(G)
-    _check_ring(f.nvars, items)
-    if f.is_zero():
-        return f
     memo = _last_divisors
     if memo is not None and memo[:3] != (items, order, f.nvars):
         memo = None
+    if memo is None:  # a memoized G was checked when it was stored
+        _check_ring(f.nvars, items)
+    if f.is_zero():
+        return f
     scale = denominator_lcm(f.terms.values())
 
     def run(ring):
@@ -283,21 +284,29 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
     Reintroducing a spanning forest of the non-incidence graph leaf to root,
     with each edge weighted by the row or column it enters, therefore
     rehomogenizes a dehomogenized slack ideal.  A final grevlex run gives
-    the reduced basis, which is returned as the generators.
+    the reduced basis, which is returned as the generators.  The unit and
+    zero ideals pass through unchanged: their bases, ``[[(0, 1)]]`` and
+    ``[]``, are homogeneous already.
     """
     edges = [(v, frozenset(w)) for v, w in edges]
 
     def run(grevlex):
         ring = grevlex
-        polys = I.packed(ring)
+        basis = I.packed(ring)
         for v, weight in edges:
-            if not polys or not polys[0][0][0] & ring.emask:
-                break
-            weighted = grevlex.like(weight=weight)
-            polys = homogenize_ideal([weighted.convert(f, ring) for f in polys],
-                                     weighted, v)
+            weighted = Ring(grevlex.nvars, grevlex.blocks, weight, grevlex.bits)
+            wdeg, unit = weighted.weight_degree, weighted.units[v]
+            polys = [weighted.convert(f, ring) for f in basis]
+            basis = []
+            for f in groebner(polys, weighted):
+                top = wdeg(f[0][0])  # the order compares this degree first
+                f = [(m + (top - wdeg(m)) * unit, c) for m, c in f]
+                if weighted.max_degree(f) > weighted.cap:
+                    raise FieldOverflow(
+                        "homogenization leaves the packed field width")
+                basis.append(f)
             ring = weighted
-        return grevlex, groebner([grevlex.convert(f, ring) for f in polys],
+        return grevlex, groebner([grevlex.convert(f, ring) for f in basis],
                                  grevlex)
 
     return Ideal.of_packed(*widening(run, Ring(I.nvars, [range(I.nvars)])))

@@ -13,7 +13,7 @@ from .errors import (NeedsNumericDataError, NoFlagFoundError,
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
 from .poly import Polynomial
-from .rationals import denominator_lcm
+from .rationals import denominator_lcm, int_rref
 from .slack import (ScaledSlackMatrix, SlackMatrix, SymbolicSlackMatrix,
                     symbolic_slack_matrix, unit_triangle_ideal)
 
@@ -74,12 +74,6 @@ def _bfs_forest(graph: NonIncidenceGraph, allowed=None):
                 + [("r", i) for i in range(graph.sym.nrows)])
     for start in ordering:
         if start in visited:
-            continue
-        if allowed is not None and not any(
-                v in allowed for v, _ in graph.adjacency[start]):
-            # isolated w.r.t. the allowed edges: own trivial component
-            visited.add(start)
-            roots.append(start)
             continue
         roots.append(start)
         visited.add(start)
@@ -233,21 +227,6 @@ def forest_weights(sym: SymbolicSlackMatrix, F: SpanningForest):
 # -- flags and reduced matrices ----------------------------------------------
 
 
-def _affine_dim(entries, vertex_indices):
-    """Affine dimension of a vertex subset, from homogenized coordinate-free
-    rank data: we only have the slack matrix, so use the rank of the rows of
-    the full matrix restricted to those vertices.
-
-    For a genuine slack matrix S = [1 V][b; a]^T the row space of the
-    selected rows has rank (affine dim + 1) as long as the hyperplanes span,
-    which holds for facet sets of a polytope.
-    """
-    if not vertex_indices:
-        return -1
-    sub = entries.submatrix(sorted(vertex_indices), range(entries.ncols))
-    return sub.rank() - 1
-
-
 def contains_flag(col_indices, S) -> bool:
     """True iff some sequence of columns from col_indices has zero-set
     intersections of strictly decreasing affine dimension d-1, ..., 0."""
@@ -270,7 +249,10 @@ def _columns(col_indices, ncols):
 
 
 def _find_flag(entries, S, d, candidates):
-    """A list of d column indices forming a flag, greedily via DFS."""
+    """A list of d column indices forming a flag, greedily via DFS: the
+    vertices on the first k columns span a face of dimension d - k, whose
+    rows have rank d - k + 1."""
+    rows, ncols = entries.integer_rows(), entries.ncols
 
     def extend(current_set, dim, used, chosen):
         if dim == 0:
@@ -281,7 +263,7 @@ def _find_flag(entries, S, d, candidates):
             nxt = current_set & S.incidence[j]
             if not nxt:
                 continue
-            if _affine_dim(entries, nxt) == dim - 1:
+            if len(int_rref([rows[i] for i in nxt], ncols)[1]) == dim:
                 res = extend(nxt, dim - 1, used | {j}, chosen + [j])
                 if res is not None:
                     return res

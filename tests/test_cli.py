@@ -599,3 +599,76 @@ def test_gale_slack_of_an_empty_gale_transform_is_domain_error(capsys, tmp_path,
     assert run(capsys, "gale-slack", "--gale", str(path)) == (
         1, "", "error: empty Gale transform (a simplex): it does not record "
                "its number of points\n")
+
+
+@pytest.mark.parametrize("verb", [("ideal",), ("dehomogenize",),
+                                  ("rehomogenize",), ("count-minors",)])
+def test_d_beyond_the_rows_of_a_pattern_is_usage_error(capsys, tmp_path, verb):
+    # a d-polytope has at least d + 1 vertices and a rank-(d + 1) matroid at
+    # least d + 1 elements, so a 2-row pattern cannot have d = 5
+    path = tmp_path / "pattern.txt"
+    path.write_text("1 1\n1 0")
+    assert run(capsys, *verb, "-d", "5", "--pattern", str(path)) == (
+        2, "", "error: -d 5 does not fit the input: it has 2 rows, "
+               "fewer than d + 1\n")
+
+
+# the scaled pattern of sphere #1963, as `scale`, `symbolic` and `builtin`
+# print it
+SPHERE1963 = """\
+0 1 0 0 0 0
+0 x1 0 0 1 0
+0 1 0 x4 0 0
+0 1 x6 x7 0 0
+0 x8 x9 0 x10 1
+0 x12 x13 x14 x15 1
+0 1 0 1 1 1
+x21 0 x22 0 x23 1
+x25 0 x26 x27 0 1
+x29 0 x30 x31 x32 1
+x34 0 0 1 0 0
+1 0 1 0 x38 1
+x40 0 x41 x42 x43 1
+x45 0 x46 x47 x48 1
+"""
+
+
+# (argv, text of the input file FILE or None, (exit code, stdout, stderr)):
+# reachable paths of the verbs that no other test runs
+CLI_PATHS = [
+    pytest.param(("reduce", "-d", "8", "--builtin", "perles-reduced"), None,
+                 (1, "", "error: flag search needs a numeric slack matrix\n"),
+                 id="reduce-symbolic-without-flag"),
+    pytest.param(("slack-matrix", "--builtin", "perles-reduced"), None,
+                 (2, "", "error: this command needs a numeric slack matrix\n"),
+                 id="slack-matrix-of-a-pattern"),
+    pytest.param(("ideal", "--pattern", "FILE"), "1 1\n1 0",
+                 (2, "", "error: -d is required with pattern input\n"),
+                 id="ideal-pattern-without-d"),
+    pytest.param(("scale", "--builtin", "sphere1963-reduced", "--ones", "1"),
+                 None, (2, "", "error: this input already has its ones fixed\n"),
+                 id="scale-scaled-with-ones"),
+    pytest.param(("count-minors", "--rows", "3", "--cols", "3"), None,
+                 (2, "", "error: -d is required\n"), id="count-minors-without-d"),
+    pytest.param(("gale", "--vertices", "FILE"), "0 0\n1 0",
+                 (1, "", "error: need at least d+1 points\n"),
+                 id="gale-two-points-in-the-plane"),
+    pytest.param(("gale-slack", "--gale", "FILE"), "1 1",
+                 (1, "", "error: no positive circuit: not a polytope Gale "
+                         "transform\n"), id="gale-slack-no-positive-circuit"),
+    pytest.param(("scale", "--builtin", "sphere1963-reduced"), None,
+                 (0, SPHERE1963, ""), id="scale-scaled-builtin"),
+    pytest.param(("symbolic", "--builtin", "sphere1963-reduced"), None,
+                 (0, SPHERE1963, ""), id="symbolic-scaled-builtin"),
+    pytest.param(("builtin", "sphere1963-reduced"), None,
+                 (0, SPHERE1963, ""), id="builtin-scaled"),
+]
+
+
+@pytest.mark.parametrize("argv,text,expected", CLI_PATHS)
+def test_cli_path(capsys, tmp_path, argv, text, expected):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert run(capsys, *argv) == expected

@@ -8,10 +8,10 @@ import pytest
 
 from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger,
                       dehomogenized_ideal, eliminate, forest_from_ones,
-                      irrationality_certificate, minor_ideal_generators,
-                      normal_form, radical_membership, rehomogenize_ideal,
-                      saturate, saturate_by_variables, set_ones,
-                      set_ones_forest, slack_ideal, slack_matrix,
+                      graphic_ideal, irrationality_certificate,
+                      minor_ideal_generators, normal_form, radical_membership,
+                      rehomogenize_ideal, saturate, saturate_by_variables,
+                      set_ones, set_ones_forest, slack_ideal, slack_matrix,
                       specific_slack_matrix, symbolic_slack_matrix)
 from slackkit import engine, groebner, slack
 from slackkit.groebner import homogenize_by_edges
@@ -436,6 +436,44 @@ def test_radical_membership_is_one_saturation(monkeypatch):
     assert runs == [(5, [(4,), (0, 1, 2)])]
     assert not radical_membership(x1, I)
     assert runs == [(5, [(4,), (0, 1, 2)])] * 2
+
+
+def engine_work(monkeypatch):
+    """Count the engine's pairs pushed and reductions run: the pair heap
+    holds tuples, a reduction's term heap ints."""
+    work = {"pairs": 0, "reductions": 0}
+    push, reduce = engine.heappush, engine.Reducer.reduce
+
+    def counted_push(heap, item):
+        if isinstance(item, tuple):
+            work["pairs"] += 1
+        push(heap, item)
+
+    def counted_reduce(self, terms):
+        work["reductions"] += 1
+        return reduce(self, terms)
+
+    monkeypatch.setattr(engine, "heappush", counted_push)
+    monkeypatch.setattr(engine.Reducer, "reduce", counted_reduce)
+    return work
+
+
+def test_pentagon_slack_ideal_engine_work(monkeypatch):
+    # the saturation, 9 edge steps and the final grevlex run; a change to
+    # pair selection or to the edge steps moves these counts
+    work = engine_work(monkeypatch)
+    points = [(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)]
+    S = slack_matrix([tuple(map(Fraction, p)) for p in points])
+    assert len(slack_ideal(2, S).groebner_basis()) == 25
+    assert work == {"pairs": 603, "reductions": 680}
+
+
+def test_perles_graphic_ideal_engine_work(monkeypatch):
+    # 24 edge steps and the final grevlex run over all 36 variables
+    work = engine_work(monkeypatch)
+    I = graphic_ideal(specific_slack_matrix("perles-reduced"))
+    assert len(I.groebner_basis()) == 266
+    assert work == {"pairs": 21245, "reductions": 20591}
 
 
 def test_pack_of_a_variable_the_ring_does_not_carry_raises():
