@@ -12,13 +12,12 @@ from .errors import (ParseError, SizeMismatchError, SlackkitError,
                      UniverseMismatchError)
 from .geometry import GaleTransform, PointConfiguration, gale_transform
 from .rationals import RationalMatrix
-from .scaling import (contains_flag, dehomogenized_ideal,
+from .scaling import (contains_flag, dehomogenized_ideal, graphic_ideal,
                       irrationality_certificate, reduced_slack_matrix,
-                      rehomogenize_ideal, set_ones, set_ones_forest)
+                      rehomogenize_ideal, set_ones, set_ones_forest, slack_ideal)
 from .slack import (ScaledSlackMatrix, SlackMatrix, count_minors,
-                    graphic_ideal, slack_from_gale_circuits,
-                    slack_from_gale_plucker, slack_ideal, slack_matrix,
-                    symbolic_slack_matrix)
+                    slack_from_gale_circuits, slack_from_gale_plucker,
+                    slack_matrix, symbolic_slack_matrix)
 
 
 class UsageError(Exception):

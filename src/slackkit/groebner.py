@@ -260,7 +260,7 @@ def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
     minors, or a rehomogenized ideal, passes through bases far larger than
     the result.  When the variables are the edges of a spanning forest of
     the non-incidence graph, :func:`homogenize_by_edges` saturates by them
-    one edge at a time instead, and :func:`~slackkit.slack.slack_ideal`
+    one edge at a time instead, and :func:`~slackkit.scaling.slack_ideal`
     uses I_P = H_F(I_P^F) so that only the surviving variables are
     saturated here, in the small dehomogenized ring.
     """

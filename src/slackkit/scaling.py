@@ -1,6 +1,6 @@
 """Spanning-forest scaling of symbolic slack matrices, dehomogenized ideals,
-rehomogenization, flag checks, reduced slack matrices and irrationality
-certificates."""
+rehomogenization, slack and graphic ideals, flag checks, reduced slack
+matrices and irrationality certificates."""
 
 from __future__ import annotations
 
@@ -8,87 +8,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (NeedsNumericDataError, NoFlagFoundError,
-                     NotAForestError, SizeMismatchError, UniverseMismatchError,
+                     SizeMismatchError, UniverseMismatchError,
                      variable_outside)
+from .geometry import PointConfiguration
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
 from .poly import Polynomial
 from .rationals import denominator_lcm, int_rref
-from .slack import (ScaledSlackMatrix, SlackMatrix, SymbolicSlackMatrix,
+from .slack import (NonIncidenceGraph, ScaledSlackMatrix, SlackMatrix,
+                    SpanningForest, SymbolicSlackMatrix, slack_matrix,
                     symbolic_slack_matrix, unit_triangle_ideal)
-
-# graph nodes: ("r", i) for rows, ("c", j) for columns
-
-
-@dataclass(frozen=True)
-class ForestEdge:
-    variable: int
-    source: tuple
-    destination: tuple
-
-
-class NonIncidenceGraph:
-    """Bipartite graph on row and column nodes with one edge per support
-    cell, labeled by the cell's variable index."""
-
-    def __init__(self, sym: SymbolicSlackMatrix):
-        self.sym = sym
-        self.nodes = ([("r", i) for i in range(sym.nrows)]
-                      + [("c", j) for j in range(sym.ncols)])
-        self.edges = []  # (variable, row node, col node), by variable index
-        adj = {node: [] for node in self.nodes}
-        for v in range(sym.nvars):
-            i, j = sym.cell_of[v]
-            r, c = ("r", i), ("c", j)
-            self.edges.append((v, r, c))
-            adj[r].append((v, c))
-            adj[c].append((v, r))
-        self.adjacency = adj
-
-
-@dataclass(frozen=True)
-class SpanningForest:
-    """Oriented forest edges in BFS (root-to-leaf) order plus the roots."""
-
-    edges: tuple  # ForestEdge, ordered
-    roots: tuple
-
-    @property
-    def variables(self):
-        return frozenset(e.variable for e in self.edges)
 
 
 def non_incidence_graph(S) -> NonIncidenceGraph:
     return NonIncidenceGraph(symbolic_slack_matrix(S))
-
-
-def _bfs_forest(graph: NonIncidenceGraph, allowed=None):
-    """Deterministic spanning forest: BFS from the lowest-index column node
-    of each component, edges explored in variable-index order.  With
-    `allowed`, only edges with those variables are used."""
-    visited = set()
-    edges = []
-    roots = []
-    # column nodes first so each component is rooted at its lowest column
-    ordering = ([("c", j) for j in range(graph.sym.ncols)]
-                + [("r", i) for i in range(graph.sym.nrows)])
-    for start in ordering:
-        if start in visited:
-            continue
-        roots.append(start)
-        visited.add(start)
-        queue = [start]
-        while queue:
-            node = queue.pop(0)
-            for v, nbr in sorted(graph.adjacency[node]):
-                if allowed is not None and v not in allowed:
-                    continue
-                if nbr in visited:
-                    continue
-                visited.add(nbr)
-                edges.append(ForestEdge(variable=v, source=node, destination=nbr))
-                queue.append(nbr)
-    return SpanningForest(edges=tuple(edges), roots=tuple(roots))
 
 
 def set_ones_forest(S):
@@ -97,27 +30,19 @@ def set_ones_forest(S):
     Returns (ScaledSlackMatrix, SpanningForest) with the deterministic BFS
     forest."""
     sym = symbolic_slack_matrix(S)
-    graph = NonIncidenceGraph(sym)
-    forest = _bfs_forest(graph)
-    return ScaledSlackMatrix(sym, forest.variables), forest
+    Y = ScaledSlackMatrix(sym, NonIncidenceGraph(sym).spanning_forest().variables)
+    return Y, Y.forest
 
 
 def set_ones(S, var_indices) -> ScaledSlackMatrix:
     """Set the chosen variables to one; they must form a forest in the
-    non-incidence graph (otherwise the scaling is invalid)."""
-    Y = ScaledSlackMatrix(symbolic_slack_matrix(S), var_indices)
-    # a spanning forest of the ones misses exactly the edges closing cycles
-    cycles = Y.ones_at - forest_from_ones(Y).variables
-    if cycles:
-        raise NotAForestError(f"variable x{min(cycles)} closes a cycle")
-    return Y
+    non-incidence graph, or the scaling is invalid (NotAForestError)."""
+    return ScaledSlackMatrix(symbolic_slack_matrix(S), var_indices)
 
 
 def forest_from_ones(Y: ScaledSlackMatrix) -> SpanningForest:
-    """The oriented forest corresponding to a scaled matrix's ones, rooted at
-    the lowest-index column node of each component."""
-    graph = NonIncidenceGraph(Y.base)
-    return _bfs_forest(graph, allowed=Y.ones_at)
+    """The oriented forest of a scaled matrix's ones, kept as ``Y.forest``."""
+    return Y.forest
 
 
 def dehomogenized_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
@@ -196,32 +121,75 @@ def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
 
 def rehomogenize_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
     """H_F(I_P^F): the dehomogenized ideal rehomogenized leaf to root and
-    saturated by the forest variables, F the forest of Y's ones
-    (:func:`forest_from_ones`).
+    saturated by the forest variables, F the forest of Y's ones that Y
+    keeps as ``Y.forest``.
 
     Each forest edge, leaf to root as in :func:`rehomogenize_poly`, is one
     step of :func:`~slackkit.groebner.homogenize_by_edges`: a basis of the
     current ideal in the order "degree in the destination node's variables,
     then grevlex" is homogenized in that degree with the edge variable,
     which saturates by it.  For a maximal forest the result is the slack
-    ideal itself (see :func:`~slackkit.slack.slack_ideal`), whatever the
-    forest."""
+    ideal itself (see :func:`slack_ideal`), whatever the forest."""
     return homogenize_by_edges(dehomogenized_ideal(d, Y),
-                               forest_weights(Y.base, forest_from_ones(Y)))
+                               forest_weights(Y.base, Y.forest))
 
 
 def forest_weights(sym: SymbolicSlackMatrix, F: SpanningForest):
     """The edges of F leaf to root, each as ``(edge variable, variables of
     the row or column the edge enters)``: the argument of
     :func:`~slackkit.groebner.homogenize_by_edges` that reintroduces F."""
-    lines = {("r", i): [] for i in range(sym.nrows)}
-    lines.update({("c", j): [] for j in range(sym.ncols)})
-    for v in range(sym.nvars):
-        i, j = sym.cell_of[v]
-        lines["r", i].append(v)
-        lines["c", j].append(v)
-    return [(edge.variable, lines[edge.destination])
+    adjacency = NonIncidenceGraph(sym).adjacency
+    return [(edge.variable, [v for v, _ in adjacency[edge.destination]])
             for edge in reversed(F.edges)]
+
+
+def slack_ideal(d, S, object="polytope") -> Ideal:
+    """The slack ideal: all (d+2)-minors of the symbolic slack matrix,
+    saturated by the product of all variables.  For matroids pass the rank
+    minus one in place of d.
+
+    It is computed as H_F(I_P^F): the BFS spanning forest F of
+    :func:`set_ones_forest` is scaled to ones, the slack ideal I_P^F of the
+    scaled matrix is taken in the small ring (its minors saturated by the
+    surviving variables), and it is rehomogenized edge by edge by
+    :func:`rehomogenize_ideal`.  This equals I_P for every maximal
+    spanning forest: a multihomogeneous f whose scaled
+    image lies in I_P^F lifts to x^c * f in the minor ideal for some forest
+    monomial x^c, because the forest edges' degrees form a lattice basis of
+    the row/column grading; saturating by the forest variables removes x^c.
+    A scaled matrix is taken as it is: the result is its dehomogenized
+    ideal, whose minors are saturated by the surviving variables (the
+    scaled ones do not occur in them).
+
+    Either way the saturated minors are only those that contain a unit
+    triangle of the scaled matrix
+    (:func:`~slackkit.slack.unit_triangle_ideal`): its determinant is a
+    monomial, a unit after saturating, and by Sylvester's determinant
+    identity the minors through it generate the same saturated ideal as all
+    (d+2)-minors.
+    """
+    if isinstance(S, (list, PointConfiguration)):
+        S = slack_matrix(S, object=object)
+    if isinstance(S, ScaledSlackMatrix):
+        return dehomogenized_ideal(d, S)
+    return rehomogenize_ideal(d, set_ones_forest(S)[0])
+
+
+def graphic_ideal(S) -> Ideal:
+    """Toric ideal of the non-incidence graph: the kernel of
+    x_e -> (row of e)(column of e), generated by its even-cycle binomials.
+
+    Computed as H_F(<x_e - 1 : e not in F>) for the BFS spanning forest F of
+    :func:`set_ones_forest`: with F scaled to ones, the cycle an edge e
+    outside F closes through F gives x_e - 1, and every other cycle
+    binomial lies in the ideal these generate.  Rehomogenizing edge by
+    edge gives the toric ideal back by the lattice argument of
+    :func:`slack_ideal`, which needs only that the ideal is multihomogeneous
+    and saturated by every variable."""
+    Y, forest = set_ones_forest(S)
+    n = Y.nvars
+    gens = [Polynomial.variable(v, n) - 1 for v in Y.surviving_variables()]
+    return homogenize_by_edges(Ideal(gens, nvars=n), forest_weights(Y.base, forest))
 
 
 # -- flags and reduced matrices ----------------------------------------------

@@ -1,21 +1,24 @@
-"""Slack matrices (numeric and symbolic), slack ideals, Gale-based slack
-constructions, graphic ideals and minor counting."""
+"""Slack matrices (numeric, symbolic and scaled), their non-incidence
+graphs and spanning forests, minor ideals, Gale-based slack constructions
+and minor counting."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
-                     NotACofacetError, ScaledMatrixError, variable_outside)
+                     NotACofacetError, NotAForestError, ScaledMatrixError,
+                     variable_outside)
 from .geometry import (GaleTransform, PointConfiguration, check_vertices,
                        facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
 from . import engine
 from .engine import Ring
-from .groebner import Ideal, homogenize_by_edges
+from .groebner import Ideal
 from .poly import Polynomial
 from .rationals import RationalMatrix, int_cofactors, integer_row
 
@@ -80,8 +83,78 @@ class SymbolicSlackMatrix:
         return f"SymbolicSlackMatrix({self.nrows}x{self.ncols}, {self.nvars} vars)"
 
 
+# graph nodes: ("r", i) for rows, ("c", j) for columns
+
+
+@dataclass(frozen=True)
+class ForestEdge:
+    variable: int
+    source: tuple
+    destination: tuple
+
+
+@dataclass(frozen=True)
+class SpanningForest:
+    """Oriented forest edges in BFS (root-to-leaf) order plus the roots."""
+
+    edges: tuple  # ForestEdge, ordered
+    roots: tuple
+
+    @property
+    def variables(self):
+        return frozenset(e.variable for e in self.edges)
+
+
+class NonIncidenceGraph:
+    """Bipartite graph on row and column nodes with one edge per support
+    cell, labeled by the cell's variable index."""
+
+    def __init__(self, sym: SymbolicSlackMatrix):
+        self.sym = sym
+        self.nodes = ([("r", i) for i in range(sym.nrows)]
+                      + [("c", j) for j in range(sym.ncols)])
+        self.edges = []  # (variable, row node, col node), by variable index
+        adj = {node: [] for node in self.nodes}
+        for v in range(sym.nvars):
+            i, j = sym.cell_of[v]
+            r, c = ("r", i), ("c", j)
+            self.edges.append((v, r, c))
+            adj[r].append((v, c))
+            adj[c].append((v, r))
+        self.adjacency = adj  # each node's (variable, neighbour), by variable
+
+    def spanning_forest(self, allowed=None) -> SpanningForest:
+        """Deterministic spanning forest: BFS from the lowest-index column
+        node of each component, edges explored in variable-index order.
+        With `allowed`, only edges with those variables are used."""
+        visited = set()
+        edges = []
+        roots = []
+        # column nodes first so each component is rooted at its lowest column
+        ordering = ([("c", j) for j in range(self.sym.ncols)]
+                    + [("r", i) for i in range(self.sym.nrows)])
+        for start in ordering:
+            if start in visited:
+                continue
+            roots.append(start)
+            visited.add(start)
+            queue = [start]
+            for node in queue:  # the queue grows as it is walked
+                for v, nbr in self.adjacency[node]:
+                    if nbr in visited or allowed is not None and v not in allowed:
+                        continue
+                    visited.add(nbr)
+                    edges.append(ForestEdge(v, node, nbr))
+                    queue.append(nbr)
+        return SpanningForest(edges=tuple(edges), roots=tuple(roots))
+
+
 class ScaledSlackMatrix:
-    """A symbolic slack matrix with a set of variables scaled to one."""
+    """A symbolic slack matrix with a set of variables scaled to one.
+
+    Scaling is valid only when the ones form a forest of the non-incidence
+    graph, so the constructor checks that and keeps the forest, rooted at
+    the lowest-index column node of each component, as ``forest``."""
 
     def __init__(self, base: SymbolicSlackMatrix, ones_at):
         self.base = base
@@ -89,6 +162,11 @@ class ScaledSlackMatrix:
         for v in self.ones_at:
             if v not in base.cell_of:
                 raise variable_outside(v, base.nvars)
+        self.forest = NonIncidenceGraph(base).spanning_forest(self.ones_at)
+        # a spanning forest of the ones misses exactly the edges closing cycles
+        cycles = self.ones_at - self.forest.variables
+        if cycles:
+            raise NotAForestError(f"variable x{min(cycles)} closes a cycle")
 
     @property
     def nrows(self):
@@ -384,38 +462,6 @@ def unit_triangle_ideal(d, S) -> Ideal:
     return _minor_ideal(grid, nvars, k, rows0, cols0)
 
 
-def slack_ideal(d, S, object="polytope") -> Ideal:
-    """The slack ideal: all (d+2)-minors of the symbolic slack matrix,
-    saturated by the product of all variables.  For matroids pass the rank
-    minus one in place of d.
-
-    It is computed as H_F(I_P^F): the BFS spanning forest F of
-    :func:`~slackkit.scaling.set_ones_forest` is scaled to ones, the slack
-    ideal I_P^F of the scaled matrix is taken in the small ring (its minors
-    saturated by the surviving variables), and it is rehomogenized edge by
-    edge by :func:`~slackkit.scaling.rehomogenize_ideal`.  This equals I_P
-    for every maximal spanning forest: a multihomogeneous f whose scaled
-    image lies in I_P^F lifts to x^c * f in the minor ideal for some forest
-    monomial x^c, because the forest edges' degrees form a lattice basis of
-    the row/column grading; saturating by the forest variables removes x^c.
-    A scaled matrix is taken as it is: the result is its dehomogenized
-    ideal, whose minors are saturated by the surviving variables (the
-    scaled ones do not occur in them).
-
-    Either way the saturated minors are only those that contain a unit
-    triangle of the scaled matrix (:func:`unit_triangle_ideal`): its
-    determinant is a monomial, a unit after saturating, and by Sylvester's
-    determinant identity the minors through it generate the same saturated
-    ideal as all (d+2)-minors.
-    """
-    from .scaling import dehomogenized_ideal, rehomogenize_ideal, set_ones_forest
-    if isinstance(S, (list, PointConfiguration)):
-        S = slack_matrix(S, object=object)
-    if isinstance(S, ScaledSlackMatrix):
-        return dehomogenized_ideal(d, S)
-    return rehomogenize_ideal(d, set_ones_forest(symbolic_slack_matrix(S))[0])
-
-
 def slack_from_gale_circuits(G: GaleTransform) -> SlackMatrix:
     """One column per minimal positive circuit of G, entries the circuit
     coefficients; columns ordered by their zero (incidence) sets so the
@@ -451,17 +497,20 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
     coordinates.  The columns C have rank k - 1 exactly when every row of G
     is orthogonal to that vector.  Only a column that passes every check is
     turned into Fractions, divided once by the product of its rows' integer
-    scale factors.
+    scale factors.  A cofacet given twice is rejected; a partial list is not.
     """
     M = G.matrix
     n = G.n
     scaled = [integer_row(row) for row in M.rows]
     rows = [ints for ints, _ in scaled]
-    cols = []
+    cols, seen = [], set()
     for cofacet in cofacets:
         cofacet = sorted(cofacet)
         if any(not 0 <= i < n for i in cofacet):
             raise NotACofacetError(f"{cofacet} has a point outside 0..{n - 1}")
+        if tuple(cofacet) in seen:
+            raise NotACofacetError(f"cofacet {cofacet} is given twice")
+        seen.add(tuple(cofacet))
         k = len(cofacet)
         if k > M.nrows + 1:
             raise NotACofacetError(
@@ -486,24 +535,6 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
     entries = RationalMatrix([[cols[j][i] for j in range(len(cols))]
                               for i in range(n)])
     return SlackMatrix(entries, source="polytope")
-
-
-def graphic_ideal(S) -> Ideal:
-    """Toric ideal of the non-incidence graph: the kernel of
-    x_e -> (row of e)(column of e), generated by its even-cycle binomials.
-
-    Computed as H_F(<x_e - 1 : e not in F>) for the BFS spanning forest F of
-    :func:`~slackkit.scaling.set_ones_forest`: with F scaled to ones, the
-    cycle an edge e outside F closes through F gives x_e - 1, and every other
-    cycle binomial lies in the ideal these generate.  Rehomogenizing edge by
-    edge gives the toric ideal back by the lattice argument of
-    :func:`slack_ideal`, which needs only that the ideal is multihomogeneous
-    and saturated by every variable."""
-    from .scaling import forest_weights, set_ones_forest
-    Y, forest = set_ones_forest(S)
-    n = Y.nvars
-    gens = [Polynomial.variable(v, n) - 1 for v in Y.surviving_variables()]
-    return homogenize_by_edges(Ideal(gens, nvars=n), forest_weights(Y.base, forest))
 
 
 def count_minors(d, S=None, nrows=None, ncols=None) -> int:

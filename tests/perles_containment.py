@@ -3,26 +3,52 @@ script so the caller can bound its runtime.
 
 Verifies that every reduced generator of the slack ideal has normal form 0
 modulo the rehomogenized ideal, and that every rehomogenized generator lies
-in the radical of the slack ideal.  Prints each stage with its elapsed time
-and basis size as it finishes, and "ok" on success.
+in the radical of the slack ideal.  Prints each stage with its elapsed time,
+basis size and engine work (pairs pushed and reductions run since the
+previous stage) as it finishes, and "ok" on success.
 """
 
 import sys
 import time
 
-from slackkit import (normal_form, radical_membership, rehomogenize_ideal,
-                      set_ones, slack_ideal, specific_slack_matrix)
+from slackkit import (engine, normal_form, radical_membership,
+                      rehomogenize_ideal, set_ones, slack_ideal,
+                      specific_slack_matrix)
 
 PERLES_ONES = (0, 3, 4, 5, 6, 7, 8, 9, 12, 14, 15, 16, 17, 20, 21,
                25, 26, 27, 28, 29, 30, 31, 32, 34)
 
 
+def count_engine_work():
+    """Count the engine's pairs pushed and reductions run, as
+    ``engine_work`` in test_engine.py does: the pair heap holds tuples, a
+    reduction's term heap ints."""
+    work = {"pairs": 0, "reductions": 0}
+    push, reduce = engine.heappush, engine.Reducer.reduce
+
+    def counted_push(heap, item):
+        if isinstance(item, tuple):
+            work["pairs"] += 1
+        push(heap, item)
+
+    def counted_reduce(self, terms):
+        work["reductions"] += 1
+        return reduce(self, terms)
+
+    engine.heappush = counted_push
+    engine.Reducer.reduce = counted_reduce
+    return work
+
+
 def main():
     start = time.perf_counter()
+    work = count_engine_work()
 
     def stage(name, size):
         print(f"{name}: {time.perf_counter() - start:.1f} s, "
-              f"{size} basis elements", flush=True)
+              f"{size} basis elements, {work['pairs']} pairs, "
+              f"{work['reductions']} reductions", flush=True)
+        work.update(pairs=0, reductions=0)
 
     perles = specific_slack_matrix("perles-reduced")
     Y = set_ones(perles, PERLES_ONES)

@@ -5,6 +5,7 @@ pytest's capture.  All comparisons are exact (rational arithmetic)."""
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 import time
@@ -198,6 +199,14 @@ def test_criterion_6_rehomogenized_ideal_containments():
                         "within 600 s; stages completed:\n" + partial)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip().endswith("ok")
+        # the engine's work in the two rehomogenizations: PERLES_ONES, then
+        # the BFS forest of slack_ideal.  Deterministic counts that catch an
+        # algorithmic regression the 600 s budget would hide
+        work = {name: (int(pairs), int(reductions)) for name, pairs, reductions
+                in re.findall(r"^(.*): .* (\d+) pairs, (\d+) reductions$",
+                              proc.stdout, re.M)}
+        assert work["rehomogenized ideal done"] == (347809, 294474)
+        assert work["slack ideal done"] == (371934, 315940)
 
 
 def test_criterion_7_gale_constructions_agree():

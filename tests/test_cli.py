@@ -505,6 +505,23 @@ def test_gale_slack_cofacet_out_of_range_is_domain_error(capsys, tmp_path):
     assert not out and "99" in err
 
 
+def test_gale_slack_repeated_cofacet_is_domain_error(capsys, tmp_path,
+                                                    square_file):
+    # the square's Gale transform with the cofacet {0, 1} given twice once
+    # printed a 4 x 4 matrix with two equal columns and exited 0
+    code, gale, _ = run(capsys, "gale", "--vertices", square_file)
+    assert code == 0
+    path = tmp_path / "gale.txt"
+    path.write_text(gale)
+    code, out, err = run(capsys, "gale-slack", "--gale", str(path),
+                         "--cofacets", "0,1;0,1;2,3;0,3")
+    assert (code, out, err) == (1, "", "error: cofacet [0, 1] is given twice\n")
+    # a partial list of distinct cofacets is still allowed
+    code, out, _ = run(capsys, "gale-slack", "--gale", str(path),
+                       "--cofacets", "0,1;2,3")
+    assert (code, out) == (0, "0 1\n0 1\n1 0\n1 0\n")
+
+
 def test_one_point_matroid_has_the_empty_hyperplane(capsys, tmp_path):
     path = tmp_path / "point.txt"
     path.write_text("2 3")

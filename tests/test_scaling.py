@@ -6,7 +6,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from slackkit import (Ideal, Polynomial, SymbolicSlackMatrix, contains_flag,
+from slackkit import (BUILTIN_NAMES, Ideal, Polynomial, ScaledSlackMatrix,
+                      SymbolicSlackMatrix, contains_flag,
                       dehomogenized_ideal, forest_from_ones, ideal_equals,
                       irrationality_certificate,
                       non_incidence_graph, rational_roots,
@@ -89,10 +90,10 @@ def support_patterns(draw):
 @example(symbolic_slack_matrix(slack_matrix(PENTAGON)))
 @example(symbolic_slack_matrix(slack_matrix(PENTAGON, object="matroid")))
 def test_bfs_forest_is_the_forest_of_its_ones(sym):
-    # rehomogenize_ideal walks forest_from_ones of the scaled matrix, so the
-    # slack ideal walks the BFS forest that set_ones_forest scaled
+    # rehomogenize_ideal walks the forest a scaled matrix builds from its
+    # ones, so the slack ideal walks the BFS forest that set_ones_forest scaled
     Y, F = set_ones_forest(sym)
-    assert forest_from_ones(Y) == F
+    assert forest_from_ones(Y) == F == non_incidence_graph(sym).spanning_forest()
 
 
 def test_set_ones_accepts_spanning_tree():
@@ -105,6 +106,32 @@ def test_set_ones_rejects_cycle():
     sym = symbolic_slack_matrix(slack_matrix(SQUARE_VERTICES))
     with pytest.raises(NotAForestError):
         set_ones(sym, range(8))  # the whole 8-cycle
+
+
+def test_scaled_matrix_rejects_a_cycle_of_ones():
+    # the constructor itself checks the forest: all 8 cells of the square
+    # close its 8-cycle, which once gave the zero ideal instead of an error
+    sym = symbolic_slack_matrix(specific_slack_matrix("square"))
+    with pytest.raises(NotAForestError, match="^variable x4 closes a cycle$"):
+        ScaledSlackMatrix(sym, range(8))
+
+
+def test_forest_from_ones_is_the_forest_the_matrix_carries():
+    Y = set_ones(prism_sym(), PRISM_FOREST_ONES)
+    assert forest_from_ones(Y) is Y.forest
+    assert Y.forest.variables == Y.ones_at
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_builtin_constructs(name):
+    assert specific_slack_matrix(name).nrows > 0
+
+
+def test_sphere1963_ones_are_a_spanning_tree():
+    Y = specific_slack_matrix("sphere1963-reduced")
+    assert len(Y.ones_at) == 19 == Y.nrows + Y.ncols - 1
+    assert Y.forest.variables == Y.ones_at
+    assert len(Y.forest.roots) == 1
 
 
 def test_set_ones_empty_set():

@@ -354,9 +354,11 @@ def numbered(cells):
     """The entry grid of a pattern given as rows of "0"/"1"/"x" cells, each
     "1" a variable scaled to one."""
     sym = SymbolicSlackMatrix([[c != "0" for c in row] for row in cells])
-    ones = [sym.var_at[i, j] for i, row in enumerate(cells)
-            for j, c in enumerate(row) if c == "1"]
-    return _entry_grid(ScaledSlackMatrix(sym, ones))
+    # built directly: the drawn "1" cells may close a cycle, which a
+    # ScaledSlackMatrix rejects, and minor enumeration does not care
+    grid = [[None if c == "0" else ONE if c == "1" else sym.var_at[i, j]
+             for j, c in enumerate(row)] for i, row in enumerate(cells)]
+    return grid, sym.nvars
 
 
 def enumerated(grid, nvars, k):
