@@ -15,7 +15,7 @@ from .rationals import RationalMatrix
 from .scaling import (contains_flag, dehomogenized_ideal, graphic_ideal,
                       irrationality_certificate, reduced_slack_matrix,
                       rehomogenize_ideal, set_ones, set_ones_forest, slack_ideal)
-from .slack import (ScaledSlackMatrix, SlackMatrix, count_minors,
+from .slack import (ONE, ScaledSlackMatrix, SlackMatrix, count_minors,
                     slack_from_gale_circuits, slack_from_gale_plucker,
                     slack_matrix, symbolic_slack_matrix)
 
@@ -125,8 +125,9 @@ def _print_rows(rows, fmt):
 
 
 def _print_pattern(S, fmt):
-    _print_rows([[S.entry_string(i, j) for j in range(S.ncols)]
-                 for i in range(S.nrows)], fmt)
+    """A symbolic or scaled pattern, its cells printed as 0, 1 or x<v>."""
+    _print_rows([["0" if v is None else "1" if v == ONE else f"x{v}"
+                  for v in row] for row in S.grid], fmt)
 
 
 def _print_ideal(I):
@@ -141,10 +142,9 @@ def _cmd_slack_matrix(args):
 
 def _cmd_symbolic(args):
     S = _source_matrix(args)
-    if isinstance(S, ScaledSlackMatrix):
-        _print_pattern(S, args.format)
-    else:
-        _print_pattern(symbolic_slack_matrix(S), args.format)
+    if not isinstance(S, ScaledSlackMatrix):
+        S = symbolic_slack_matrix(S)
+    _print_pattern(S, args.format)
 
 
 def _cmd_ideal(args):

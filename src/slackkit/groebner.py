@@ -160,6 +160,8 @@ class Ideal:
     def groebner_basis(self):
         if self._basis is None:
             if not self._reduced:
+                self.generators  # made from the packed ones the basis replaces
+
                 def run(ring):
                     return ring, groebner(self.packed(ring), ring)
 

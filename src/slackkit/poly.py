@@ -67,7 +67,9 @@ class GRevLex(MonomialOrder):
 
 
 class Polynomial:
-    """Immutable sparse polynomial over Q in a ring of `nvars` variables."""
+    """Immutable sparse polynomial over Q in a ring of `nvars` variables.
+    A monomial that is not `nvars` non-negative exponents raises
+    :class:`UniverseMismatchError`."""
 
     __slots__ = ("nvars", "terms")
 
@@ -75,9 +77,14 @@ class Polynomial:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
-                    clean[tuple(mono)] = coeff
+                mono = tuple(mono)
+                if len(mono) != nvars or min(mono, default=0) < 0:
+                    raise UniverseMismatchError(
+                        f"{mono} is not a monomial in {nvars} variables")
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
+                if coeff:
+                    clean[mono] = coeff
         self.nvars = nvars
         self.terms = clean
 

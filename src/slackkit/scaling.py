@@ -30,7 +30,7 @@ def set_ones_forest(S):
     Returns (ScaledSlackMatrix, SpanningForest) with the deterministic BFS
     forest."""
     sym = symbolic_slack_matrix(S)
-    Y = ScaledSlackMatrix(sym, NonIncidenceGraph(sym).spanning_forest().variables)
+    Y = ScaledSlackMatrix(sym, sym.graph.spanning_forest().variables)
     return Y, Y.forest
 
 
@@ -138,7 +138,7 @@ def forest_weights(sym: SymbolicSlackMatrix, F: SpanningForest):
     """The edges of F leaf to root, each as ``(edge variable, variables of
     the row or column the edge enters)``: the argument of
     :func:`~slackkit.groebner.homogenize_by_edges` that reintroduces F."""
-    adjacency = NonIncidenceGraph(sym).adjacency
+    adjacency = sym.graph.adjacency
     return [(edge.variable, [v for v, _ in adjacency[edge.destination]])
             for edge in reversed(F.edges)]
 
@@ -201,10 +201,10 @@ def contains_flag(col_indices, S) -> bool:
     if isinstance(S, (SymbolicSlackMatrix, ScaledSlackMatrix)):
         raise NeedsNumericDataError(
             "flag containment needs a numeric slack matrix")
-    entries = S.entries if isinstance(S, SlackMatrix) else S
-    S = S if isinstance(S, SlackMatrix) else SlackMatrix(entries)
-    col_indices = _columns(col_indices, entries.ncols)
-    return _find_flag(entries, S, entries.rank() - 1, col_indices) is not None
+    if not isinstance(S, SlackMatrix):
+        S = SlackMatrix(S)
+    col_indices = _columns(col_indices, S.ncols)
+    return _find_flag(S, S.rank() - 1, col_indices) is not None
 
 
 def _columns(col_indices, ncols):
@@ -216,11 +216,11 @@ def _columns(col_indices, ncols):
     return col_indices
 
 
-def _find_flag(entries, S, d, candidates):
-    """A list of d column indices forming a flag, greedily via DFS: the
-    vertices on the first k columns span a face of dimension d - k, whose
-    rows have rank d - k + 1."""
-    rows, ncols = entries.integer_rows(), entries.ncols
+def _find_flag(S, d, candidates):
+    """A list of d column indices of the numeric slack matrix S forming a
+    flag, greedily via DFS: the vertices on the first k columns span a face
+    of dimension d - k, whose rows have rank d - k + 1."""
+    rows, ncols = S.entries.integer_rows(), S.ncols
 
     def extend(current_set, dim, used, chosen):
         if dim == 0:
@@ -237,7 +237,7 @@ def _find_flag(entries, S, d, candidates):
                     return res
         return None
 
-    return extend(frozenset(range(entries.nrows)), d, frozenset(), [])
+    return extend(frozenset(range(S.nrows)), d, frozenset(), [])
 
 
 def reduced_slack_matrix(d, S, flag_indices=None) -> SymbolicSlackMatrix:
@@ -257,7 +257,7 @@ def reduced_slack_matrix(d, S, flag_indices=None) -> SymbolicSlackMatrix:
         if not numeric:
             raise NeedsNumericDataError(
                 "flag search needs a numeric slack matrix")
-        flag_cols = _find_flag(S.entries, S, d, range(sym.ncols))
+        flag_cols = _find_flag(S, d, range(sym.ncols))
         if flag_cols is None:
             raise NoFlagFoundError("no flag found among the columns")
     keep = sorted(set(non_simplicial) | set(flag_cols))

@@ -53,9 +53,15 @@ class SlackMatrix:
         return f"SlackMatrix({self.nrows}x{self.ncols}, {self.source})"
 
 
+ONE = -1  # grid sentinel for a scaled-to-one cell (variable indices are >= 0)
+
+
 class SymbolicSlackMatrix:
     """A 0/1 support pattern with variables assigned row-major over the
-    support cells (x0, x1, ... reading left to right, top to bottom)."""
+    support cells (x0, x1, ... reading left to right, top to bottom).
+
+    ``grid`` holds each cell: None for a zero, else the cell's variable
+    index.  ``graph`` is the pattern's :class:`NonIncidenceGraph`."""
 
     def __init__(self, support):
         support = [[bool(x) for x in row] for row in support]
@@ -67,17 +73,14 @@ class SymbolicSlackMatrix:
         if any(len(r) != self.ncols for r in support):
             raise DegeneratePatternError("ragged support pattern")
         self.var_at = {}
-        k = 0
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                if support[i][j]:
-                    self.var_at[(i, j)] = k
-                    k += 1
-        self.nvars = k
+        self.grid = [[None] * self.ncols for _ in support]
+        for i, row in enumerate(support):
+            for j, nonzero in enumerate(row):
+                if nonzero:
+                    self.var_at[(i, j)] = self.grid[i][j] = len(self.var_at)
+        self.nvars = len(self.var_at)
         self.cell_of = {v: cell for cell, v in self.var_at.items()}
-
-    def entry_string(self, i, j):
-        return f"x{self.var_at[(i, j)]}" if self.support[i][j] else "0"
+        self.graph = NonIncidenceGraph(self)
 
     def __repr__(self):
         return f"SymbolicSlackMatrix({self.nrows}x{self.ncols}, {self.nvars} vars)"
@@ -154,7 +157,8 @@ class ScaledSlackMatrix:
 
     Scaling is valid only when the ones form a forest of the non-incidence
     graph, so the constructor checks that and keeps the forest, rooted at
-    the lowest-index column node of each component, as ``forest``."""
+    the lowest-index column node of each component, as ``forest``.  Its
+    ``grid`` is the base's with ``ONE`` at the ones."""
 
     def __init__(self, base: SymbolicSlackMatrix, ones_at):
         self.base = base
@@ -162,11 +166,13 @@ class ScaledSlackMatrix:
         for v in self.ones_at:
             if v not in base.cell_of:
                 raise variable_outside(v, base.nvars)
-        self.forest = NonIncidenceGraph(base).spanning_forest(self.ones_at)
+        self.forest = base.graph.spanning_forest(self.ones_at)
         # a spanning forest of the ones misses exactly the edges closing cycles
         cycles = self.ones_at - self.forest.variables
         if cycles:
             raise NotAForestError(f"variable x{min(cycles)} closes a cycle")
+        self.grid = [[ONE if v in self.ones_at else v for v in row]
+                     for row in base.grid]
 
     @property
     def nrows(self):
@@ -182,12 +188,6 @@ class ScaledSlackMatrix:
 
     def surviving_variables(self):
         return sorted(set(range(self.base.nvars)) - self.ones_at)
-
-    def entry_string(self, i, j):
-        if not self.base.support[i][j]:
-            return "0"
-        v = self.base.var_at[(i, j)]
-        return "1" if v in self.ones_at else f"x{v}"
 
     def __repr__(self):
         return (f"ScaledSlackMatrix({self.nrows}x{self.ncols}, "
@@ -246,28 +246,6 @@ def symbolic_slack_matrix(S) -> SymbolicSlackMatrix:
         if not any(sym.support[i][j] for i in range(sym.nrows)):
             raise DegeneratePatternError(f"all-zero column {j}")
     return sym
-
-
-ONE = -1  # grid sentinel for a scaled-to-one cell (variable indices are >= 0)
-
-
-def _entry_grid(S):
-    """Uniform cell view: None for zero, ONE for a scaled one, int for x_k."""
-    if isinstance(S, ScaledSlackMatrix):
-        base, ones = S.base, S.ones_at
-    else:
-        base, ones = S, frozenset()
-    grid = []
-    for i in range(base.nrows):
-        row = []
-        for j in range(base.ncols):
-            if not base.support[i][j]:
-                row.append(None)
-            else:
-                v = base.var_at[(i, j)]
-                row.append(ONE if v in ones else v)
-        grid.append(row)
-    return grid, base.nvars
 
 
 def pattern_minor(grid, rows, cols, nvars) -> Polynomial:
@@ -443,8 +421,7 @@ def minor_ideal_generators(d, S):
     lexicographic (row set, column set) order, each nonzero one replaced by
     its normal form against the minors collected so far (same ideal, far
     smaller list)."""
-    grid, nvars = _entry_grid(S)
-    return _minor_ideal(grid, nvars, d + 2).generators
+    return _minor_ideal(S.grid, S.nvars, d + 2).generators
 
 
 def unit_triangle_ideal(d, S) -> Ideal:
@@ -456,10 +433,9 @@ def unit_triangle_ideal(d, S) -> Ideal:
     Its generators are interreduced like :func:`minor_ideal_generators`,
     and kept packed.  On the scaled Perles matrix the triangle has 9 rows
     and the minors are 12 of the 16,497 nonzero 10-minors."""
-    grid, nvars = _entry_grid(S)
     k = d + 2
-    rows0, cols0 = _unit_triangle(grid, k)
-    return _minor_ideal(grid, nvars, k, rows0, cols0)
+    rows0, cols0 = _unit_triangle(S.grid, k)
+    return _minor_ideal(S.grid, S.nvars, k, rows0, cols0)
 
 
 def slack_from_gale_circuits(G: GaleTransform) -> SlackMatrix:

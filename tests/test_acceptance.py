@@ -20,7 +20,7 @@ from slackkit import (count_minors, dehomogenized_ideal, forest_from_ones,
                       slack_from_gale_circuits, slack_from_gale_plucker,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix, PointConfiguration)
-from slackkit.slack import _entry_grid, pattern_minor
+from slackkit.slack import pattern_minor
 from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES,
                       is_multihomogeneous)
 
@@ -136,11 +136,10 @@ def test_criterion_5_rehomogenization_inverts_scaling():
         sym = symbolic_slack_matrix(specific_slack_matrix("prism"))
         Y = set_ones(sym, PRISM_FOREST_ONES)
         F = forest_from_ones(Y)
-        grid, _ = _entry_grid(sym)
         fvars = set(PRISM_FOREST_ONES)
         checked = 0
         for rows in itertools.combinations(range(6), 5):
-            p = pattern_minor(grid, rows, range(5), sym.nvars)
+            p = pattern_minor(sym.grid, rows, range(5), sym.nvars)
             if not p.is_zero():
                 check_lemma1_minor(p, Y, F, fvars)
                 checked += 1
@@ -149,14 +148,13 @@ def test_criterion_5_rehomogenization_inverts_scaling():
         perles = specific_slack_matrix("perles-reduced")
         Yp = set_ones(perles, PERLES_ONES)
         Fp = forest_from_ones(Yp)
-        gridp, _ = _entry_grid(perles)
         pvars = set(PERLES_ONES)
         rng = random.Random(20260826)
         checked = 0
         while checked < 100:
             rows = sorted(rng.sample(range(12), 10))
             cols = sorted(rng.sample(range(13), 10))
-            p = pattern_minor(gridp, rows, cols, perles.nvars)
+            p = pattern_minor(perles.grid, rows, cols, perles.nvars)
             if p.is_zero():
                 continue
             check_lemma1_minor(p, Yp, Fp, pvars)

@@ -679,6 +679,17 @@ CLI_PATHS = [
                  (0, SPHERE1963, ""), id="symbolic-scaled-builtin"),
     pytest.param(("builtin", "sphere1963-reduced"), None,
                  (0, SPHERE1963, ""), id="builtin-scaled"),
+    pytest.param(("slack-matrix", "--matrix", "FILE"), "[1, 2",
+                 (2, "", "error: bad JSON matrix: Expecting ',' delimiter: "
+                         "line 1 column 6 (char 5)\n"), id="matrix-bad-json"),
+    pytest.param(("slack-matrix", "--matrix", "FILE"), "[1, 2]",
+                 (2, "", "error: JSON matrix must be an array of arrays\n"),
+                 id="matrix-json-not-nested"),
+    pytest.param(("symbolic", "--pattern", "FILE"), "",
+                 (1, "", "error: empty pattern\n"), id="symbolic-empty-pattern"),
+    pytest.param(("symbolic", "--pattern", "FILE"), "1 0 1\n1 0 1",
+                 (1, "", "error: all-zero column 1\n"),
+                 id="symbolic-zero-column"),
 ]
 
 

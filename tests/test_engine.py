@@ -530,6 +530,30 @@ def test_spair_beyond_field_width_widens():
     assert buchberger(gens, GRevLex()) == expected
 
 
+def test_reduction_beyond_field_width_widens():
+    # x0^127 fits 8-bit fields, but reducing it by x0 - x1^2 reaches x1^254
+    x0, x1 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    f = Polynomial.monomial((127, 0), 2)
+    ring = Ring.for_order(Lex(), 2)
+    red = engine.Reducer(ring)
+    for g in engine.pack_polys([x0 - x1 * x1], ring):
+        red.add(g)
+    with pytest.raises(FieldOverflow):
+        red.reduce({ring.pack((127, 0)): 1})
+    assert normal_form(f, [x0 - x1 * x1], Lex()) == \
+        Polynomial.monomial((0, 254), 2)
+
+
+def test_homogenization_beyond_field_width_widens():
+    # x0^100 - x1^100 fits 8-bit fields; homogenizing it with x2 in the
+    # degree of x0 gives x1^100*x2^100, of degree 200
+    I = Ideal([poly(3, (1, {0: 100}), (-1, {1: 100}))])
+    assert I._ring.bits == 8
+    J = homogenize_by_edges(I, [(2, [0])])
+    assert J.to_strings() == ["x1^100*x2^100 - x0^100"]
+    assert J._ring.bits == 16
+
+
 def test_widened_ring_agrees_on_random_ideals():
     rng = random.Random(5)
     for _ in range(10):

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger, eliminate,
                       ideal_equals, normal_form, radical_membership, saturate,
-                      saturate_by_variables)
+                      saturate_by_variables, slack_matrix,
+                      symbolic_slack_matrix)
+from slackkit.slack import unit_triangle_ideal
 from slackkit.errors import UniverseMismatchError, ZeroDivisorPolynomialError
 from conftest import poly
 
@@ -259,3 +261,17 @@ def test_radical_membership_rejects_a_polynomial_of_another_ring():
     with pytest.raises(UniverseMismatchError):
         radical_membership(Polynomial.variable(2, 3),
                            Ideal([Polynomial.variable(0, 2)]))
+
+
+def test_packed_generators_do_not_depend_on_when_they_are_read():
+    # an ideal built packed from the 4 unit-triangle minors of a pentagon
+    # keeps them as its generators after its 30-element basis is computed
+    pentagon = symbolic_slack_matrix(
+        slack_matrix([(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)]))
+    first = unit_triangle_ideal(2, pentagon)
+    gens = first.generators
+    assert len(gens) == 4
+    later = unit_triangle_ideal(2, pentagon)
+    assert len(later.groebner_basis()) == 30
+    assert later.generators == gens
+    assert later.groebner_basis() == first.groebner_basis()

@@ -111,12 +111,11 @@ def test_prism_dehomogenized_generator_not_homogeneous():
 
 
 def test_minors_are_multilinear_per_row_and_column():
-    from slackkit.slack import _entry_grid, pattern_minor
+    from slackkit.slack import pattern_minor
     sym = symbolic_slack_matrix(slack_matrix(PRISM_VERTICES))
-    grid, _ = _entry_grid(sym)
     for rows in itertools.combinations(range(6), 5):
         for cols in itertools.combinations(range(5), 5):
-            p = pattern_minor(grid, rows, cols, sym.nvars)
+            p = pattern_minor(sym.grid, rows, cols, sym.nvars)
             if p.is_zero():
                 continue
             for m in p.terms:
@@ -170,3 +169,13 @@ def test_substitute_ones_matches_the_exponent_scan(terms, ones):
 def test_substitute_ones_outside_the_ring_raises(ones):
     with pytest.raises(UniverseMismatchError):
         poly(4, (1, {0: 1, 3: 2})).substitute_ones(ones)
+
+
+@pytest.mark.parametrize("mono", [(-1, 1), (0, 0, 1), (1,), ()])
+def test_a_monomial_outside_the_ring_raises(mono):
+    # the packed engine would read a negative exponent as a carry into the
+    # next field, and printing indexes every exponent by its variable
+    with pytest.raises(UniverseMismatchError):
+        Polynomial(2, {mono: 1})
+    with pytest.raises(UniverseMismatchError):
+        Polynomial(2, {(1, 0): 1, mono: 0})

@@ -6,10 +6,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from slackkit import (BUILTIN_NAMES, Ideal, Polynomial, ScaledSlackMatrix,
-                      SymbolicSlackMatrix, contains_flag,
-                      dehomogenized_ideal, forest_from_ones, ideal_equals,
-                      irrationality_certificate,
+from slackkit import (BUILTIN_NAMES, Ideal, NonIncidenceGraph, Polynomial,
+                      ScaledSlackMatrix, SymbolicSlackMatrix, contains_flag,
+                      dehomogenized_ideal, forest_from_ones, graphic_ideal,
+                      ideal_equals, irrationality_certificate,
                       non_incidence_graph, rational_roots,
                       reduced_slack_matrix, rehomogenize_ideal,
                       rehomogenize_poly, set_ones, set_ones_forest,
@@ -18,7 +18,7 @@ from slackkit import (BUILTIN_NAMES, Ideal, Polynomial, ScaledSlackMatrix,
 from slackkit.errors import (NeedsNumericDataError, NotAForestError,
                              UniverseMismatchError)
 from slackkit.scaling import forest_weights
-from slackkit.slack import _entry_grid, pattern_minor
+from slackkit.slack import ONE, pattern_minor
 from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES,
                       is_multihomogeneous, poly)
 from test_geometry import unit_simplex
@@ -120,6 +120,37 @@ def test_forest_from_ones_is_the_forest_the_matrix_carries():
     Y = set_ones(prism_sym(), PRISM_FOREST_ONES)
     assert forest_from_ones(Y) is Y.forest
     assert Y.forest.variables == Y.ones_at
+
+
+def test_a_pattern_carries_its_grid_and_graph():
+    # a cell is None for a zero, else its variable; a scaled matrix puts ONE
+    # at its ones and runs its forest on the pattern's own graph
+    sym = symbolic_slack_matrix(specific_slack_matrix("square"))
+    assert sym.grid == [[None, 0, None, 1], [2, None, None, 3],
+                        [None, 4, 5, None], [6, None, 7, None]]
+    assert sym.graph.edges == non_incidence_graph(sym).edges
+    assert non_incidence_graph(sym) is not sym.graph
+    Y = set_ones(sym, [0, 1, 2, 3, 5, 6, 7])
+    assert Y.grid == [[None, ONE, None, ONE], [ONE, None, None, ONE],
+                      [None, 4, ONE, None], [ONE, None, ONE, None]]
+    assert Y.forest == sym.graph.spanning_forest(Y.ones_at)
+
+
+@pytest.mark.parametrize("build", [functools.partial(slack_ideal, 2),
+                                   graphic_ideal])
+def test_an_ideal_of_a_pattern_builds_its_graph_once(monkeypatch, build):
+    # the pattern builds its non-incidence graph, and the BFS forest, the
+    # scaled matrix's forest check and the edge weights all read that one
+    init = NonIncidenceGraph.__init__
+    built = []
+
+    def counted(self, sym):
+        built.append(sym)
+        init(self, sym)
+
+    monkeypatch.setattr(NonIncidenceGraph, "__init__", counted)
+    build(slack_matrix(PENTAGON))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -256,10 +287,9 @@ def test_rehomogenize_inverts_dehomogenize_on_prism_minors():
     sym = prism_sym()
     Y = set_ones(sym, PRISM_FOREST_ONES)
     F = forest_from_ones(Y)
-    grid, _ = _entry_grid(sym)
     forest_vars = set(PRISM_FOREST_ONES)
     for rows in itertools.combinations(range(6), 5):
-        p = pattern_minor(grid, rows, range(5), sym.nvars)
+        p = pattern_minor(sym.grid, rows, range(5), sym.nvars)
         if p.is_zero():
             continue
         dehom = p.substitute_ones(forest_vars)
@@ -272,14 +302,13 @@ def test_rehomogenize_inverts_dehomogenize_on_perles_minors():
     sym = specific_slack_matrix("perles-reduced")
     Y = set_ones(sym, PERLES_ONES)
     F = forest_from_ones(Y)
-    grid, _ = _entry_grid(sym)
     forest_vars = set(PERLES_ONES)
     rng = random.Random(0)
     checked = 0
     while checked < 50:
         rows = sorted(rng.sample(range(sym.nrows), 10))
         cols = sorted(rng.sample(range(sym.ncols), 10))
-        p = pattern_minor(grid, rows, cols, sym.nvars)
+        p = pattern_minor(sym.grid, rows, cols, sym.nvars)
         if p.is_zero():
             continue
         dehom = p.substitute_ones(forest_vars)

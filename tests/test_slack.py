@@ -20,7 +20,7 @@ from slackkit.errors import (DegeneratePatternError, NotACofacetError,
                              UnknownNameError)
 from slackkit.rationals import denominator_lcm
 from slackkit.scaling import dehomogenized_ideal, set_ones, set_ones_forest
-from slackkit.slack import (ONE, _entry_grid, _nonzero_minors, _unit_triangle,
+from slackkit.slack import (ONE, _nonzero_minors, _unit_triangle,
                             minor_ideal_generators, pattern_minor,
                             unit_triangle_ideal)
 from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES, evaluate,
@@ -356,8 +356,8 @@ def numbered(cells):
     sym = SymbolicSlackMatrix([[c != "0" for c in row] for row in cells])
     # built directly: the drawn "1" cells may close a cycle, which a
     # ScaledSlackMatrix rejects, and minor enumeration does not care
-    grid = [[None if c == "0" else ONE if c == "1" else sym.var_at[i, j]
-             for j, c in enumerate(row)] for i, row in enumerate(cells)]
+    grid = [[ONE if c == "1" else v for c, v in zip(row, cells_of_row)]
+            for row, cells_of_row in zip(cells, sym.grid)]
     return grid, sym.nvars
 
 
@@ -398,7 +398,7 @@ def test_nonzero_minors_match_sympy_determinants():
              numbered(["x1x0", "0xx1", "1x0x", "xx1x"]),
              numbered(["x1x0x", "0xx1x", "1x0xx", "xx1x0", "0x1xx"])]
     Y = set_ones(specific_slack_matrix("prism"), [0, 2, 4, 6, 7])
-    cases.append(_entry_grid(Y))
+    cases.append((Y.grid, Y.nvars))
     for grid, nvars in cases:
         syms = sympy.symbols(f"x0:{nvars}") if nvars else ()
         entry = [[0 if v is None else 1 if v == ONE else syms[v] for v in row]
@@ -420,9 +420,8 @@ def test_perles_minor_work_counts(monkeypatch):
     # 791 distinct monomials; the interreduction runs the heap reduction
     # once per distinct minor
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
-    grid, nvars = _entry_grid(Y)
-    ring = Ring(nvars, [range(nvars)])
-    minors = [f for _, _, f in _nonzero_minors(grid, 10, ring)]
+    ring = Ring(Y.nvars, [range(Y.nvars)])
+    minors = [f for _, _, f in _nonzero_minors(Y.grid, 10, ring)]
     assert count_minors(8, Y) == 18876
     assert len(minors) == 16497
     distinct = {tuple(normalize(sorted(f.items(), reverse=True)))
@@ -473,7 +472,7 @@ def scaled_patterns(draw):
 @given(scaled_patterns())
 def test_unit_triangle_is_a_monomial_minor(case):
     Y, k = case
-    grid, nvars = _entry_grid(Y)
+    grid, nvars = Y.grid, Y.nvars
     rows, cols = _unit_triangle(grid, k)
     assert len(rows) == len(cols) <= k - 1
     for i, r in enumerate(rows):
@@ -490,7 +489,7 @@ def test_restricted_minors_are_the_containing_subset(case, data):
     # columns contain rows0 and cols0, in the same order; for the unit
     # triangle and for arbitrary subsets of at most k - 1 rows and columns
     Y, k = case
-    grid, nvars = _entry_grid(Y)
+    grid, nvars = Y.grid, Y.nvars
     ring = Ring(nvars, [range(nvars)])
     nrows, ncols = len(grid), len(grid[0])
     full = list(_nonzero_minors(grid, k, ring))
@@ -535,7 +534,7 @@ def test_unit_triangle_work_counts(monkeypatch):
     # dehomogenized ideal (interreduction and the one elimination of t that
     # saturates by the surviving variables) is counted too
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
-    rows0, cols0 = _unit_triangle(_entry_grid(Y)[0], 10)
+    rows0, cols0 = _unit_triangle(Y.grid, 10)
     assert len(rows0) == len(cols0) == 9
     assert len(unit_triangle_ideal(8, Y).generators) == 12
     nonzero_minors = slack._nonzero_minors
