@@ -38,7 +38,13 @@ order, primitive, with a positive leading coefficient.  The Buchberger core
 selects pairs from a heap keyed once at insertion by (sugar, lcm), applies
 the Gebauer-Moeller criteria M, F and the product criterion when a basis
 element is installed and criterion B when a pair is selected, and returns
-the unit ideal as soon as a constant appears.
+the unit ideal as soon as a constant appears.  The criteria at an install
+run on bitsets: the active elements are a bitset over the divisor rows of
+the :class:`Reducer`, so the elements whose new pair's lcm is the new
+leading monomial times one variable, and every element that criterion M
+drops for them, come from a few ANDs per variable; only the rest are
+scanned one by one, and the active multiples of the new leading monomial
+are one AND per variable too.
 
 A monomial is always reduced by the lowest-index divisor whose leading
 monomial divides it, a choice that depends on the monomial alone: a divisor
@@ -265,7 +271,8 @@ class Reducer:
         self.lts = []      # leading monomials
         self.polys = []    # (leading coefficient, tail, extra degree)
         self.cache = {}
-        self.rows = [[0] * (min(ring.cap, 127) + 2) for _ in range(ring.size)]
+        # a row reaches two past every leading exponent, as install reads
+        self.rows = [[0] * (min(ring.cap, 127) + 3) for _ in range(ring.size)]
         self.scale = 1     # the factor the last reduce multiplied its work by
 
     def add(self, f):
@@ -277,9 +284,9 @@ class Reducer:
             extra = max(0, ring.max_degree(tail) - ring.degree(lt))
         bit = 1 << len(self.lts)
         exps = ring.fields(lt)
-        if exps and max(exps) + 2 > len(self.rows[0]):
+        if exps and max(exps) + 3 > len(self.rows[0]):
             for row in self.rows:
-                row.extend([0] * (max(exps) + 2 - len(row)))
+                row.extend([0] * (max(exps) + 3 - len(row)))
         for row, e in zip(self.rows, exps):
             for k in range(1, e + 1):
                 row[k] |= bit
@@ -378,19 +385,19 @@ def groebner(polys, ring):
     emask = ring.emask
     degree = ring.degree
     key = ring.key
-    ones = ring.ones
-    fm = ring.fm
     shift = B - 1
     red = Reducer(ring)
     lts = red.lts
     polys_of = red.polys
+    rows = red.rows
     lte = []           # exponent parts of the leading monomials
     sugar = []
     ltdeg = []
-    active = []        # indices whose leading monomial is minimal
+    active = 0         # bitset of the indices whose leading monomial is minimal
     heap = []          # (sugar, lcm, i, j); i < 0 marks input j
 
     def install(f, s):
+        nonlocal active
         idx = red.add(f)
         lt = f[0][0]
         a = lt & emask
@@ -399,13 +406,49 @@ def groebner(polys, ring):
         sugar.append(s)
         ltdeg.append(da)
         extra = polys_of[idx][2]
+
+        def push(j, u):
+            du = degree(u)
+            dl = da + du
+            if dl + max(extra, polys_of[j][2]) > cap:
+                raise FieldOverflow("an S-pair leaves the packed field width")
+            sj = sugar[j] + dl - ltdeg[j]
+            si = s + du
+            heappush(heap, (si if si > sj else sj,
+                            lt + ((key(u) << E) | u), j, idx))
+
         # Gebauer-Moeller: the pair (j, idx) has lcm lt * u_j with
         # u_j = lt_j / gcd(lt_j, lt); keep one pair per minimal u_j (M, F)
         # and drop it if lt_j and lt are coprime (product criterion); no
         # active leading monomial divides another, so a class with u_j = lt_j
-        # has j as its only member
+        # has j as its only member.  lt is reduced by every element, so no
+        # u_j is 1.
+        # above[k]: the active j whose exponent in field k exceeds lt's,
+        # that is, whose u_j has field k
+        exps = ring.fields(lt)
+        above = [active & row[e + 1] for row, e in zip(rows, exps)]
+        after = [0] * len(above)  # after[k]: the union of above[g], g > k
+        for k in range(len(above) - 1, 0, -1):
+            after[k - 1] = after[k] | above[k]
+        # the class u_j = x_k, in above[k], in no other above[g] and not in
+        # row[e + 2], is minimal, and x_k divides every u_j in above[k]:
+        # keep its lowest j and drop all of above[k] (criterion M)
+        before = dropped = 0
+        for k, (row, e) in enumerate(zip(rows, exps)):
+            cls = above[k] & ~row[e + 2] & ~(before | after[k])
+            before |= above[k]
+            if cls:
+                j = (cls & -cls).bit_length() - 1
+                u = 1 << (B * k)
+                if lte[j] != u:
+                    push(j, u)
+                dropped |= above[k]
         classes = {}
-        for j in active:
+        rest = active & ~dropped
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
             b = lte[j]
             t = (b | G) - a
             gb = t & G
@@ -413,33 +456,23 @@ def groebner(polys, ring):
             if u not in classes:
                 classes[u] = ~j if u == b else j
         kept = []
-        single = 0
         # a divisor of u is numerically smaller, so ascending order
         # meets every divisor first
         for u in sorted(classes):
-            if u & single:
-                continue
             for k in kept:
                 if not (u - k) & G:
                     break
             else:
-                if u & (u - 1) or not u & ones:
-                    kept.append(u)
-                else:  # a single variable
-                    single |= u * fm
+                kept.append(u)
                 j = classes[u]
-                if j < 0:
-                    continue
-                du = degree(u)
-                dl = da + du
-                if dl + max(extra, polys_of[j][2]) > cap:
-                    raise FieldOverflow("an S-pair leaves the packed field width")
-                sj = sugar[j] + dl - ltdeg[j]
-                si = s + du
-                heappush(heap, (si if si > sj else sj,
-                                lt + ((key(u) << E) | u), j, idx))
-        active[:] = [j for j in active if (lte[j] - a) & G]
-        active.append(idx)
+                if j >= 0:
+                    push(j, u)
+        # the active multiples of lt have every field at least lt's
+        multiples = active
+        for row, e in zip(rows, exps):
+            if e:
+                multiples &= row[e]
+        active = (active & ~multiples) | (1 << idx)
 
     for k, f in enumerate(polys):
         heappush(heap, (ring.max_degree(f), f[0][0], -1, k))
@@ -487,7 +520,10 @@ def groebner(polys, ring):
         install(r, max(s, ring.max_degree(r)) if i < 0 else s)
 
     out = []
-    for idx in active:
+    while active:
+        low = active & -active
+        active ^= low
+        idx = low.bit_length() - 1
         lc, tail, _ = polys_of[idx]
         tail = red.reduce(dict(tail))
         out.append(normalize([(lts[idx], lc * red.scale)] + tail))

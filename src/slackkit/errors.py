@@ -66,6 +66,10 @@ class ScaledMatrixError(SlackkitError):
     """A scaled slack matrix was given where the full pattern is needed."""
 
 
+class NeedsScaledMatrixError(SlackkitError):
+    """An unscaled slack matrix was given where ones are needed."""
+
+
 class NoCircuitsError(SlackkitError):
     pass
 

@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NeedsNumericDataError, NoFlagFoundError,
-                     SizeMismatchError, UniverseMismatchError,
-                     variable_outside)
+from .errors import (NeedsNumericDataError, NeedsScaledMatrixError,
+                     NoFlagFoundError, SizeMismatchError,
+                     UniverseMismatchError, variable_outside)
 from .geometry import PointConfiguration
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
@@ -58,6 +58,10 @@ def dehomogenized_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
     as all of them once the monomial is inverted, so the saturation is the
     same (see :func:`~slackkit.slack.unit_triangle_ideal`).  On Perles they
     are 12 minors instead of 16,497."""
+    if not isinstance(Y, ScaledSlackMatrix):
+        raise NeedsScaledMatrixError(
+            f"a scaled slack matrix is needed, not {type(Y).__name__}: "
+            "scale one with set_ones or set_ones_forest")
     return saturate_by_variables(unit_triangle_ideal(d, Y),
                                  Y.surviving_variables())
 
@@ -71,52 +75,56 @@ def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
     largest degree of a term in N's variables, and each term is multiplied
     by v to the power of its gap to D.  The cell of v lies in exactly the
     lines N and S, so the step raises only those two degrees of a term:
-    each term's row and column degrees are read once, from ``cell_of``, and
-    kept current from edge to edge.  Two terms that agree outside v reach
-    the same exponent of v, so the step makes them equal.  Only then are
-    terms merged, and a merged term whose coefficient cancels is dropped,
-    so the next edge takes its maximum over the terms that remain.  The
+    each term's exponents and its row and column degrees are read once,
+    into lists that every edge steps in place.  Two terms that agree
+    outside v reach the same exponent of v, so the step makes them equal;
+    then they are merged, and a merged term whose coefficient cancels is
+    dropped, so the next edge takes its maximum over the terms that remain.
+    Terms that differ outside the forest variables never meet, so the
+    merge is looked for only when a forest variable occurs in p.  The
     result is built once, at the end."""
     sym = Y.base
     if p.nvars != sym.nvars:
         raise UniverseMismatchError(
             f"polynomial in {p.nvars} variables, pattern with {sym.nvars}")
-    terms = {}  # monomial -> [coefficient, row degrees, column degrees]
+    cell_of = sym.cell_of
+    forest = F.variables
+    merge = False
+    terms = []  # [coefficient, exponents, row degrees, column degrees]
     for m, c in p.terms.items():
         rows, cols = [0] * sym.nrows, [0] * sym.ncols
         for w, e in enumerate(m):
             if e:
-                i, j = sym.cell_of[w]
+                i, j = cell_of[w]
                 rows[i] += e
                 cols[j] += e
-        terms[m] = [c, rows, cols]
-    for edge in reversed(F.edges):
+                if w in forest:
+                    merge = True
+        terms.append([c, list(m), rows, cols])
+    for v, kind, n, s in F.leaf_to_root:
         if not terms:
             break
-        v = edge.variable
-        kind, n = edge.destination
-        s = edge.source[1]
-        N, S = (1, 2) if kind == "r" else (2, 1)
-        degs = [t[N][n] for t in terms.values()]
-        D = max(degs)
-        if min(degs) == D:
-            continue
-        stepped = {}
-        merged = False
-        for m, t in terms.items():
+        N, S = (2, 3) if kind == "r" else (3, 2)
+        D = max(t[N][n] for t in terms)
+        stepped = False
+        for t in terms:
             gap = D - t[N][n]
             if gap:
                 t[N][n] = D
                 t[S][s] += gap
-                m = m[:v] + (m[v] + gap,) + m[v + 1:]
-            if m in stepped:
-                stepped[m][0] += t[0]
-                merged = True
-            else:
-                stepped[m] = t
-        terms = ({m: t for m, t in stepped.items() if t[0]} if merged
-                 else stepped)
-    return Polynomial(p.nvars, {m: t[0] for m, t in terms.items()})
+                t[1][v] += gap
+                stepped = True
+        if merge and stepped:
+            merged = {}
+            for t in terms:
+                m = tuple(t[1])
+                if m in merged:
+                    merged[m][0] += t[0]
+                else:
+                    merged[m] = t
+            if len(merged) < len(terms):
+                terms = [t for t in merged.values() if t[0]]
+    return Polynomial(p.nvars, {tuple(t[1]): t[0] for t in terms})
 
 
 def rehomogenize_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
@@ -139,8 +147,8 @@ def forest_weights(sym: SymbolicSlackMatrix, F: SpanningForest):
     the row or column the edge enters)``: the argument of
     :func:`~slackkit.groebner.homogenize_by_edges` that reintroduces F."""
     adjacency = sym.graph.adjacency
-    return [(edge.variable, [v for v, _ in adjacency[edge.destination]])
-            for edge in reversed(F.edges)]
+    return [(v, [w for w, _ in adjacency[kind, n]])
+            for v, kind, n, _ in F.leaf_to_root]
 
 
 def slack_ideal(d, S, object="polytope") -> Ideal:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -98,14 +99,24 @@ class ForestEdge:
 
 @dataclass(frozen=True)
 class SpanningForest:
-    """Oriented forest edges in BFS (root-to-leaf) order plus the roots."""
+    """Oriented forest edges in BFS (root-to-leaf) order plus the roots.
+
+    ``leaf_to_root`` decodes the edges once, in reverse, each as
+    ``(variable, kind, line, source)``: the edge enters row ``line`` from
+    column ``source`` when ``kind`` is ``"r"``, and column ``line`` from
+    row ``source`` when it is ``"c"``."""
 
     edges: tuple  # ForestEdge, ordered
     roots: tuple
 
-    @property
+    @cached_property
     def variables(self):
         return frozenset(e.variable for e in self.edges)
+
+    @cached_property
+    def leaf_to_root(self):
+        return tuple((e.variable, *e.destination, e.source[1])
+                     for e in reversed(self.edges))
 
 
 class NonIncidenceGraph:
@@ -246,6 +257,12 @@ def symbolic_slack_matrix(S) -> SymbolicSlackMatrix:
         if not any(sym.support[i][j] for i in range(sym.nrows)):
             raise DegeneratePatternError(f"all-zero column {j}")
     return sym
+
+
+def _pattern(S):
+    """S with its ``grid``: a symbolic or scaled matrix as it is, any other
+    slack matrix as its :func:`symbolic_slack_matrix`."""
+    return S if isinstance(S, ScaledSlackMatrix) else symbolic_slack_matrix(S)
 
 
 def pattern_minor(grid, rows, cols, nvars) -> Polynomial:
@@ -420,7 +437,8 @@ def minor_ideal_generators(d, S):
     """All (d+2)-minors of a symbolic/scaled slack matrix, enumerated in
     lexicographic (row set, column set) order, each nonzero one replaced by
     its normal form against the minors collected so far (same ideal, far
-    smaller list)."""
+    smaller list).  A numeric matrix is read as its symbolic pattern."""
+    S = _pattern(S)
     return _minor_ideal(S.grid, S.nvars, d + 2).generators
 
 
@@ -432,7 +450,9 @@ def unit_triangle_ideal(d, S) -> Ideal:
     after saturating (Sylvester's identity, see :func:`_nonzero_minors`).
     Its generators are interreduced like :func:`minor_ideal_generators`,
     and kept packed.  On the scaled Perles matrix the triangle has 9 rows
-    and the minors are 12 of the 16,497 nonzero 10-minors."""
+    and the minors are 12 of the 16,497 nonzero 10-minors.  A numeric
+    matrix is read as its symbolic pattern."""
+    S = _pattern(S)
     k = d + 2
     rows0, cols0 = _unit_triangle(S.grid, k)
     return _minor_ideal(S.grid, S.nvars, k, rows0, cols0)

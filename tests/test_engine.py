@@ -1,6 +1,7 @@
 """The packed-monomial engine: oracle comparisons with sympy, the routes to
 a slack ideal, and regressions for engine faults."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -460,12 +461,26 @@ def engine_work(monkeypatch):
 
 def test_pentagon_slack_ideal_engine_work(monkeypatch):
     # the saturation, 9 edge steps and the final grevlex run; a change to
-    # pair selection or to the edge steps moves these counts
+    # pair selection or to the edge steps moves these counts.  The pairs
+    # may be pushed in any order, but they must be popped in this one: the
+    # hash is of every (sugar, lcm, i, j) popped, in turn
     work = engine_work(monkeypatch)
+    popped = hashlib.sha256()
+    pop = engine.heappop
+
+    def recorded_pop(heap):
+        item = pop(heap)
+        if isinstance(item, tuple):
+            popped.update(repr(item).encode() + b"\n")
+        return item
+
+    monkeypatch.setattr(engine, "heappop", recorded_pop)
     points = [(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)]
     S = slack_matrix([tuple(map(Fraction, p)) for p in points])
     assert len(slack_ideal(2, S).groebner_basis()) == 25
     assert work == {"pairs": 603, "reductions": 680}
+    assert popped.hexdigest() == ("549bfe1001b48dc81a788c74c8a568e2"
+                                  "d22bd81ac182e2a20ba53a92ac116f1f")
 
 
 def test_perles_graphic_ideal_engine_work(monkeypatch):

@@ -10,15 +10,16 @@ from slackkit import (BUILTIN_NAMES, Ideal, NonIncidenceGraph, Polynomial,
                       ScaledSlackMatrix, SymbolicSlackMatrix, contains_flag,
                       dehomogenized_ideal, forest_from_ones, graphic_ideal,
                       ideal_equals, irrationality_certificate,
-                      non_incidence_graph, rational_roots,
+                      minor_ideal_generators, non_incidence_graph,
+                      rational_roots,
                       reduced_slack_matrix, rehomogenize_ideal,
                       rehomogenize_poly, set_ones, set_ones_forest,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix)
-from slackkit.errors import (NeedsNumericDataError, NotAForestError,
-                             UniverseMismatchError)
+from slackkit.errors import (NeedsNumericDataError, NeedsScaledMatrixError,
+                             NotAForestError, UniverseMismatchError)
 from slackkit.scaling import forest_weights
-from slackkit.slack import ONE, pattern_minor
+from slackkit.slack import ONE, pattern_minor, unit_triangle_ideal
 from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES,
                       is_multihomogeneous, poly)
 from test_geometry import unit_simplex
@@ -120,6 +121,21 @@ def test_forest_from_ones_is_the_forest_the_matrix_carries():
     Y = set_ones(prism_sym(), PRISM_FOREST_ONES)
     assert forest_from_ones(Y) is Y.forest
     assert Y.forest.variables == Y.ones_at
+
+
+def test_a_numeric_matrix_gives_its_pattern_and_no_ones():
+    # the minors read a numeric matrix's pattern; the ideals of a scaled
+    # matrix need its ones, and say how to get them
+    S = slack_matrix(SQUARE_VERTICES)
+    sym = symbolic_slack_matrix(S)
+    assert minor_ideal_generators(2, S) == minor_ideal_generators(2, sym)
+    assert (unit_triangle_ideal(2, S).generators
+            == unit_triangle_ideal(2, sym).generators)
+    for build in (dehomogenized_ideal, rehomogenize_ideal):
+        for M in (S, sym):
+            with pytest.raises(NeedsScaledMatrixError,
+                               match="set_ones or set_ones_forest"):
+                build(2, M)
 
 
 def test_a_pattern_carries_its_grid_and_graph():
@@ -438,7 +454,18 @@ def test_forest_weights_match_the_cell_scan(name):
     if name == "perles-reduced":
         forests.append(forest_from_ones(set_ones(sym, PERLES_ONES)))
     for F in forests:
-        assert forest_weights(sym, F) == reference_forest_weights(sym, F)
+        expected = reference_forest_weights(sym, F)
+        assert forest_weights(sym, F) == expected
+        # the decoding leaf to root, made once per forest: each edge enters
+        # the line whose variables the cell scan finds, from the other line
+        # through its cell
+        assert F.leaf_to_root is F.leaf_to_root
+        assert [v for v, *_ in F.leaf_to_root] == [v for v, _ in expected]
+        for (v, kind, n, s), (_, line) in zip(F.leaf_to_root, expected):
+            axis = "rc".index(kind)
+            assert [w for w, cell in sym.cell_of.items()
+                    if cell[axis] == n] == line
+            assert sym.cell_of[v] == ((n, s) if kind == "r" else (s, n))
 
 
 def test_prism_contains_flag():
