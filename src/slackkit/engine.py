@@ -145,9 +145,9 @@ class Ring:
                       for f in field]
 
     @classmethod
-    def for_order(cls, order, nvars, bits=8):
+    def for_order(cls, order, nvars):
         """The ring of a :class:`~slackkit.poly.MonomialOrder`."""
-        return cls(nvars, order.blocks(nvars), bits=bits)
+        return cls(nvars, order.blocks(nvars))
 
     def widened(self):
         return Ring(self.nvars, self.blocks, self.weight, self.bits * 2)

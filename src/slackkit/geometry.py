@@ -219,6 +219,15 @@ def check_vertices(incidences, n, d):
         raise NonVertexPointError(f"points {bad} are not vertices of the hull")
 
 
+def check_columns(col_indices, ncols):
+    """The column indices as a list, each checked to lie in 0..ncols-1."""
+    col_indices = list(col_indices)
+    for j in col_indices:
+        if not 0 <= j < ncols:
+            raise SizeMismatchError(f"column {j} outside 0..{ncols - 1}")
+    return col_indices
+
+
 def matroid_hyperplanes(V: PointConfiguration):
     """All hyperplanes (rank r-1 flats) of the matroid of homogenized points,
     sorted by their incidence sets.
@@ -272,7 +281,7 @@ def positive_circuits(G: GaleTransform):
 
 def pluecker(M: RationalMatrix, col_subset) -> Fraction:
     """Determinant of the column submatrix in the given column order."""
-    col_subset = list(col_subset)
+    col_subset = check_columns(col_subset, M.ncols)
     if len(col_subset) != M.nrows:
         raise SizeMismatchError(
             f"need {M.nrows} columns, got {len(col_subset)}")

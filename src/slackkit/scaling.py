@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (NeedsNumericDataError, NeedsScaledMatrixError,
-                     NoFlagFoundError, SizeMismatchError,
+                     NoFlagFoundError, NotAForestError,
                      UniverseMismatchError, variable_outside)
-from .geometry import PointConfiguration
+from .geometry import PointConfiguration, check_columns
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
 from .poly import Polynomial
@@ -42,7 +42,16 @@ def set_ones(S, var_indices) -> ScaledSlackMatrix:
 
 def forest_from_ones(Y: ScaledSlackMatrix) -> SpanningForest:
     """The oriented forest of a scaled matrix's ones, kept as ``Y.forest``."""
-    return Y.forest
+    return _scaled(Y).forest
+
+
+def _scaled(Y):
+    """Y, checked to be a :class:`~slackkit.slack.ScaledSlackMatrix`."""
+    if not isinstance(Y, ScaledSlackMatrix):
+        raise NeedsScaledMatrixError(
+            f"a scaled slack matrix is needed, not {type(Y).__name__}: "
+            "scale one with set_ones or set_ones_forest")
+    return Y
 
 
 def dehomogenized_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
@@ -58,18 +67,15 @@ def dehomogenized_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
     as all of them once the monomial is inverted, so the saturation is the
     same (see :func:`~slackkit.slack.unit_triangle_ideal`).  On Perles they
     are 12 minors instead of 16,497."""
-    if not isinstance(Y, ScaledSlackMatrix):
-        raise NeedsScaledMatrixError(
-            f"a scaled slack matrix is needed, not {type(Y).__name__}: "
-            "scale one with set_ones or set_ones_forest")
-    return saturate_by_variables(unit_triangle_ideal(d, Y),
+    return saturate_by_variables(unit_triangle_ideal(d, _scaled(Y)),
                                  Y.surviving_variables())
 
 
 def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
                       F: SpanningForest) -> Polynomial:
     """Reintroduce forest variables leaf-to-root until p is homogeneous in
-    every row and column touched by the forest.
+    every row and column touched by the forest.  F must be the forest of
+    Y's ones, ``forest_from_ones(Y)``.
 
     At the edge v from line S into line N (a row or a column), D is the
     largest degree of a term in N's variables, and each term is multiplied
@@ -83,7 +89,9 @@ def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
     Terms that differ outside the forest variables never meet, so the
     merge is looked for only when a forest variable occurs in p.  The
     result is built once, at the end."""
-    sym = Y.base
+    sym = _scaled(Y).base
+    if F is not Y.forest and F != Y.forest:
+        raise NotAForestError("F is not Y's forest: pass forest_from_ones(Y)")
     if p.nvars != sym.nvars:
         raise UniverseMismatchError(
             f"polynomial in {p.nvars} variables, pattern with {sym.nvars}")
@@ -101,7 +109,7 @@ def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
                 if w in forest:
                     merge = True
         terms.append([c, list(m), rows, cols])
-    for v, kind, n, s in F.leaf_to_root:
+    for v, kind, n, s in reversed(F.edges):
         if not terms:
             break
         N, S = (2, 3) if kind == "r" else (3, 2)
@@ -138,17 +146,16 @@ def rehomogenize_ideal(d, Y: ScaledSlackMatrix) -> Ideal:
     then grevlex" is homogenized in that degree with the edge variable,
     which saturates by it.  For a maximal forest the result is the slack
     ideal itself (see :func:`slack_ideal`), whatever the forest."""
-    return homogenize_by_edges(dehomogenized_ideal(d, Y),
-                               forest_weights(Y.base, Y.forest))
+    return homogenize_by_edges(dehomogenized_ideal(d, Y), forest_weights(Y))
 
 
-def forest_weights(sym: SymbolicSlackMatrix, F: SpanningForest):
-    """The edges of F leaf to root, each as ``(edge variable, variables of
-    the row or column the edge enters)``: the argument of
-    :func:`~slackkit.groebner.homogenize_by_edges` that reintroduces F."""
-    adjacency = sym.graph.adjacency
+def forest_weights(Y: ScaledSlackMatrix):
+    """The edges of Y's forest leaf to root, each as ``(edge variable,
+    variables of the row or column the edge enters)``: the argument of
+    :func:`~slackkit.groebner.homogenize_by_edges` that reintroduces it."""
+    adjacency = Y.base.graph.adjacency
     return [(v, [w for w, _ in adjacency[kind, n]])
-            for v, kind, n, _ in F.leaf_to_root]
+            for v, kind, n, _ in reversed(Y.forest.edges)]
 
 
 def slack_ideal(d, S, object="polytope") -> Ideal:
@@ -194,10 +201,10 @@ def graphic_ideal(S) -> Ideal:
     edge gives the toric ideal back by the lattice argument of
     :func:`slack_ideal`, which needs only that the ideal is multihomogeneous
     and saturated by every variable."""
-    Y, forest = set_ones_forest(S)
+    Y = set_ones_forest(S)[0]
     n = Y.nvars
     gens = [Polynomial.variable(v, n) - 1 for v in Y.surviving_variables()]
-    return homogenize_by_edges(Ideal(gens, nvars=n), forest_weights(Y.base, forest))
+    return homogenize_by_edges(Ideal(gens, nvars=n), forest_weights(Y))
 
 
 # -- flags and reduced matrices ----------------------------------------------
@@ -211,17 +218,8 @@ def contains_flag(col_indices, S) -> bool:
             "flag containment needs a numeric slack matrix")
     if not isinstance(S, SlackMatrix):
         S = SlackMatrix(S)
-    col_indices = _columns(col_indices, S.ncols)
+    col_indices = check_columns(col_indices, S.ncols)
     return _find_flag(S, S.rank() - 1, col_indices) is not None
-
-
-def _columns(col_indices, ncols):
-    """The column indices as a list, each checked to lie in 0..ncols-1."""
-    col_indices = list(col_indices)
-    for j in col_indices:
-        if not 0 <= j < ncols:
-            raise SizeMismatchError(f"column {j} outside 0..{ncols - 1}")
-    return col_indices
 
 
 def _find_flag(S, d, candidates):
@@ -258,7 +256,7 @@ def reduced_slack_matrix(d, S, flag_indices=None) -> SymbolicSlackMatrix:
                    for j in range(sym.ncols)]
     non_simplicial = [j for j in range(sym.ncols) if zero_counts[j] != d]
     if flag_indices is not None:
-        flag_cols = _columns(flag_indices, sym.ncols)
+        flag_cols = check_columns(flag_indices, sym.ncols)
         if numeric and not contains_flag(flag_cols, S):
             raise NoFlagFoundError("given columns do not contain a flag")
     else:
@@ -308,6 +306,8 @@ def _divisors(n):
 def rational_roots(p: Polynomial, var: int):
     """All rational roots of a univariate polynomial via the rational root
     test on an integer-cleared copy."""
+    if not 0 <= var < p.nvars:
+        raise variable_outside(var, p.nvars)
     if p.is_zero() or p.is_constant():
         return []
     scale = denominator_lcm(p.terms.values())

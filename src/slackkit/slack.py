@@ -13,7 +13,7 @@ from operator import mul
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
                      NotACofacetError, NotAForestError, ScaledMatrixError,
-                     variable_outside)
+                     SizeMismatchError, variable_outside)
 from .geometry import (GaleTransform, PointConfiguration, check_vertices,
                        facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
@@ -91,32 +91,20 @@ class SymbolicSlackMatrix:
 
 
 @dataclass(frozen=True)
-class ForestEdge:
-    variable: int
-    source: tuple
-    destination: tuple
-
-
-@dataclass(frozen=True)
 class SpanningForest:
     """Oriented forest edges in BFS (root-to-leaf) order plus the roots.
 
-    ``leaf_to_root`` decodes the edges once, in reverse, each as
-    ``(variable, kind, line, source)``: the edge enters row ``line`` from
-    column ``source`` when ``kind`` is ``"r"``, and column ``line`` from
-    row ``source`` when it is ``"c"``."""
+    Each edge is the record ``(variable, kind, line, source)``: it enters
+    row ``line`` from column ``source`` when ``kind`` is ``"r"``, and column
+    ``line`` from row ``source`` when it is ``"c"``.  Readers walk
+    ``reversed(edges)`` to go leaf to root."""
 
-    edges: tuple  # ForestEdge, ordered
+    edges: tuple
     roots: tuple
 
     @cached_property
     def variables(self):
-        return frozenset(e.variable for e in self.edges)
-
-    @cached_property
-    def leaf_to_root(self):
-        return tuple((e.variable, *e.destination, e.source[1])
-                     for e in reversed(self.edges))
+        return frozenset(v for v, *_ in self.edges)
 
 
 class NonIncidenceGraph:
@@ -158,7 +146,7 @@ class NonIncidenceGraph:
                     if nbr in visited or allowed is not None and v not in allowed:
                         continue
                     visited.add(nbr)
-                    edges.append(ForestEdge(v, node, nbr))
+                    edges.append((v, *nbr, node[1]))
                     queue.append(nbr)
         return SpanningForest(edges=tuple(edges), roots=tuple(roots))
 
@@ -416,10 +404,11 @@ def _nonzero_minors(grid, k, ring, rows0=(), cols0=()):
 
 
 def _minor_ideal(grid, nvars, k, rows0=(), cols0=()):
-    """The ideal of the nonzero k-minors that contain rows0 x cols0, in
-    lexicographic (row set, column set) order, each replaced by its normal
-    form against the minors collected so far (same ideal, far smaller
-    list).  The ideal keeps them packed in the ring of the minors."""
+    """The ideal of the distinct nonzero k-minors that contain rows0 x
+    cols0, interreduced: taken fewest terms first, then lowest degree, each
+    is replaced by its normal form against those kept before it (same
+    ideal, far smaller list).  The ideal keeps them packed in the ring of
+    the minors."""
     # every minor has degree k and grevlex reduction never raises the degree,
     # so a ring whose degree cap is k never overflows; it carries only the
     # variables of the grid
@@ -434,10 +423,10 @@ def _minor_ideal(grid, nvars, k, rows0=(), cols0=()):
 
 
 def minor_ideal_generators(d, S):
-    """All (d+2)-minors of a symbolic/scaled slack matrix, enumerated in
-    lexicographic (row set, column set) order, each nonzero one replaced by
-    its normal form against the minors collected so far (same ideal, far
-    smaller list).  A numeric matrix is read as its symbolic pattern."""
+    """The (d+2)-minors of a symbolic/scaled slack matrix, interreduced:
+    taken fewest terms first, then lowest degree, each nonzero one is
+    replaced by its normal form against those kept before it (same ideal,
+    far smaller list).  A numeric matrix is read as its symbolic pattern."""
     S = _pattern(S)
     return _minor_ideal(S.grid, S.nvars, d + 2).generators
 
@@ -534,10 +523,11 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
 
 
 def count_minors(d, S=None, nrows=None, ncols=None) -> int:
-    """Number of (d+2)-minors of an nrows x ncols matrix."""
+    """Number of (d+2)-minors of S, or of an nrows x ncols matrix."""
     if S is not None:
-        nrows = S.nrows
-        ncols = S.ncols
+        nrows, ncols = S.nrows, S.ncols
+    elif nrows is None or ncols is None:
+        raise SizeMismatchError("count_minors needs S or both nrows and ncols")
     k = d + 2
     if k < 0 or k > nrows or k > ncols:
         return 0

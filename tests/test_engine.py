@@ -367,7 +367,9 @@ def test_packed_order_is_the_printed_order(data):
     # packed int must agree on every comparison, at both field widths
     order = data.draw(st.sampled_from([Lex(), GRevLex()]))
     n = data.draw(st.integers(1, 6))
-    ring = Ring.for_order(order, n, data.draw(st.sampled_from([8, 16])))
+    ring = Ring.for_order(order, n)
+    if data.draw(st.sampled_from([8, 16])) == 16:
+        ring = ring.widened()
     top = data.draw(st.sampled_from([3, ring.cap // n]))
     monomial = st.tuples(*[st.integers(0, top)] * n)
     a = data.draw(monomial)

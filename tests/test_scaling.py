@@ -7,17 +7,18 @@ import random
 from fractions import Fraction
 
 from slackkit import (BUILTIN_NAMES, Ideal, NonIncidenceGraph, Polynomial,
-                      ScaledSlackMatrix, SymbolicSlackMatrix, contains_flag,
-                      dehomogenized_ideal, forest_from_ones, graphic_ideal,
-                      ideal_equals, irrationality_certificate,
-                      minor_ideal_generators, non_incidence_graph,
-                      rational_roots,
+                      RationalMatrix, ScaledSlackMatrix, SymbolicSlackMatrix,
+                      contains_flag, count_minors, dehomogenized_ideal,
+                      forest_from_ones, graphic_ideal, ideal_equals,
+                      irrationality_certificate, minor_ideal_generators,
+                      non_incidence_graph, pluecker, rational_roots,
                       reduced_slack_matrix, rehomogenize_ideal,
                       rehomogenize_poly, set_ones, set_ones_forest,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix)
 from slackkit.errors import (NeedsNumericDataError, NeedsScaledMatrixError,
-                             NotAForestError, UniverseMismatchError)
+                             NotAForestError, SlackkitError,
+                             UniverseMismatchError)
 from slackkit.scaling import forest_weights
 from slackkit.slack import ONE, pattern_minor, unit_triangle_ideal
 from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES,
@@ -342,6 +343,54 @@ def test_rehomogenize_rejects_a_polynomial_of_another_ring():
         rehomogenize_poly(p, Y, F)
 
 
+def test_rehomogenize_poly_needs_a_scaled_matrix():
+    S = slack_matrix(SQUARE_VERTICES)
+    F = set_ones_forest(S)[1]
+    p = Polynomial.variable(0, 8)
+    for M in (S, symbolic_slack_matrix(S)):
+        with pytest.raises(NeedsScaledMatrixError,
+                           match="set_ones or set_ones_forest"):
+            rehomogenize_poly(p, M, F)
+        with pytest.raises(NeedsScaledMatrixError):
+            forest_from_ones(M)
+
+
+def test_rehomogenize_poly_rejects_another_forest():
+    # the prism's forest names lines the square does not have; the BFS
+    # forest of the Perles pattern fits it but is not the forest of the
+    # paper's ones, and would step the wrong edges without a word
+    square = set_ones_forest(slack_matrix(SQUARE_VERTICES))[0]
+    prism_forest = set_ones_forest(prism_sym())[1]
+    perles = specific_slack_matrix("perles-reduced")
+    paper = set_ones(perles, PERLES_ONES)
+    bfs_forest = set_ones_forest(perles)[1]
+    assert bfs_forest.variables != paper.forest.variables
+    for Y, F in [(square, prism_forest), (paper, bfs_forest)]:
+        with pytest.raises(NotAForestError, match=r"forest_from_ones\(Y\)"):
+            rehomogenize_poly(Polynomial.variable(0, Y.nvars), Y, F)
+    # an equal forest built again is accepted
+    again = set_ones(perles, PERLES_ONES).forest
+    assert again is not paper.forest
+    p = Polynomial.variable(0, paper.nvars)
+    assert rehomogenize_poly(p, paper, again) == \
+        rehomogenize_poly(p, paper, paper.forest)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pluecker(RationalMatrix([[1, 2], [3, 4]]), [-1, 0]),
+    lambda: pluecker(RationalMatrix([[1, 2], [3, 4]]), [0, 5]),
+    lambda: rational_roots(poly(2, (1, {1: 1}), (-3, {})), -1),
+    lambda: rational_roots(poly(1, (1, {0: 1}), (-1, {})), 5),
+    lambda: count_minors(2),
+    lambda: count_minors(2, nrows=4),
+], ids=["pluecker-negative", "pluecker-beyond", "roots-negative",
+        "roots-beyond", "count-minors-no-size", "count-minors-one-size"])
+def test_an_index_out_of_range_is_a_domain_error(call):
+    # each of these read the wrong data or raised a bare Python error
+    with pytest.raises(SlackkitError):
+        call()
+
+
 # -- oracle: the edge-by-edge loop that rehomogenize_poly replaces -------------
 
 
@@ -349,10 +398,9 @@ def reference_forest_weights(sym, F):
     """Each edge leaf to root with the variables of the line it enters, found
     by scanning every cell."""
     edges = []
-    for edge in reversed(F.edges):
-        kind, idx = edge.destination
+    for variable, kind, idx, _ in reversed(F.edges):
         axis = 0 if kind == "r" else 1
-        edges.append((edge.variable,
+        edges.append((variable,
                       [v for v, cell in sym.cell_of.items() if cell[axis] == idx]))
     return edges
 
@@ -450,18 +498,17 @@ def test_rehomogenize_drops_a_merged_term_that_cancels():
 @pytest.mark.parametrize("name", ["square", "prism", "perles-reduced"])
 def test_forest_weights_match_the_cell_scan(name):
     sym = symbolic_slack_matrix(specific_slack_matrix(name))
-    forests = [set_ones_forest(sym)[1]]
+    scalings = [set_ones_forest(sym)[0]]
     if name == "perles-reduced":
-        forests.append(forest_from_ones(set_ones(sym, PERLES_ONES)))
-    for F in forests:
+        scalings.append(set_ones(sym, PERLES_ONES))
+    for Y in scalings:
+        F = Y.forest
         expected = reference_forest_weights(sym, F)
-        assert forest_weights(sym, F) == expected
-        # the decoding leaf to root, made once per forest: each edge enters
-        # the line whose variables the cell scan finds, from the other line
-        # through its cell
-        assert F.leaf_to_root is F.leaf_to_root
-        assert [v for v, *_ in F.leaf_to_root] == [v for v, _ in expected]
-        for (v, kind, n, s), (_, line) in zip(F.leaf_to_root, expected):
+        assert forest_weights(Y) == expected
+        # each edge record, leaf to root, enters the line whose variables
+        # the cell scan finds, from the other line through its cell
+        assert [v for v, *_ in reversed(F.edges)] == [v for v, _ in expected]
+        for (v, kind, n, s), (_, line) in zip(reversed(F.edges), expected):
             axis = "rc".index(kind)
             assert [w for w, cell in sym.cell_of.items()
                     if cell[axis] == n] == line
