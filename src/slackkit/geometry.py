@@ -21,7 +21,6 @@ and returns exact rationals, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -30,6 +29,7 @@ from .errors import (BadPointConfigurationError, NonVertexPointError,
                      NotFullDimensionalError, SizeMismatchError,
                      TooManySubsetsError)
 from .rationals import RationalMatrix, int_cofactors, int_kernel, int_rref
+from .record import Record
 
 MAX_HYPERPLANE_SUBSETS = 10**6
 
@@ -59,24 +59,27 @@ class PointConfiguration:
         return f"PointConfiguration(n={self.n}, d={self.dim})"
 
 
-@dataclass(frozen=True)
-class AffineHyperplane:
+class AffineHyperplane(Record):
     """Hyperplane {x : b - a.x = 0} with its incident point indices."""
 
-    offset: Fraction
-    normal: tuple
-    incident: frozenset
+    _fields = ("offset", "normal", "incident")
+
+    def __init__(self, offset: Fraction, normal: tuple,
+                 incident: frozenset) -> None:
+        self._set(offset, normal, incident)
 
     def slack(self, point) -> Fraction:
         return self.offset - sum(a * x for a, x in zip(self.normal, point))
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Minimal positive dependence among Gale vectors."""
+class Circuit(Record):
+    """Minimal positive dependence among Gale vectors: ``support`` holds
+    the sorted point indices, ``coefficients`` their Fractions."""
 
-    support: tuple  # sorted point indices
-    coefficients: tuple  # Fractions, parallel to support
+    _fields = ("support", "coefficients")
+
+    def __init__(self, support: tuple, coefficients: tuple) -> None:
+        self._set(support, coefficients)
 
 
 class GaleTransform:

@@ -100,6 +100,45 @@ def buchberger(gens, order) -> list:
     return [to_polynomial(f, ring) for f in out]
 
 
+def convert_basis(basis, source, target):
+    """The reduced basis in the order of the ring ``target`` of the ideal
+    whose reduced basis in some order of ``source`` is ``basis``, packed in
+    ``source``, each element with its leading term first.
+
+    A reduced Groebner basis is the reduced basis of every order that keeps
+    all of its leading monomials (Mora & Robbiano, *The Groebner fan of an
+    ideal*, JSC 1988): the initial ideal they generate lies in the new one,
+    and two initial ideals of one ideal never lie one strictly inside the
+    other.  So when every element keeps the leading exponent it had in
+    ``source``, the converted elements, sorted by leading monomial,
+    descending, are returned as they are: primitive, with the same positive
+    leading coefficient, they are what :func:`groebner` would return.
+    Otherwise :func:`groebner` runs once on them.  The unit and zero ideals,
+    ``[[(0, 1)]]`` and ``[]``, pass through unchanged."""
+    polys = [target.convert(f, source) for f in basis]
+    pairs = zip(basis, polys)
+    if source.field == target.field and source.bits == target.bits:
+        emask = source.emask  # the exponent parts compare directly
+        kept = all(f[0][0] & emask == g[0][0] & emask for f, g in pairs)
+    else:
+        old, new = source.unpack, target.unpack
+        kept = all(old(f[0][0]) == new(g[0][0]) for f, g in pairs)
+    if kept:
+        polys.sort(key=lambda f: f[0][0], reverse=True)
+        return polys
+    return groebner(polys, target)
+
+
+def _basis_in(target, basis, source, reduced):
+    """The reduced basis in the order of ``target`` of the ideal of the
+    polynomials ``basis``, packed in ``source``: :func:`convert_basis` if
+    ``reduced`` tells that they are a reduced basis, else one
+    :func:`groebner` run."""
+    if reduced:
+        return convert_basis(basis, source, target)
+    return groebner([target.convert(f, source) for f in basis], target)
+
+
 class Ideal:
     """A finite generator list plus a memoized reduced grevlex basis.
 
@@ -213,16 +252,15 @@ def _rabinowitsch(f, ring):
     return ring.from_terms(terms)
 
 
-def _eliminate(polys, front, rest, nvars):
-    """The ideal of ``polys(ring)``, the generators packed in the ring
-    given, intersected with the subring free of the variables ``front``: an
-    ideal in the variables ``rest`` of a universe of ``nvars``.  The
-    generators use only variables of ``front`` and ``rest``, and those from
-    ``nvars`` on must lie in ``front``.
-
-    A basis is taken in the block order "grevlex on ``front``, then grevlex
-    on ``rest``".  Its elements free of ``front`` form the reduced grevlex
-    basis of the intersection."""
+def _eliminate(basis, front, rest, nvars):
+    """An ideal intersected with the subring free of the variables
+    ``front``: an ideal in the variables ``rest`` of a universe of
+    ``nvars``.  ``basis(ring)`` is the ideal's reduced basis in the block
+    order "grevlex on ``front``, then grevlex on ``rest``" of the ring
+    given; the ideal uses only variables of ``front`` and ``rest``, and
+    those from ``nvars`` on must lie in ``front``.  The elements of that
+    basis free of ``front`` form the reduced grevlex basis of the
+    intersection."""
     front, rest = sorted(front), sorted(rest)
     size = max([nvars, *(v + 1 for v in front)])
 
@@ -230,7 +268,7 @@ def _eliminate(polys, front, rest, nvars):
         mask = sum(block.fm << (block.bits * block.field[v]) for v in front)
         final = Ring(nvars, [rest], bits=block.bits)
         return final, [final.convert(f, block)
-                       for f in groebner(polys(block), block)
+                       for f in basis(block)
                        if not f[0][0] & mask]
 
     return Ideal.of_packed(*widening(run, Ring(size, [front, rest])))
@@ -246,8 +284,9 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
         raise ZeroDivisorPolynomialError("cannot saturate by the zero polynomial")
     _check_ring(I.nvars, [f])
     n = I.nvars
-    return _eliminate(lambda ring: I.packed(ring) + [_rabinowitsch(f, ring)],
-                      {n}, _variables(I, f), n)
+    return _eliminate(
+        lambda ring: groebner(I.packed(ring) + [_rabinowitsch(f, ring)], ring),
+        {n}, _variables(I, f), n)
 
 
 def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
@@ -289,18 +328,33 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
     the reduced basis, which is returned as the generators.  The unit and
     zero ideals pass through unchanged: their bases, ``[[(0, 1)]]`` and
     ``[]``, are homogeneous already.
+
+    A reduced basis is the reduced basis of every order that keeps its
+    leading monomials (:func:`convert_basis`), so a step whose input is a
+    reduced basis makes no Buchberger run when no leading monomial moves.
+    Each homogenized basis is one: when the variable does not occur in the
+    basis it homogenizes, the result is the reduced basis of the order
+    "that order on the part free of the variable, then its degree", and
+    each element leads with its top term times the variable to the power
+    0 (CLO, ch. 8 sec. 4).  So each later edge step and the final run
+    convert the basis before them unless a leading monomial moves, and the
+    first step does so when I holds its reduced basis.  A variable that
+    already occurs makes the next step run.
     """
     edges = [(v, frozenset(w)) for v, w in edges]
 
     def run(grevlex):
-        ring = grevlex
-        basis = I.packed(ring)
+        # the current polynomials, their ring, and whether they are the
+        # reduced basis of an order in which each leads with its first term
+        ring, basis, reduced = I._ring, I._packed, I._reduced
         for v, weight in edges:
             weighted = Ring(grevlex.nvars, grevlex.blocks, weight, grevlex.bits)
             wdeg, unit = weighted.weight_degree, weighted.units[v]
-            polys = [weighted.convert(f, ring) for f in basis]
+            occurs = (unit & weighted.emask) * weighted.fm  # v's field
+            polys = _basis_in(weighted, basis, ring, reduced)
+            reduced = not any(m & occurs for f in polys for m, _ in f)
             basis = []
-            for f in groebner(polys, weighted):
+            for f in polys:
                 top = wdeg(f[0][0])  # the order compares this degree first
                 f = [(m + (top - wdeg(m)) * unit, c) for m, c in f]
                 if weighted.max_degree(f) > weighted.cap:
@@ -308,20 +362,26 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
                         "homogenization leaves the packed field width")
                 basis.append(f)
             ring = weighted
-        return grevlex, groebner([grevlex.convert(f, ring) for f in basis],
-                                 grevlex)
+        return grevlex, _basis_in(grevlex, basis, ring, reduced)
 
     return Ideal.of_packed(*widening(run, Ring(I.nvars, [range(I.nvars)])))
 
 
 def eliminate(I: Ideal, var_indices) -> Ideal:
     """I intersected with the subring without the given variables; its
-    rings carry the variables of I only."""
+    rings carry the variables of I only.
+
+    The intersection is read off I's reduced basis in a block order, the
+    given variables first.  When I holds its reduced grevlex basis and no
+    element's leading monomial moves in the block order, that basis is
+    already the block order's reduced basis (:func:`convert_basis`), and no
+    Buchberger run is made."""
     var_indices = set(var_indices)
     _check_variables(I.nvars, var_indices)
     used = _variables(I)
-    return _eliminate(I.packed, used & var_indices, used - var_indices,
-                      I.nvars)
+    return _eliminate(lambda ring: _basis_in(ring, I._packed, I._ring,
+                                             I._reduced),
+                      used & var_indices, used - var_indices, I.nvars)
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:

@@ -4,7 +4,6 @@ matrices and irrationality certificates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (NeedsNumericDataError, NeedsScaledMatrixError,
@@ -15,6 +14,7 @@ from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
 from .poly import Polynomial
 from .rationals import denominator_lcm, int_rref
+from .record import Record
 from .slack import (NonIncidenceGraph, ScaledSlackMatrix, SlackMatrix,
                     SpanningForest, SymbolicSlackMatrix, slack_matrix,
                     symbolic_slack_matrix, unit_triangle_ideal)
@@ -274,12 +274,17 @@ def reduced_slack_matrix(d, S, flag_indices=None) -> SymbolicSlackMatrix:
 # -- irrationality certificates ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str  # "irrational" | "inconclusive"
-    variable: int
-    minimal_polynomial: Polynomial  # univariate in the kept variable; may be zero
-    rational_roots: tuple
+class Certificate(Record):
+    """The outcome of :func:`irrationality_certificate`: ``kind`` is
+    ``"irrational"`` or ``"inconclusive"``, ``minimal_polynomial`` is
+    univariate in the kept ``variable`` (it may be zero) and
+    ``rational_roots`` are its rational roots."""
+
+    _fields = ("kind", "variable", "minimal_polynomial", "rational_roots")
+
+    def __init__(self, kind: str, variable: int, minimal_polynomial: Polynomial,
+                 rational_roots: tuple) -> None:
+        self._set(kind, variable, minimal_polynomial, rational_roots)
 
     def to_dict(self):
         return {

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -22,6 +21,7 @@ from .engine import Ring
 from .groebner import Ideal
 from .poly import Polynomial
 from .rationals import RationalMatrix, int_cofactors, integer_row
+from .record import Record
 
 
 class SlackMatrix:
@@ -90,8 +90,7 @@ class SymbolicSlackMatrix:
 # graph nodes: ("r", i) for rows, ("c", j) for columns
 
 
-@dataclass(frozen=True)
-class SpanningForest:
+class SpanningForest(Record):
     """Oriented forest edges in BFS (root-to-leaf) order plus the roots.
 
     Each edge is the record ``(variable, kind, line, source)``: it enters
@@ -99,8 +98,10 @@ class SpanningForest:
     ``line`` from row ``source`` when it is ``"c"``.  Readers walk
     ``reversed(edges)`` to go leaf to root."""
 
-    edges: tuple
-    roots: tuple
+    _fields = ("edges", "roots")
+
+    def __init__(self, edges: tuple, roots: tuple) -> None:
+        self._set(edges, roots)
 
     @cached_property
     def variables(self):

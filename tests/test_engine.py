@@ -402,20 +402,27 @@ def test_certificate_pipeline_converts_at_its_boundary_only(monkeypatch):
 
 def test_certificate_rings_carry_the_variables_in_use(monkeypatch):
     # the Perles universe has 36 variables, 37 with the saturation's t; the
-    # saturation carries t and the 12 surviving variables, the elimination
-    # those 12
+    # saturation's engine run carries t and the 12 surviving variables, and
+    # the elimination's block ring those 12.  No leading monomial of the
+    # saturated basis moves in the block order, so the elimination converts
+    # that basis and makes no engine run
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
     rings = []
-    run = groebner.groebner
+    run, convert = groebner.groebner, groebner.convert_basis
 
     def recorded(polys, ring):
-        rings.append((ring.nvars, ring.size))
+        rings.append(("run", ring.nvars, ring.size))
         return run(polys, ring)
 
+    def converted(basis, source, target):
+        rings.append(("convert", target.nvars, target.size))
+        return convert(basis, source, target)
+
     monkeypatch.setattr(groebner, "groebner", recorded)
+    monkeypatch.setattr(groebner, "convert_basis", converted)
     cert = irrationality_certificate(dehomogenized_ideal(8, Y), 35)
     assert cert.minimal_polynomial.to_string() == "x35^2 + x35 - 1"
-    assert rings == [(37, 13), (36, 12)]
+    assert rings == [("run", 37, 13), ("convert", 36, 12)]
 
 
 def test_radical_membership_is_one_saturation(monkeypatch):
@@ -462,13 +469,18 @@ def engine_work(monkeypatch):
 
 
 def test_pentagon_slack_ideal_engine_work(monkeypatch):
-    # the saturation, 9 edge steps and the final grevlex run; a change to
-    # pair selection or to the edge steps moves these counts.  The pairs
-    # may be pushed in any order, but they must be popped in this one: the
-    # hash is of every (sugar, lcm, i, j) popped, in turn
+    # 9 engine runs: the saturation and the last 8 of the 9 edge steps.  The
+    # first edge step gets the saturated basis and the final grevlex run the
+    # last homogenized basis; no leading monomial of either moves in the
+    # new order, so each is converted with no run.  A change to pair
+    # selection or to the edge steps moves these counts.  The pairs may be
+    # pushed in any order, but they must be popped in this one: the hash is
+    # of every (sugar, lcm, i, j) popped, in turn
     work = engine_work(monkeypatch)
     popped = hashlib.sha256()
     pop = engine.heappop
+    runs = []
+    run = groebner.groebner
 
     def recorded_pop(heap):
         item = pop(heap)
@@ -476,21 +488,28 @@ def test_pentagon_slack_ideal_engine_work(monkeypatch):
             popped.update(repr(item).encode() + b"\n")
         return item
 
+    def recorded_run(polys, ring):
+        runs.append(ring)
+        return run(polys, ring)
+
     monkeypatch.setattr(engine, "heappop", recorded_pop)
+    monkeypatch.setattr(groebner, "groebner", recorded_run)
     points = [(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)]
     S = slack_matrix([tuple(map(Fraction, p)) for p in points])
     assert len(slack_ideal(2, S).groebner_basis()) == 25
-    assert work == {"pairs": 603, "reductions": 680}
-    assert popped.hexdigest() == ("549bfe1001b48dc81a788c74c8a568e2"
-                                  "d22bd81ac182e2a20ba53a92ac116f1f")
+    assert len(runs) == 9
+    assert work == {"pairs": 481, "reductions": 548}
+    assert popped.hexdigest() == ("0e57352b6a6ba3248169452d47e63abf"
+                                  "c04f6732f9e0153c42cf43d7713a04da")
 
 
 def test_perles_graphic_ideal_engine_work(monkeypatch):
-    # 24 edge steps and the final grevlex run over all 36 variables
+    # 24 edge steps and the final grevlex run over all 36 variables; 5 of
+    # the edge steps convert the basis before them with no engine run
     work = engine_work(monkeypatch)
     I = graphic_ideal(specific_slack_matrix("perles-reduced"))
     assert len(I.groebner_basis()) == 266
-    assert work == {"pairs": 21245, "reductions": 20591}
+    assert work == {"pairs": 21182, "reductions": 20467}
 
 
 def test_pack_of_a_variable_the_ring_does_not_carry_raises():
@@ -601,3 +620,80 @@ def test_interreduce_keeps_an_element_another_leading_monomial_divides():
     out = engine.interreduce(engine.pack_polys(gens, ring), ring)
     assert buchberger([engine.to_polynomial(f, ring) for f in out], GRevLex()) == \
         buchberger(gens, GRevLex())
+
+
+# -- converting a reduced basis to another order -----------------------------
+
+GREVLEX = Ring.for_order(GRevLex(), NV)
+CONVERSIONS = {
+    "grevlex to weighted": (GREVLEX, Ring(NV, [range(NV)], weight=[1])),
+    "grevlex to block": (GREVLEX, Ring(NV, [[2], [0, 1]])),
+    "weighted to block": (Ring(NV, [range(NV)], weight=[0, 2]),
+                          Ring(NV, [[1], [0, 2]])),
+}
+
+
+def test_convert_basis_is_the_reduced_basis_of_the_target_order(monkeypatch):
+    # whether or not a leading monomial moves, the conversion must be what
+    # engine.groebner makes of the converted elements; both cases occur
+    rng = random.Random(29)
+    runs = []
+    run = engine.groebner
+
+    def recorded(polys, ring):
+        runs.append(ring)
+        return run(polys, ring)
+
+    monkeypatch.setattr(groebner, "groebner", recorded)
+    fired = {True: 0, False: 0}
+    for _ in range(60):
+        gens = [poly(NV, *[(rng.randint(-3, 3), {v: rng.randint(0, 2)
+                                                  for v in range(NV)})
+                           for _ in range(rng.randint(1, 3))])
+                for _ in range(rng.randint(1, 3))]
+        for source, target in CONVERSIONS.values():
+            basis = run(engine.pack_polys(gens, source), source)
+            expected = run([target.convert(f, source) for f in basis], target)
+            del runs[:]
+            assert groebner.convert_basis(basis, source, target) == expected
+            fired[not runs] += 1
+    assert fired[True] and fired[False]
+
+
+def test_convert_basis_runs_when_a_leading_monomial_moves(monkeypatch):
+    # x1^2 leads x0 - x1^2 in grevlex, x0 in "degree in x0, then grevlex"
+    source = Ring(2, [[0, 1]])
+    target = Ring(2, [[0, 1]], weight=[0])
+    runs = []
+    run = groebner.groebner
+
+    def recorded(polys, ring):
+        runs.append(ring)
+        return run(polys, ring)
+
+    monkeypatch.setattr(groebner, "groebner", recorded)
+    x0, x1 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    basis = engine.pack_polys([x0 - x1 * x1], source)
+    assert basis[0][0][0] == source.pack((0, 2))
+    out = groebner.convert_basis(basis, source, target)
+    assert runs == [target]
+    assert out[0][0] == (target.pack((1, 0)), 1)
+    assert [engine.to_polynomial(f, target) for f in out] == [x0 - x1 * x1]
+
+
+@pytest.mark.parametrize("basis", [[[(0, 1)]], []], ids=["unit", "zero"])
+def test_convert_basis_passes_the_unit_and_zero_ideals(basis, monkeypatch):
+    monkeypatch.setattr(groebner, "groebner", None)  # no run may be made
+    for source, target in CONVERSIONS.values():
+        assert groebner.convert_basis(basis, source, target) == basis
+
+
+def test_homogenizing_by_a_variable_that_occurs_runs_the_next_order():
+    # x2 occurs in I, so its homogenized basis is not known to be reduced and
+    # the final grevlex run is made; converting it would keep
+    # x0^2*x1^2*x3 - 1/3*x1*x2^2, whose tail the other element divides
+    x0, x1, x2, x3 = (Polynomial.variable(v, 4) for v in range(4))
+    I = Ideal([-3 * x0 * x0 * x1 * x1 * x3 + x1, 3 * x0 * x1 * x2 * x2])
+    I.groebner_basis()
+    J = homogenize_by_edges(I, [(2, [1, 2, 3])])
+    assert J.to_strings() == ["x0^2*x1^2*x3", "x1*x2^2"]

@@ -1,5 +1,6 @@
-"""Source structure: every import sits at module level, and ``slack`` does
-not import ``scaling``, which builds on it."""
+"""Source structure: every import sits at module level, no module imports
+``dataclasses`` or ``inspect``, and ``slack`` does not import ``scaling``,
+which builds on it."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,25 @@ def test_no_import_inside_a_function(path):
               for node in ast.walk(fn)
               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_import_of_dataclasses_or_inspect(path):
+    # importing dataclasses imports inspect, about 14 ms of every process's
+    # start-up; the records of slackkit.record cover what they gave
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] in ("dataclasses", "inspect")]
+    assert not found
 
 
 def test_slack_does_not_import_scaling():
