@@ -273,7 +273,6 @@ class Reducer:
         self.cache = {}
         # a row reaches two past every leading exponent, as install reads
         self.rows = [[0] * (min(ring.cap, 127) + 3) for _ in range(ring.size)]
-        self.scale = 1     # the factor the last reduce multiplied its work by
 
     def add(self, f):
         lt, lc = f[0]
@@ -311,8 +310,9 @@ class Reducer:
         """Normal form of the polynomial {monomial: coefficient} ``work``,
         reducing each term by the lowest-index divisor.
 
-        The work is multiplied by integers to keep it integral; the result
-        is ``self.scale`` times the exact remainder, not made primitive."""
+        The work is multiplied by integers to keep it integral, so this
+        returns ``(remainder, scale)``: the remainder, not made primitive, is
+        ``scale`` times the exact one."""
         ring = self.ring
         cap = ring.cap
         degree = ring.degree
@@ -360,8 +360,7 @@ class Reducer:
                         work[x] = v
                     else:
                         del work[x]
-        self.scale = scale
-        return out
+        return out, scale
 
 
 # -- Buchberger ----------------------------------------------------------------
@@ -512,7 +511,7 @@ def groebner(polys, ring):
                     work[x] = v
                 else:
                     work.pop(x, None)
-        r = normalize(red.reduce(work))
+        r = normalize(red.reduce(work)[0])
         if not r:
             continue
         if not r[0][0] & emask:
@@ -525,8 +524,8 @@ def groebner(polys, ring):
         active ^= low
         idx = low.bit_length() - 1
         lc, tail, _ = polys_of[idx]
-        tail = red.reduce(dict(tail))
-        out.append(normalize([(lts[idx], lc * red.scale)] + tail))
+        tail, scale = red.reduce(dict(tail))
+        out.append(normalize([(lts[idx], lc * scale)] + tail))
     out.sort(key=lambda f: f[0][0], reverse=True)
     return out
 
@@ -546,7 +545,7 @@ def interreduce(polys, ring):
     basis = []
     for f in sorted((f for f in polys if f),
                     key=lambda f: (len(f), ring.max_degree(f))):
-        r = normalize(red.reduce(dict(f)))
+        r = normalize(red.reduce(dict(f))[0])
         if r:
             basis.append(r)
             red.add(r)

@@ -10,6 +10,10 @@ reads its input packed (:meth:`Ideal.packed`), makes its engine calls there
 the whole operation with wider fields) and returns an ideal that holds the
 packed result.  Fractions come back only when a basis is asked for.
 
+Every order but grevlex is reached by converting the reduced grevlex basis
+(:func:`convert_basis`); a lex run from raw generators can stall on growing
+coefficients.  The one exception, measured faster, is :func:`saturate`.
+
 Saturation takes one path: a fresh variable t is eliminated from
 I + <1 - t*f>.  Saturating by a product of variables is saturating by that
 one monomial, and f lies in the radical of I exactly when I : f^infinity
@@ -74,27 +78,27 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
             red = Reducer(ring)
             for g in pack_polys([g for g in items if not g.is_zero()], ring):
                 red.add(g)
-        out = red.reduce({ring.pack(m): int(c * scale)
-                          for m, c in f.terms.items()})
-        return red, out
+        return (red, *red.reduce({ring.pack(m): int(c * scale)
+                                  for m, c in f.terms.items()}))
 
     start = memo[3].ring if memo is not None else Ring.for_order(order, f.nvars)
-    red, out = widening(run, start)
+    red, out, factor = widening(run, start)
     _last_divisors = (items, order, f.nvars, red)
     unpack = red.ring.unpack
-    scale *= red.scale
+    scale *= factor
     return Polynomial(f.nvars, {unpack(m): Fraction(c, scale) for m, c in out})
 
 
 def buchberger(gens, order) -> list:
-    """The unique reduced (monic) Groebner basis, leading terms descending."""
+    """The unique reduced (monic) Groebner basis, leading terms descending:
+    the reduced grevlex basis converted to ``order``."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    _check_ring(gens[0].nvars, gens)
+    source, basis = Ideal(gens)._reduced_basis()
 
     def run(ring):
-        return ring, groebner(pack_polys(gens, ring), ring)
+        return ring, convert_basis(basis, source, ring)
 
     ring, out = widening(run, Ring.for_order(order, gens[0].nvars))
     return [to_polynomial(f, ring) for f in out]
@@ -127,16 +131,6 @@ def convert_basis(basis, source, target):
         polys.sort(key=lambda f: f[0][0], reverse=True)
         return polys
     return groebner(polys, target)
-
-
-def _basis_in(target, basis, source, reduced):
-    """The reduced basis in the order of ``target`` of the ideal of the
-    polynomials ``basis``, packed in ``source``: :func:`convert_basis` if
-    ``reduced`` tells that they are a reduced basis, else one
-    :func:`groebner` run."""
-    if reduced:
-        return convert_basis(basis, source, target)
-    return groebner([target.convert(f, source) for f in basis], target)
 
 
 class Ideal:
@@ -196,17 +190,22 @@ class Ideal:
         any field width."""
         return [ring.convert(f, self._ring) for f in self._packed]
 
+    def _reduced_basis(self):
+        """The ring and the packed reduced grevlex basis, computed once."""
+        if not self._reduced:
+            self.generators  # made from the packed ones the basis replaces
+
+            def run(ring):
+                return ring, groebner(self.packed(ring), ring)
+
+            self._ring, self._packed = widening(run, self._ring)
+            self._reduced = True
+        return self._ring, self._packed
+
     def groebner_basis(self):
         if self._basis is None:
-            if not self._reduced:
-                self.generators  # made from the packed ones the basis replaces
-
-                def run(ring):
-                    return ring, groebner(self.packed(ring), ring)
-
-                self._ring, self._packed = widening(run, self._ring)
-                self._reduced = True
-            self._basis = [to_polynomial(f, self._ring) for f in self._packed]
+            ring, basis = self._reduced_basis()
+            self._basis = [to_polynomial(f, ring) for f in basis]
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
@@ -279,7 +278,10 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     last variable t is eliminated from I + <1 - t*f> (Cox, Little &
     O'Shea, *Ideals, Varieties, and Algorithms*, ch. 4 sec. 4).  This is
     the one saturation path; :func:`saturate_by_variables` takes it too.
-    Its rings carry t and the variables of I and f only."""
+    Its rings carry t and the variables of I and f only.
+    Its block run starts from I + <1 - t*f>, not from a grevlex basis of
+    it: on the Perles certificate that made two engine runs, not one, and
+    was about 5 % slower."""
     if f.is_zero():
         raise ZeroDivisorPolynomialError("cannot saturate by the zero polynomial")
     _check_ring(I.nvars, [f])
@@ -316,43 +318,37 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
     homogenization of I, saturated by each reintroduced variable.
 
     ``edges`` is a sequence of (variable, weight variables) pairs.  For each,
-    a basis of the current ideal is taken in the order "degree in the weight
-    variables, then grevlex", and every element is homogenized in that
-    degree with the variable.  Homogenizing a Groebner basis of an order
-    compatible with the grading yields a basis of the homogenized ideal, and
-    the homogenized ideal is saturated by the homogenizing variable (Cox,
-    Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 sec. 4).
-    Reintroducing a spanning forest of the non-incidence graph leaf to root,
-    with each edge weighted by the row or column it enters, therefore
-    rehomogenizes a dehomogenized slack ideal.  A final grevlex run gives
-    the reduced basis, which is returned as the generators.  The unit and
-    zero ideals pass through unchanged: their bases, ``[[(0, 1)]]`` and
-    ``[]``, are homogeneous already.
+    the reduced basis of the current ideal is taken in the order "degree in
+    the weight variables, then grevlex", and every element is homogenized
+    in that degree with the variable.  Homogenizing a Groebner basis of an
+    order compatible with the grading yields a basis of the homogenized
+    ideal, and the homogenized ideal is saturated by the homogenizing
+    variable (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 8 sec. 4).  Reintroducing a spanning forest of the non-incidence
+    graph leaf to root, with each edge weighted by the row or column it
+    enters, therefore rehomogenizes a dehomogenized slack ideal.  The
+    reduced grevlex basis is returned as the generators.  The unit and zero
+    ideals pass through unchanged.
 
-    A reduced basis is the reduced basis of every order that keeps its
-    leading monomials (:func:`convert_basis`), so a step whose input is a
-    reduced basis makes no Buchberger run when no leading monomial moves.
-    Each homogenized basis is one: when the variable does not occur in the
-    basis it homogenizes, the result is the reduced basis of the order
-    "that order on the part free of the variable, then its degree", and
-    each element leads with its top term times the variable to the power
-    0 (CLO, ch. 8 sec. 4).  So each later edge step and the final run
-    convert the basis before them unless a leading monomial moves, and the
-    first step does so when I holds its reduced basis.  A variable that
-    already occurs makes the next step run.
+    Each step converts the basis before it (:func:`convert_basis`), from
+    I's reduced grevlex basis on: a homogenized basis is the reduced basis
+    of "that order on the part free of the variable, then its degree" (CLO,
+    ch. 8 sec. 4), so no run is made unless a leading monomial moves.  A
+    variable that occurs in the basis it homogenizes raises
+    :class:`~slackkit.errors.UniverseMismatchError`.
     """
     edges = [(v, frozenset(w)) for v, w in edges]
 
     def run(grevlex):
-        # the current polynomials, their ring, and whether they are the
-        # reduced basis of an order in which each leads with its first term
-        ring, basis, reduced = I._ring, I._packed, I._reduced
+        ring, basis = I._reduced_basis()
         for v, weight in edges:
             weighted = Ring(grevlex.nvars, grevlex.blocks, weight, grevlex.bits)
             wdeg, unit = weighted.weight_degree, weighted.units[v]
             occurs = (unit & weighted.emask) * weighted.fm  # v's field
-            polys = _basis_in(weighted, basis, ring, reduced)
-            reduced = not any(m & occurs for f in polys for m, _ in f)
+            polys = convert_basis(basis, ring, weighted)
+            if any(m & occurs for f in polys for m, _ in f):
+                raise UniverseMismatchError(
+                    f"variable {v} occurs in the ideal it homogenizes")
             basis = []
             for f in polys:
                 top = wdeg(f[0][0])  # the order compares this degree first
@@ -362,25 +358,20 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
                         "homogenization leaves the packed field width")
                 basis.append(f)
             ring = weighted
-        return grevlex, _basis_in(grevlex, basis, ring, reduced)
+        return grevlex, convert_basis(basis, ring, grevlex)
 
     return Ideal.of_packed(*widening(run, Ring(I.nvars, [range(I.nvars)])))
 
 
 def eliminate(I: Ideal, var_indices) -> Ideal:
-    """I intersected with the subring without the given variables; its
-    rings carry the variables of I only.
-
-    The intersection is read off I's reduced basis in a block order, the
-    given variables first.  When I holds its reduced grevlex basis and no
-    element's leading monomial moves in the block order, that basis is
-    already the block order's reduced basis (:func:`convert_basis`), and no
-    Buchberger run is made."""
+    """I intersected with the subring without the given variables, read
+    off I's reduced grevlex basis converted to a block order, the given
+    variables first; its rings carry the variables of I only."""
     var_indices = set(var_indices)
     _check_variables(I.nvars, var_indices)
+    source, basis = I._reduced_basis()
     used = _variables(I)
-    return _eliminate(lambda ring: _basis_in(ring, I._packed, I._ring,
-                                             I._reduced),
+    return _eliminate(lambda ring: convert_basis(basis, source, ring),
                       used & var_indices, used - var_indices, I.nvars)
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from .errors import (NeedsNumericDataError, NeedsScaledMatrixError,
                      NoFlagFoundError, NotAForestError,
                      UniverseMismatchError, variable_outside)
+from .engine import Ring
 from .geometry import PointConfiguration, check_columns
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
@@ -200,11 +201,14 @@ def graphic_ideal(S) -> Ideal:
     binomial lies in the ideal these generate.  Rehomogenizing edge by
     edge gives the toric ideal back by the lattice argument of
     :func:`slack_ideal`, which needs only that the ideal is multihomogeneous
-    and saturated by every variable."""
+    and saturated by every variable.  The binomials x_e - 1 are already
+    the reduced grevlex basis of the ideal they generate, so the ideal is
+    built holding them as that basis."""
     Y = set_ones_forest(S)[0]
-    n = Y.nvars
-    gens = [Polynomial.variable(v, n) - 1 for v in Y.surviving_variables()]
-    return homogenize_by_edges(Ideal(gens, nvars=n), forest_weights(Y))
+    ring = Ring.for_order(Ideal.order, Y.nvars)
+    basis = sorted(([(ring.units[v], 1), (0, -1)]
+                    for v in Y.surviving_variables()), reverse=True)
+    return homogenize_by_edges(Ideal.of_packed(ring, basis), forest_weights(Y))
 
 
 # -- flags and reduced matrices ----------------------------------------------

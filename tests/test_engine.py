@@ -17,6 +17,7 @@ from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger,
 from slackkit import engine, groebner, slack
 from slackkit.groebner import homogenize_by_edges
 from slackkit.engine import FieldOverflow, Ring
+from slackkit.errors import UniverseMismatchError
 from conftest import PERLES_ONES, compare, poly
 
 sympy = pytest.importorskip("sympy")
@@ -93,18 +94,21 @@ def unpacked(f, scale, ring):
 def test_heap_reduction_by_a_reduced_basis_matches_sympy(name, divisors, queries):
     # against a reduced basis the remainder is unique, so sympy's must agree;
     # one Reducer answers every query, so divisors memoized for one query
-    # are looked up by the next
-    ring = RINGS[name]
-    basis = engine.groebner([ring.from_terms(g) for g in divisors], ring)
+    # are looked up by the next.  The basis is converted from grevlex, as
+    # the library reaches every other order
+    ring, grevlex = RINGS[name], RINGS["grevlex"]
+    basis = groebner.convert_basis(
+        engine.groebner([grevlex.from_terms(g) for g in divisors], grevlex),
+        grevlex, ring)
     red = engine.Reducer(ring)
     for g in basis:
         red.add(g)
     exprs = [to_sympy(engine.to_polynomial(g, ring)) for g in basis]
     for f in queries:
-        got = red.reduce({ring.pack(m): c for m, c in f.items()})
+        got, scale = red.reduce({ring.pack(m): c for m, c in f.items()})
         _, expected = sympy.reduced(to_sympy(Polynomial(NV, f)), exprs,
                                     *SYMS, order=name, domain="QQ")
-        assert sympy.expand(to_sympy(unpacked(got, red.scale, ring))
+        assert sympy.expand(to_sympy(unpacked(got, scale, ring))
                             - expected) == 0
 
 
@@ -236,7 +240,9 @@ def test_radical_membership_in_a_subset_matches_sympy(gens, f):
 CHAINED = {
     "eliminate": lambda I, f: eliminate(I, [0]),
     "radical_membership": lambda I, f: radical_membership(f, I),
-    "homogenize_by_edges": lambda I, f: homogenize_by_edges(I, [(2, [1, 2])]),
+    # x2 must not occur in the ideal it homogenizes
+    "homogenize_by_edges": lambda I, f: homogenize_by_edges(eliminate(I, [2]),
+                                                            [(2, [1, 2])]),
     "saturate_by_variables": lambda I, f: saturate_by_variables(I, [0, 2]),
     "saturate": lambda I, f: saturate(I, f),
 }
@@ -504,12 +510,14 @@ def test_pentagon_slack_ideal_engine_work(monkeypatch):
 
 
 def test_perles_graphic_ideal_engine_work(monkeypatch):
-    # 24 edge steps and the final grevlex run over all 36 variables; 5 of
-    # the edge steps convert the basis before them with no engine run
+    # 24 edge steps and the final grevlex run over all 36 variables.  The
+    # ideal starts from its reduced grevlex basis, the binomials x_e - 1, so
+    # the first edge step converts it; 6 of the edge steps convert the
+    # basis before them with no engine run
     work = engine_work(monkeypatch)
     I = graphic_ideal(specific_slack_matrix("perles-reduced"))
     assert len(I.groebner_basis()) == 266
-    assert work == {"pairs": 21182, "reductions": 20467}
+    assert work == {"pairs": 21170, "reductions": 20443}
 
 
 def test_pack_of_a_variable_the_ring_does_not_carry_raises():
@@ -688,12 +696,30 @@ def test_convert_basis_passes_the_unit_and_zero_ideals(basis, monkeypatch):
         assert groebner.convert_basis(basis, source, target) == basis
 
 
-def test_homogenizing_by_a_variable_that_occurs_runs_the_next_order():
-    # x2 occurs in I, so its homogenized basis is not known to be reduced and
-    # the final grevlex run is made; converting it would keep
-    # x0^2*x1^2*x3 - 1/3*x1*x2^2, whose tail the other element divides
+def test_homogenizing_by_a_variable_that_occurs_raises():
+    # x2 occurs in I, so homogenizing with it is not the homogenization of
+    # I, and the homogenized basis need not be reduced
     x0, x1, x2, x3 = (Polynomial.variable(v, 4) for v in range(4))
     I = Ideal([-3 * x0 * x0 * x1 * x1 * x3 + x1, 3 * x0 * x1 * x2 * x2])
-    I.groebner_basis()
-    J = homogenize_by_edges(I, [(2, [1, 2, 3])])
-    assert J.to_strings() == ["x0^2*x1^2*x3", "x1*x2^2"]
+    with pytest.raises(UniverseMismatchError, match="variable 2 occurs"):
+        homogenize_by_edges(I, [(2, [1, 2, 3])])
+
+
+def test_lex_basis_and_elimination_of_a_swelling_ideal_match_sympy():
+    # a Buchberger run from these generators straight in lex, or in the
+    # block order of the elimination, did not finish: its coefficients grew
+    # past 79,000 bits.  Converted from the reduced grevlex basis, each takes
+    # a few milliseconds
+    x0, x1, x2 = (Polynomial.variable(v, NV) for v in range(NV))
+    gens = [x0 * x0 * x1 * x1 * x2 * x2 - Fraction(5, 2) * x0 * x0 * x1
+            - 2 * x0 * x0 * x2 - Fraction(5, 2) * x2,
+            Fraction(1, 5) * x0 * x1 * x1 * x2 * x2 + x0 * x0 * x2,
+            Fraction(-3, 5) * x0 * x1 * x2 + Fraction(4, 5) * x1 * x2 * x2
+            + x0 * x0 + Fraction(2, 5) * x2]
+    expected = sympy_basis([to_sympy(g) for g in gens], order="lex")
+    lex = buchberger(gens, Lex())
+    assert len(lex) == 5
+    assert ours(lex) == expected
+    free = [g for g in expected if not g.has(SYMS[0])]
+    assert ours(eliminate(Ideal(gens), [0]).groebner_basis()) == \
+        sympy_basis(free)

@@ -1,6 +1,7 @@
 """Source structure: every import sits at module level, no module imports
-``dataclasses`` or ``inspect``, and ``slack`` does not import ``scaling``,
-which builds on it."""
+``dataclasses`` or ``inspect``, ``slack`` does not import ``scaling``,
+which builds on it, ``groebner`` runs the engine's Buchberger loop in three
+places only, and no ``Reducer`` carries a ``scale`` attribute."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,40 @@ def test_slack_does_not_import_scaling():
             names += [alias.name for alias in node.names]
             assert not any("scaling" in name.split(".") for name in names), \
                 f"slack.py:{node.lineno} imports scaling"
+
+
+def test_groebner_runs_the_engine_in_three_places_only():
+    # every order but grevlex is reached by converting the reduced grevlex
+    # basis; only the conversion, the grevlex run and the Rabinowitsch run
+    # of the saturation call the engine's Buchberger loop
+    tree = ast.parse((PACKAGE / "groebner.py").read_text())
+    allowed = {"convert_basis", "_reduced_basis", "saturate"}
+    calls = set()
+
+    def visit(node, scope):
+        if scope is None and isinstance(node, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef)):
+            scope = node.name  # a module-level function or a method
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name == "groebner":
+                calls.add((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    scopes = {scope for scope, _ in calls}
+    assert scopes and scopes <= allowed, sorted(calls)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_reducer_scale_attribute(path):
+    # Reducer.reduce returns its scale with the remainder; no hidden state
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "scale"
+             and isinstance(node.ctx, ast.Store)]
+    assert not found
