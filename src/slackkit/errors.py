@@ -16,14 +16,17 @@ class UniverseMismatchError(SlackkitError):
     pass
 
 
-def variable_outside(index, nvars):
-    """The error for a variable index that names none of ``nvars``
-    variables, with the index as given."""
-    if not nvars:
-        return UniverseMismatchError(f"variable index {index} in a ring "
-                                     "without variables")
-    return UniverseMismatchError(
-        f"variable index {index} outside 0..{nvars - 1}")
+def check_variables(indices, nvars):
+    """Raise :class:`UniverseMismatchError` for the first of ``indices``
+    that names none of ``nvars`` variables, with the index as given."""
+    valid = range(nvars)
+    for index in indices:
+        if index not in valid:
+            if not nvars:
+                raise UniverseMismatchError(f"variable index {index} in a "
+                                            "ring without variables")
+            raise UniverseMismatchError(
+                f"variable index {index} outside 0..{nvars - 1}")
 
 
 class ZeroDivisorPolynomialError(SlackkitError):

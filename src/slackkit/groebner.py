@@ -29,7 +29,7 @@ from fractions import Fraction
 from .engine import (FieldOverflow, Reducer, Ring, groebner, pack_polys,
                      to_polynomial, widening)
 from .errors import (UniverseMismatchError, ZeroDivisorPolynomialError,
-                     variable_outside)
+                     check_variables)
 from .poly import GRevLex, Polynomial
 from .rationals import denominator_lcm
 
@@ -40,13 +40,6 @@ def _check_ring(nvars, polys):
         if p.nvars != nvars:
             raise UniverseMismatchError(
                 f"polynomial in {p.nvars} variables, ring of {nvars}")
-
-
-def _check_variables(nvars, var_indices):
-    """Raise unless every index names one of ``nvars`` variables."""
-    for v in var_indices:
-        if not 0 <= v < nvars:
-            raise variable_outside(v, nvars)
 
 
 # -- normal forms ------------------------------------------------------------
@@ -308,7 +301,7 @@ def saturate_by_variables(I: Ideal, var_indices) -> Ideal:
     saturated here, in the small dehomogenized ring.
     """
     var_indices = set(var_indices)
-    _check_variables(I.nvars, var_indices)
+    check_variables(var_indices, I.nvars)
     return saturate(I, Polynomial.monomial(
         [int(v in var_indices) for v in range(I.nvars)], I.nvars))
 
@@ -368,7 +361,7 @@ def eliminate(I: Ideal, var_indices) -> Ideal:
     off I's reduced grevlex basis converted to a block order, the given
     variables first; its rings carry the variables of I only."""
     var_indices = set(var_indices)
-    _check_variables(I.nvars, var_indices)
+    check_variables(var_indices, I.nvars)
     source, basis = I._reduced_basis()
     used = _variables(I)
     return _eliminate(lambda ring: convert_basis(basis, source, ring),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UniverseMismatchError, variable_outside
+from .errors import UniverseMismatchError, check_variables
 from .rationals import format_rational
 
 
@@ -100,8 +100,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, i, nvars):
-        if not 0 <= i < nvars:
-            raise variable_outside(i, nvars)
+        check_variables([i], nvars)
         e = [0] * nvars
         e[i] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
@@ -185,9 +184,7 @@ class Polynomial:
         that become equal and drop those that cancel.  An index outside
         0..nvars-1 raises :class:`UniverseMismatchError`."""
         idx = set(var_indices)
-        for i in idx:
-            if not 0 <= i < self.nvars:
-                raise variable_outside(i, self.nvars)
+        check_variables(idx, self.nvars)
         terms = {}
         for m, c in self.terms.items():
             e = list(m)

@@ -7,18 +7,18 @@ lcm of its denominators, and all elimination runs on those integers.
 :func:`int_rref` is fraction-free Gauss-Jordan elimination on primitive
 integer rows and :func:`int_kernel` reads an integer kernel basis off it;
 :func:`int_cofactors` walks row subsets by Bareiss steps and reads each
-one's signed maximal minors off by Cramer's rule; determinants use Bareiss
-elimination.  Fractions come back only in the results of
-:meth:`RationalMatrix.rref` and :meth:`RationalMatrix.kernel_basis`, where
-each pivot row is divided by its pivot once; :meth:`RationalMatrix.rank`
-builds no Fraction at all.
+one's signed maximal minors off by Cramer's rule; a determinant is the last
+row dotted with the cofactor vector of the rows before it.  Fractions come
+back only in the results of :meth:`RationalMatrix.rref` and
+:meth:`RationalMatrix.kernel_basis`, where each pivot row is divided by its
+pivot once; :meth:`RationalMatrix.rank` builds no Fraction at all.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import BadRationalError, NonSquareError, RaggedRowsError
@@ -257,33 +257,18 @@ class RationalMatrix:
                               ncols=self.ncols)
 
     def det(self) -> Fraction:
-        """Exact determinant via Bareiss elimination on an integer scaling."""
+        """Exact determinant: the cofactor vector of all rows but the last,
+        from :func:`int_cofactors` on the integer scaling, dotted with the
+        last row.  No cofactor vector means the other rows are dependent."""
         if self.nrows != self.ncols:
             raise NonSquareError(f"det of {self.nrows}x{self.ncols} matrix")
-        n = self.nrows
-        if n == 0:
+        if not self.rows:
             return Fraction(1)
-        scale = 1
-        m = []
-        for row in self.rows:
-            ints, k = integer_row(row)
-            scale *= k
-            m.append(ints)
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return Fraction(0)
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], scale)
+        ints, scales = zip(*map(integer_row, self.rows))
+        _, v = next(int_cofactors(ints[:-1], range(self.ncols)), (None, None))
+        if v is None:
+            return Fraction(0)
+        return Fraction(sum(map(mul, v, ints[-1])), prod(scales))
 
     # -- serialization ------------------------------------------------------
 

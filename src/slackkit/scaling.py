@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .errors import (NeedsNumericDataError, NeedsScaledMatrixError,
                      NoFlagFoundError, NotAForestError,
-                     UniverseMismatchError, variable_outside)
+                     UniverseMismatchError, check_variables)
 from .engine import Ring
 from .geometry import PointConfiguration, check_columns
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
@@ -22,7 +22,7 @@ from .slack import (NonIncidenceGraph, ScaledSlackMatrix, SlackMatrix,
 
 
 def non_incidence_graph(S) -> NonIncidenceGraph:
-    return NonIncidenceGraph(symbolic_slack_matrix(S))
+    return symbolic_slack_matrix(S).graph
 
 
 def set_ones_forest(S):
@@ -315,8 +315,7 @@ def _divisors(n):
 def rational_roots(p: Polynomial, var: int):
     """All rational roots of a univariate polynomial via the rational root
     test on an integer-cleared copy."""
-    if not 0 <= var < p.nvars:
-        raise variable_outside(var, p.nvars)
+    check_variables([var], p.nvars)
     if p.is_zero() or p.is_constant():
         return []
     scale = denominator_lcm(p.terms.values())
@@ -345,8 +344,7 @@ def irrationality_certificate(I: Ideal, keep: int) -> Certificate:
     certifying non-rational realizability.  The unit ideal gives g = 1,
     which has no root at all: the variety is empty, so there is no
     realization, rational or not, and the result is "irrational"."""
-    if not 0 <= keep < I.nvars:
-        raise variable_outside(keep, I.nvars)
+    check_variables([keep], I.nvars)
     others = set(range(I.nvars)) - {keep}
     basis = eliminate(I, others).groebner_basis()
     if not basis:

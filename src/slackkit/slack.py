@@ -12,7 +12,7 @@ from operator import mul
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
                      NotACofacetError, NotAForestError, ScaledMatrixError,
-                     SizeMismatchError, variable_outside)
+                     SizeMismatchError, check_variables)
 from .geometry import (GaleTransform, PointConfiguration, check_vertices,
                        facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
@@ -163,9 +163,7 @@ class ScaledSlackMatrix:
     def __init__(self, base: SymbolicSlackMatrix, ones_at):
         self.base = base
         self.ones_at = frozenset(ones_at)
-        for v in self.ones_at:
-            if v not in base.cell_of:
-                raise variable_outside(v, base.nvars)
+        check_variables(self.ones_at, base.nvars)
         self.forest = base.graph.spanning_forest(self.ones_at)
         # a spanning forest of the ones misses exactly the edges closing cycles
         cycles = self.ones_at - self.forest.variables
@@ -232,13 +230,8 @@ def symbolic_slack_matrix(S) -> SymbolicSlackMatrix:
         raise ScaledMatrixError(
             "this slack matrix has entries fixed to one; the full pattern is needed")
     if isinstance(S, SlackMatrix):
-        support = S.support()
-    elif isinstance(S, RationalMatrix):
-        support = [[S[i, j] != 0 for j in range(S.ncols)]
-                   for i in range(S.nrows)]
-    else:
-        support = [[bool(x) for x in row] for row in S]
-    sym = SymbolicSlackMatrix(support)
+        S = S.entries
+    sym = SymbolicSlackMatrix(S.rows if isinstance(S, RationalMatrix) else S)
     for i, row in enumerate(sym.support):
         if not any(row):
             raise DegeneratePatternError(f"all-zero row {i}")

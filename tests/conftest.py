@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from slackkit import Polynomial
+from slackkit.builtins import PERLES_ONES  # noqa: F401 (re-exported)
 
 SQUARE_VERTICES = [(0, 0), (1, 0), (1, 1), (0, 1)]
 PRISM_VERTICES = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0)]
-PERLES_ONES = (0, 3, 4, 5, 6, 7, 8, 9, 12, 14, 15, 16, 17, 20, 21,
-               25, 26, 27, 28, 29, 30, 31, 32, 34)
 
 
 def poly(nvars, *terms):

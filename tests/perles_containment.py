@@ -14,9 +14,7 @@ import time
 from slackkit import (engine, normal_form, radical_membership,
                       rehomogenize_ideal, set_ones, slack_ideal,
                       specific_slack_matrix)
-
-PERLES_ONES = (0, 3, 4, 5, 6, 7, 8, 9, 12, 14, 15, 16, 17, 20, 21,
-               25, 26, 27, 28, 29, 30, 31, 32, 34)
+from slackkit.builtins import PERLES_ONES
 
 
 def count_engine_work():

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import slackkit
-from slackkit import RationalMatrix
 from slackkit.cli import build_parser, main, parse_matrix_input
 
 import pytest

@@ -15,6 +15,7 @@ from slackkit.errors import (BadPointConfigurationError, NonVertexPointError,
                              SlackkitError, TooManySubsetsError)
 from slackkit.geometry import AffineHyperplane, Circuit
 from conftest import PRISM_VERTICES, SQUARE_VERTICES
+from test_rationals import sympy_det
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -489,9 +490,12 @@ def first_spanning_rows(M, cols):
 def test_plucker_slack_entries_are_pluecker_coordinates(points):
     # oracle: by Cramer's rule entry i of a cofacet's column is
     # (-1)^(position of i) det(rows; C minus i), up to one sign per column,
-    # with Bareiss determinants of the first spanning rows; with
+    # with sympy's determinants of the first spanning rows; with
     # k = rank + 1 those rows are all of G and the entries are
     # +-pluecker(G, C minus i)
+    def minor(M, cols):
+        return sympy_det(M.submatrix(range(M.nrows), cols).rows)
+
     V = PointConfiguration(points)
     assume(V.n >= V.dim + 1)
     G = gale_transform(V)
@@ -503,7 +507,7 @@ def test_plucker_slack_entries_are_pluecker_coordinates(points):
         j = S.incidence.index(frozenset(range(V.n)) - set(cofacet))
         rows = M.submatrix(first_spanning_rows(M, cofacet), range(V.n))
         column = [S.entries[i, j] for i in range(V.n)]
-        minors = [(-1) ** pos * pluecker(rows, [c for c in cofacet if c != i])
+        minors = [(-1) ** pos * minor(rows, [c for c in cofacet if c != i])
                   for pos, i in enumerate(cofacet)]
         sign = 1 if minors[0] * column[cofacet[0]] > 0 else -1
         assert [column[i] for i in cofacet] == [sign * x for x in minors]
@@ -511,7 +515,7 @@ def test_plucker_slack_entries_are_pluecker_coordinates(points):
         assert all(column[i] == 0 for i in range(V.n) if i not in cofacet)
         if len(cofacet) == M.nrows + 1:
             assert [abs(column[i]) for i in cofacet] == \
-                [abs(pluecker(M, [c for c in cofacet if c != i])) for i in cofacet]
+                [abs(minor(M, [c for c in cofacet if c != i])) for i in cofacet]
 
 
 def paraboloid(n):

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger, eliminate,
                       ideal_equals, normal_form, radical_membership, saturate,
@@ -275,3 +274,10 @@ def test_packed_generators_do_not_depend_on_when_they_are_read():
     assert len(later.groebner_basis()) == 30
     assert later.generators == gens
     assert later.groebner_basis() == first.groebner_basis()
+
+
+def test_ideal_repr_shows_at_most_four_generators():
+    x = [Polynomial.variable(i, 5) for i in range(5)]
+    assert repr(Ideal(x[:2])) == "Ideal(x0, x1)"
+    assert repr(Ideal([x[0] * x[1] - 2, *x[1:]])) == \
+        "Ideal(x0*x1 - 2, x1, x2, x3, ...)"

@@ -89,6 +89,24 @@ def test_to_string_constants_and_powers():
     assert p.to_string() == "x0^2 + x0 - 1"
 
 
+def test_to_string_non_unit_coefficients():
+    p = poly(2, (2, {0: 1}), (Fraction(1, 2), {1: 2}))
+    assert p.to_string() == "1/2*x1^2 + 2*x0"
+    assert (-p).to_string() == "-1/2*x1^2 - 2*x0"
+
+
+def test_constants_on_the_left():
+    p = poly(2, (1, {0: 1}), (-3, {}))
+    assert (1 - p).to_string() == "-x0 + 4"
+    assert (2 + p).to_string() == "x0 - 1"
+
+
+def test_a_variable_of_a_ring_without_variables_raises():
+    with pytest.raises(UniverseMismatchError) as info:
+        Polynomial.variable(0, 0)
+    assert str(info.value) == "variable index 0 in a ring without variables"
+
+
 def test_square_binomial_multihomogeneous():
     sym = symbolic_slack_matrix(slack_matrix(SQUARE_VERTICES))
     p = poly(8, (1, {0: 1, 3: 1, 5: 1, 6: 1}), (-1, {1: 1, 2: 1, 4: 1, 7: 1}))

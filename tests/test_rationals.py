@@ -9,7 +9,7 @@ from slackkit.rationals import int_cofactors
 from slackkit.errors import BadRationalError, NonSquareError, RaggedRowsError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 def test_parse_and_format_roundtrip():
@@ -201,19 +201,66 @@ def cofactor_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cofactor_cases())
 def test_int_cofactors_are_signed_maximal_minors(case):
-    # oracle: a Bareiss determinant per (subset, column), every subset
+    # oracle: sympy's determinant per (subset, column), every subset
+    sympy = pytest.importorskip("sympy")
     rows, cols = case
     k = len(cols)
     want = []
     for subset in itertools.combinations(range(len(rows)), k - 1):
-        v = [(-1) ** (k - 1 - j) * RationalMatrix(
+        v = [(-1) ** (k - 1 - j) * int(sympy.Matrix(
                 [[rows[s][c] for c in cols if c != cols[j]] for s in subset]
-            ).det() for j in range(k)]
+            ).det()) for j in range(k)]
         if any(v):
             want.append((subset, v))
     assert list(int_cofactors(rows, cols)) == want
     # v . w is the determinant with w appended, also for w outside rows
     for subset, v in want:
         w = [5, -2, 3, 1, -4, 6][:k]
-        M = RationalMatrix([[rows[s][c] for c in cols] for s in subset] + [w])
+        M = sympy.Matrix([[rows[s][c] for c in cols] for s in subset] + [w])
         assert sum(x * y for x, y in zip(v, w)) == M.det()
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices up to 5x5: any, singular (one row a
+    combination of others), or with the first n - 1 rows dependent and the
+    last row drawn freely, so that no cofactor vector exists."""
+    n = draw(st.integers(0, 5))
+    entries = st.sampled_from([Fraction(x) for x in
+                               (0, 0, 0, 1, -1, 2, "-3/2", "5/7")])
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["any", "singular", "dependent prefix"]))
+    if kind == "singular" and n >= 2:
+        k = draw(st.integers(0, n - 1))
+        i, j = (draw(st.sampled_from([r for r in range(n) if r != k]))
+                for _ in range(2))
+        a, b = draw(entries), draw(entries)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    elif kind == "dependent prefix" and n >= 2:
+        t = draw(st.integers(0, n - 2))
+        rows[t] = [sum((draw(entries) * rows[i][c] for i in range(n - 1)
+                        if i != t), Fraction(0)) for c in range(n)]
+    return rows
+
+
+def sympy_det(rows):
+    """The determinant of a square list of Fraction rows by sympy, an
+    oracle that shares no elimination with slackkit."""
+    sympy = pytest.importorskip("sympy")
+    n = len(rows)
+    det = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                              for row in rows for x in row]).det()
+    return Fraction(int(det.p), int(det.q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(square_matrices())
+@example([])
+@example([[Fraction(0)]])
+@example([[Fraction(-5, 3)]])
+@example([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+@example([[Fraction(0), Fraction(0)], [Fraction(3), Fraction(1)]])
+def test_det_matches_sympy(rows):
+    # an oracle that does not share int_cofactors
+    assert RationalMatrix(rows, ncols=len(rows)).det() == sympy_det(rows)

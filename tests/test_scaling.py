@@ -145,8 +145,7 @@ def test_a_pattern_carries_its_grid_and_graph():
     sym = symbolic_slack_matrix(specific_slack_matrix("square"))
     assert sym.grid == [[None, 0, None, 1], [2, None, None, 3],
                         [None, 4, 5, None], [6, None, 7, None]]
-    assert sym.graph.edges == non_incidence_graph(sym).edges
-    assert non_incidence_graph(sym) is not sym.graph
+    assert non_incidence_graph(sym) is sym.graph
     Y = set_ones(sym, [0, 1, 2, 3, 5, 6, 7])
     assert Y.grid == [[None, ONE, None, ONE], [ONE, None, None, ONE],
                       [None, 4, ONE, None], [ONE, None, ONE, None]]

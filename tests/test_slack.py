@@ -8,8 +8,8 @@ import time
 from fractions import Fraction
 
 from slackkit import (GaleTransform, Ideal, PointConfiguration, Polynomial,
-                      RationalMatrix, ScaledSlackMatrix, SlackMatrix,
-                      SymbolicSlackMatrix, count_minors, gale_transform,
+                      RationalMatrix, ScaledSlackMatrix, SymbolicSlackMatrix,
+                      count_minors, gale_transform,
                       graphic_ideal, ideal_equals, saturate_by_variables,
                       slack_from_gale_circuits, slack_from_gale_plucker,
                       slack_ideal, slack_matrix, specific_slack_matrix,

@@ -1,7 +1,8 @@
 """Source structure: every import sits at module level, no module imports
 ``dataclasses`` or ``inspect``, ``slack`` does not import ``scaling``,
 which builds on it, ``groebner`` runs the engine's Buchberger loop in three
-places only, and no ``Reducer`` carries a ``scale`` attribute."""
+places only, no ``Reducer`` carries a ``scale`` attribute, and no module of
+the package or the tests imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import slackkit
 
 PACKAGE = Path(slackkit.__file__).parent
+TESTS = Path(__file__).parent
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
@@ -91,3 +93,35 @@ def test_no_reducer_scale_attribute(path):
              if isinstance(node, ast.Attribute) and node.attr == "scale"
              and isinstance(node.ctx, ast.Store)]
     assert not found
+
+
+def unused_imports(source):
+    """``(line, name)`` for each name a module-level import binds that the
+    module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name)
+                      for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+# __init__.py and conftest.py exist to re-export what they import
+@pytest.mark.parametrize(
+    "path", [path for path in sorted(PACKAGE.glob("*.py"))
+             + sorted(TESTS.glob("*.py"))
+             if path.name not in ("__init__.py", "conftest.py")],
+    ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_import(path):
+    found = unused_imports(path.read_text())
+    assert not found
+
+
+def test_the_unused_import_guard_sees_an_unused_import():
+    source = "import os\nfrom a.b import c as d, e\nimport x.y\nprint(e, x)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "d")]
