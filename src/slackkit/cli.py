@@ -9,7 +9,7 @@ import sys
 
 from .builtins import BUILTIN_NAMES, specific_slack_matrix
 from .errors import (ParseError, SizeMismatchError, SlackkitError,
-                     UniverseMismatchError)
+                     UniverseMismatchError, check_support)
 from .geometry import GaleTransform, PointConfiguration, gale_transform
 from .rationals import RationalMatrix
 from .scaling import (contains_flag, dehomogenized_ideal, graphic_ideal,
@@ -71,6 +71,7 @@ def _source_matrix(args):
     if kind == "vertices":
         return slack_matrix(M.rows, object=args.object or "polytope")
     if kind == "matrix":
+        check_support(M.rows)
         return SlackMatrix(M)
     return symbolic_slack_matrix(M)
 
@@ -241,104 +242,59 @@ def _cmd_count_minors(args):
     print(count_minors(_infer_d(args, S), S=S))
 
 
-def _add_source_flags(p, pattern=True):
-    p.add_argument("--vertices", help="vertex matrix file ('-' = stdin)")
-    p.add_argument("--object", choices=("polytope", "matroid"))
-    p.add_argument("--matrix", help="numeric slack matrix file")
-    if pattern:
-        p.add_argument("--pattern", help="0/1 support pattern file")
-    p.add_argument("--builtin", choices=BUILTIN_NAMES)
+# each option once, by name: its flag and the keywords that add it to a
+# parser; `gale` and `certificate` print --vertices and --ones their own way
+_OPTIONS = {
+    "vertices": ("--vertices", {"help": "vertex matrix file ('-' = stdin)"}),
+    "object": ("--object", {"choices": ("polytope", "matroid")}),
+    "matrix": ("--matrix", {"help": "numeric slack matrix file"}),
+    "pattern": ("--pattern", {"help": "0/1 support pattern file"}),
+    "builtin": ("--builtin", {"choices": BUILTIN_NAMES}),
+    "gale-vertices": ("--vertices", {"required": True}),
+    "gale": ("--gale", {"required": True, "help": "Gale vector matrix file"}),
+    "cofacets": ("--cofacets",
+                 {"help": "semicolon-separated cofacet index groups"}),
+    "ones": ("--ones",
+             {"help": "comma-separated variable indices to scale to 1"}),
+    "certificate-ones": ("--ones", {}),
+    "flag-indices": ("--flag-indices", {}),
+    "indices": ("--indices", {"required": True}),
+    "variable": ("--variable", {"type": int, "required": True,
+                                "help": "variable to eliminate down to"}),
+    "name": ("name", {"choices": BUILTIN_NAMES}),
+    "rows": ("--rows", {"type": int}),
+    "cols": ("--cols", {"type": int}),
+    "d": ("-d", {"type": int,
+                 "help": "dimension (inferred from numeric input if omitted)"}),
+    "format": ("--format", {"choices": ("text", "json"), "default": "text"}),
+}
 
+# the options naming a source matrix, which _source_matrix reads
+_SOURCE = "vertices object matrix pattern builtin"
 
-def _add_common(p, d=False, fmt=True):
-    if d:
-        p.add_argument("-d", type=int, default=None,
-                       help="dimension (inferred from numeric input if omitted)")
-    if fmt:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _source_arguments(p, pattern=True, **common):
-    _add_source_flags(p, pattern=pattern)
-    _add_common(p, **common)
-
-
-def _gale_arguments(p):
-    p.add_argument("--vertices", required=True)
-    _add_common(p)
-
-
-def _gale_slack_arguments(p):
-    p.add_argument("--gale", required=True, help="Gale vector matrix file")
-    p.add_argument("--cofacets",
-                   help="semicolon-separated cofacet index groups")
-    _add_common(p)
-
-
-def _scaling_arguments(p, d, fmt):
-    _add_source_flags(p)
-    p.add_argument("--ones", help="comma-separated variable indices to scale to 1")
-    _add_common(p, d=d, fmt=fmt)
-
-
-def _reduce_arguments(p):
-    _add_source_flags(p)
-    p.add_argument("--flag-indices", dest="flag_indices")
-    _add_common(p, d=True)
-
-
-def _contains_flag_arguments(p):
-    _add_source_flags(p, pattern=False)
-    p.add_argument("--indices", required=True)
-    _add_common(p, fmt=False)
-
-
-def _certificate_arguments(p):
-    _add_source_flags(p)
-    p.add_argument("--ones")
-    p.add_argument("--variable", type=int, required=True,
-                   help="variable to eliminate down to")
-    _add_common(p, d=True, fmt=False)
-
-
-def _builtin_arguments(p):
-    p.add_argument("name", choices=BUILTIN_NAMES)
-    _add_common(p)
-
-
-def _count_minors_arguments(p):
-    _add_source_flags(p)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    _add_common(p, d=True, fmt=False)
-
-
-# (verb, its line in the top-level help or None, handler, function adding
-# its arguments), in the order the top-level usage and help list them
+# (verb, its line in the top-level help or None, handler, its options in
+# usage order), in the order the top-level usage and help list them
 _VERBS = (
     ("slack-matrix", "numeric slack matrix", _cmd_slack_matrix,
-     functools.partial(_source_arguments, pattern=False)),
-    ("symbolic", "symbolic slack matrix", _cmd_symbolic, _source_arguments),
-    ("ideal", "slack ideal generators", _cmd_ideal,
-     functools.partial(_source_arguments, d=True, fmt=False)),
-    ("gale", "Gale transform of vertices", _cmd_gale, _gale_arguments),
+     "vertices object matrix builtin format"),
+    ("symbolic", "symbolic slack matrix", _cmd_symbolic, _SOURCE + " format"),
+    ("ideal", "slack ideal generators", _cmd_ideal, _SOURCE + " d"),
+    ("gale", "Gale transform of vertices", _cmd_gale, "gale-vertices format"),
     ("gale-slack", "slack matrix from a Gale transform", _cmd_gale_slack,
-     _gale_slack_arguments),
-    ("scale", None, _cmd_scale,
-     functools.partial(_scaling_arguments, d=False, fmt=True)),
-    ("dehomogenize", None, _cmd_dehomogenize,
-     functools.partial(_scaling_arguments, d=True, fmt=False)),
-    ("rehomogenize", None, _cmd_rehomogenize,
-     functools.partial(_scaling_arguments, d=True, fmt=False)),
-    ("reduce", "reduced slack matrix", _cmd_reduce, _reduce_arguments),
-    ("contains-flag", None, _cmd_contains_flag, _contains_flag_arguments),
+     "gale cofacets format"),
+    ("scale", None, _cmd_scale, _SOURCE + " ones format"),
+    ("dehomogenize", None, _cmd_dehomogenize, _SOURCE + " ones d"),
+    ("rehomogenize", None, _cmd_rehomogenize, _SOURCE + " ones d"),
+    ("reduce", "reduced slack matrix", _cmd_reduce,
+     _SOURCE + " flag-indices d format"),
+    ("contains-flag", None, _cmd_contains_flag,
+     "vertices object matrix builtin indices"),
     ("graphic-ideal", "toric ideal of the non-incidence graph",
-     _cmd_graphic_ideal, functools.partial(_source_arguments, fmt=False)),
+     _cmd_graphic_ideal, _SOURCE),
     ("certificate", "irrationality certificate (JSON)", _cmd_certificate,
-     _certificate_arguments),
-    ("builtin", "print a stored slack matrix", _cmd_builtin,
-     _builtin_arguments),
-    ("count-minors", None, _cmd_count_minors, _count_minors_arguments),
+     _SOURCE + " certificate-ones variable d"),
+    ("builtin", "print a stored slack matrix", _cmd_builtin, "name format"),
+    ("count-minors", None, _cmd_count_minors, _SOURCE + " rows cols d"),
 )
 
 
@@ -351,14 +307,16 @@ class _VerbParser:
     but a request parses with one verb's parser, and building all of them
     would be most of the cost of a small request."""
 
-    def __init__(self, func, add_arguments, **kwargs):
-        self._build = (func, add_arguments, kwargs)
+    def __init__(self, func, options, **kwargs):
+        self._build = (func, options, kwargs)
 
     @functools.cached_property
     def parser(self):
-        func, add_arguments, kwargs = self._build
+        func, options, kwargs = self._build
         p = argparse.ArgumentParser(**kwargs)
-        add_arguments(p)
+        for name in options.split():
+            flag, keywords = _OPTIONS[name]
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
         return p
 
@@ -372,9 +330,9 @@ def build_parser():
     unchanged, and each verb's own parser is built on its first request."""
     ap = argparse.ArgumentParser(prog="slackkit")
     sub = ap.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
-    for verb, line, func, add_arguments in _VERBS:
+    for verb, line, func, options in _VERBS:
         listed = {} if line is None else {"help": line}
-        sub.add_parser(verb, func=func, add_arguments=add_arguments, **listed)
+        sub.add_parser(verb, func=func, options=options, **listed)
     return ap
 
 

@@ -18,10 +18,15 @@ class UniverseMismatchError(SlackkitError):
 
 def check_variables(indices, nvars):
     """Raise :class:`UniverseMismatchError` for the first of ``indices``
-    that names none of ``nvars`` variables, with the index as given."""
+    that is not an int or names none of ``nvars`` variables, with the index
+    as given."""
     valid = range(nvars)
     for index in indices:
-        if index not in valid:
+        # 1.0 in range(3) holds, but 1.0 indexes no list
+        if type(index) is not int or index not in valid:
+            if type(index) is not int:
+                raise UniverseMismatchError(
+                    f"variable index {index!r} is not an int")
             if not nvars:
                 raise UniverseMismatchError(f"variable index {index} in a "
                                             "ring without variables")
@@ -55,6 +60,20 @@ class SizeMismatchError(SlackkitError):
 
 class DegeneratePatternError(SlackkitError):
     pass
+
+
+def check_support(rows):
+    """Raise :class:`DegeneratePatternError` for a matrix or pattern, given
+    as rows of equal length whose entries are read as true or false, that
+    no slack matrix has: no cells, or an all-zero row or column."""
+    if not rows or not rows[0]:
+        raise DegeneratePatternError("empty pattern")
+    for i, row in enumerate(rows):
+        if not any(row):
+            raise DegeneratePatternError(f"all-zero row {i}")
+    for j, column in enumerate(zip(*rows)):
+        if not any(column):
+            raise DegeneratePatternError(f"all-zero column {j}")
 
 
 class UnknownNameError(SlackkitError):

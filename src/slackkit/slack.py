@@ -12,7 +12,7 @@ from operator import mul
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
                      NotACofacetError, NotAForestError, ScaledMatrixError,
-                     SizeMismatchError, check_variables)
+                     SizeMismatchError, check_support, check_variables)
 from .geometry import (GaleTransform, PointConfiguration, check_vertices,
                        facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
@@ -66,11 +66,9 @@ class SymbolicSlackMatrix:
 
     def __init__(self, support):
         support = [[bool(x) for x in row] for row in support]
-        if not support or not support[0]:
-            raise DegeneratePatternError("empty pattern")
         self.support = support
         self.nrows = len(support)
-        self.ncols = len(support[0])
+        self.ncols = len(support[0]) if support else 0
         if any(len(r) != self.ncols for r in support):
             raise DegeneratePatternError("ragged support pattern")
         self.var_at = {}
@@ -222,8 +220,8 @@ def slack_matrix(V, object="polytope") -> SlackMatrix:
 
 def symbolic_slack_matrix(S) -> SymbolicSlackMatrix:
     """Replace nonzero entries by distinct variables, row-major.  Rejects
-    patterns with an all-zero row or column (no slack matrix looks like
-    that); reduced matrices built internally may still carry zero rows."""
+    empty patterns and those with an all-zero row or column (no slack matrix
+    looks like that); reduced matrices built internally may carry zero rows."""
     if isinstance(S, SymbolicSlackMatrix):
         return S
     if isinstance(S, ScaledSlackMatrix):
@@ -232,12 +230,7 @@ def symbolic_slack_matrix(S) -> SymbolicSlackMatrix:
     if isinstance(S, SlackMatrix):
         S = S.entries
     sym = SymbolicSlackMatrix(S.rows if isinstance(S, RationalMatrix) else S)
-    for i, row in enumerate(sym.support):
-        if not any(row):
-            raise DegeneratePatternError(f"all-zero row {i}")
-    for j in range(sym.ncols):
-        if not any(sym.support[i][j] for i in range(sym.nrows)):
-            raise DegeneratePatternError(f"all-zero column {j}")
+    check_support(sym.support)
     return sym
 
 

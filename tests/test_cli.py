@@ -249,6 +249,13 @@ def test_gale_slack_verb(capsys, tmp_path):
     assert (M.nrows, M.ncols) == (4, 4)
 
 
+def test_gale_slack_from_stdin_without_a_positive_circuit(capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 1"))
+    assert run(capsys, "gale-slack", "--gale", "-") == (
+        1, "", "error: no positive circuit: not a polytope Gale transform\n")
+
+
 def test_scale_and_dehomogenize(capsys):
     code, out, _ = run(capsys, "scale", "--builtin", "prism")
     assert code == 0
@@ -544,6 +551,24 @@ def test_empty_vertex_file_is_domain_error(capsys, tmp_path, verb):
     path.write_text("")
     code, out, err = run(capsys, *verb, "--vertices", str(path))
     assert (code, out, err) == (1, "", "error: empty point configuration\n")
+
+
+@pytest.mark.parametrize("verb", [("slack-matrix",), ("ideal",),
+                                  ("contains-flag", "--indices", "0"),
+                                  ("count-minors",)], ids=lambda v: v[0])
+@pytest.mark.parametrize("text,message", [
+    ("0 0\n0 0", "all-zero row 0"),
+    ("1 0\n1 0", "all-zero column 1"),
+    ("", "empty pattern"),
+], ids=["zero", "zero-column", "empty"])
+def test_degenerate_numeric_matrix_is_domain_error(capsys, tmp_path, verb,
+                                                   text, message):
+    # checked as a pattern is: the zero matrix once gave d = -1 from its
+    # rank 0, and count-minors printed 4 minors of it
+    path = tmp_path / "matrix.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *verb, "--matrix", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_gale_slack_empty_cofacet_list_is_domain_error(capsys, tmp_path):

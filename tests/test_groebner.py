@@ -250,7 +250,7 @@ def test_saturate_by_variables_rejects_a_variable_of_another_ring():
         saturate_by_variables(Ideal([Polynomial.variable(0, 2)]), [5])
 
 
-@pytest.mark.parametrize("var", [-1, 7])
+@pytest.mark.parametrize("var", [-1, 7, 1.0])
 def test_eliminate_rejects_a_variable_of_another_ring(var):
     with pytest.raises(UniverseMismatchError):
         eliminate(Ideal([Polynomial.variable(0, 2)]), [var])

@@ -107,6 +107,17 @@ def test_a_variable_of_a_ring_without_variables_raises():
     assert str(info.value) == "variable index 0 in a ring without variables"
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Polynomial.variable(1.0, 3),
+    lambda: Polynomial.variable(0, 3).substitute_ones([1.0]),
+], ids=["variable", "substitute-ones"])
+def test_a_float_variable_index_raises_naming_it(call):
+    # 1.0 in range(3) holds, but 1.0 indexes no exponent list
+    with pytest.raises(UniverseMismatchError) as info:
+        call()
+    assert str(info.value) == "variable index 1.0 is not an int"
+
+
 def test_square_binomial_multihomogeneous():
     sym = symbolic_slack_matrix(slack_matrix(SQUARE_VERTICES))
     p = poly(8, (1, {0: 1, 3: 1, 5: 1, 6: 1}), (-1, {1: 1, 2: 1, 4: 1, 7: 1}))
@@ -183,7 +194,7 @@ def test_substitute_ones_matches_the_exponent_scan(terms, ones):
     assert all(type(c) is Fraction and c for c in q.terms.values())
 
 
-@pytest.mark.parametrize("ones", [[99], [-1], [0, 4]])
+@pytest.mark.parametrize("ones", [[99], [-1], [0, 4], [1.0]])
 def test_substitute_ones_outside_the_ring_raises(ones):
     with pytest.raises(UniverseMismatchError):
         poly(4, (1, {0: 1, 3: 2})).substitute_ones(ones)

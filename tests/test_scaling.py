@@ -110,6 +110,14 @@ def test_set_ones_rejects_cycle():
         set_ones(sym, range(8))  # the whole 8-cycle
 
 
+def test_set_ones_rejects_a_float_index():
+    # 0.0 in range(8) holds, and set_ones once read 0.0 as x0
+    sym = symbolic_slack_matrix(slack_matrix(SQUARE_VERTICES))
+    with pytest.raises(UniverseMismatchError,
+                       match=r"^variable index 0\.0 is not an int$"):
+        set_ones(sym, [0.0])
+
+
 def test_scaled_matrix_rejects_a_cycle_of_ones():
     # the constructor itself checks the forest: all 8 cells of the square
     # close its 8-cycle, which once gave the zero ideal instead of an error
@@ -380,10 +388,12 @@ def test_rehomogenize_poly_rejects_another_forest():
     lambda: pluecker(RationalMatrix([[1, 2], [3, 4]]), [0, 5]),
     lambda: rational_roots(poly(2, (1, {1: 1}), (-3, {})), -1),
     lambda: rational_roots(poly(1, (1, {0: 1}), (-1, {})), 5),
+    lambda: rational_roots(poly(2, (1, {1: 1}), (-3, {})), 1.0),
     lambda: count_minors(2),
     lambda: count_minors(2, nrows=4),
 ], ids=["pluecker-negative", "pluecker-beyond", "roots-negative",
-        "roots-beyond", "count-minors-no-size", "count-minors-one-size"])
+        "roots-beyond", "roots-float", "count-minors-no-size",
+        "count-minors-one-size"])
 def test_an_index_out_of_range_is_a_domain_error(call):
     # each of these read the wrong data or raised a bare Python error
     with pytest.raises(SlackkitError):

@@ -16,8 +16,8 @@ from slackkit import (GaleTransform, Ideal, PointConfiguration, Polynomial,
                       symbolic_slack_matrix)
 from slackkit import engine, slack
 from slackkit.engine import Ring, normalize
-from slackkit.errors import (DegeneratePatternError, NotACofacetError,
-                             UnknownNameError)
+from slackkit.errors import (DegeneratePatternError, NoCircuitsError,
+                             NotACofacetError, UnknownNameError)
 from slackkit.rationals import denominator_lcm
 from slackkit.scaling import dehomogenized_ideal, set_ones, set_ones_forest
 from slackkit.slack import (ONE, _nonzero_minors, _unit_triangle,
@@ -143,6 +143,14 @@ def test_gale_circuit_slack_single_column():
     G = GaleTransform(RationalMatrix([[1, -1]]))
     S = slack_from_gale_circuits(G)
     assert S.entries.to_lists() == [["1"], ["1"]]
+
+
+def test_gale_circuit_slack_without_a_positive_circuit():
+    # [1, 1] has no positive circuit: no polytope has this Gale transform
+    G = GaleTransform(RationalMatrix([[1, 1]]))
+    with pytest.raises(NoCircuitsError,
+                       match="^no positive circuit: not a polytope Gale"):
+        slack_from_gale_circuits(G)
 
 
 def test_plucker_slack_matches_circuits():

@@ -1,8 +1,9 @@
 """Source structure: every import sits at module level, no module imports
 ``dataclasses`` or ``inspect``, ``slack`` does not import ``scaling``,
 which builds on it, ``groebner`` runs the engine's Buchberger loop in three
-places only, no ``Reducer`` carries a ``scale`` attribute, and no module of
-the package or the tests imports a name it never uses."""
+places only, no ``Reducer`` carries a ``scale`` attribute, no module of
+the package or the tests imports a name it never uses, and the CLI adds
+its options at one site from one table whose every entry a verb uses."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import slackkit
+from slackkit import cli
 
 PACKAGE = Path(slackkit.__file__).parent
 TESTS = Path(__file__).parent
@@ -125,3 +127,27 @@ def test_no_unused_import(path):
 def test_the_unused_import_guard_sees_an_unused_import():
     source = "import os\nfrom a.b import c as d, e\nimport x.y\nprint(e, x)\n"
     assert unused_imports(source) == [(1, "os"), (2, "d")]
+
+
+def test_the_cli_adds_its_options_at_one_site():
+    # every option is an entry of cli._OPTIONS, added by the loop that
+    # builds a verb's parser
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    sites = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "add_argument"]
+    assert len(sites) == 1, sites
+
+
+def unused_options(options, verbs):
+    """The names of ``options`` that no row of ``verbs`` lists."""
+    listed = {name for *_, names in verbs for name in names.split()}
+    return sorted(set(options) - listed)
+
+
+def test_every_cli_option_is_listed_by_a_verb():
+    assert not unused_options(cli._OPTIONS, cli._VERBS)
+
+
+def test_the_unused_option_guard_sees_an_unused_option():
+    verbs = [("a", None, None, "x y"), ("b", "help", None, "y")]
+    assert unused_options({"x": 0, "y": 0, "z": 0}, verbs) == ["z"]
