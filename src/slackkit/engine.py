@@ -39,23 +39,27 @@ selects pairs from a heap keyed once at insertion by (sugar, lcm), applies
 the Gebauer-Moeller criteria M, F and the product criterion when a basis
 element is installed and criterion B when a pair is selected, and returns
 the unit ideal as soon as a constant appears.  The criteria at an install
-run on bitsets: the active elements are a bitset over the divisor rows of
-the :class:`Reducer`, so the elements whose new pair's lcm is the new
-leading monomial times one variable, and every element that criterion M
-drops for them, come from a few ANDs per variable; only the rest are
-scanned one by one, and the active multiples of the new leading monomial
-are one AND per variable too.
+run on bitsets over the divisor rows of the :class:`Reducer`.  One pass
+over the fields finds the active elements above the new leading monomial
+in each field, those above it in two fields or more, and its active
+multiples.  An element above it in one field only, by one, has a pair
+whose lcm is the new leading monomial times a variable; it and every
+element criterion M drops for it take a few ANDs, and only the rest are
+scanned one by one.
 
-A monomial is always reduced by the lowest-index divisor whose leading
-monomial divides it, a choice that depends on the monomial alone: a divisor
-added later has a higher index.  So a :class:`Reducer` memoizes the divisor
-it finds for each monomial, and the memo outlives every ``add``.
+A reduction takes its next term as the ``max`` of its work dict, with no
+term heap: the term order of Monagan & Pearce's heap division, but the
+dicts hold a few terms, so a heap costs more than it saves.  A monomial is
+always reduced by the lowest-index divisor whose leading monomial divides
+it, a choice that depends on the monomial alone: a divisor added later has
+a higher index.  So a :class:`Reducer` memoizes the divisor it finds for
+each monomial, and the memo outlives every ``add``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
 
 from .poly import Polynomial
@@ -308,7 +312,8 @@ class Reducer:
 
     def reduce(self, work):
         """Normal form of the polynomial {monomial: coefficient} ``work``,
-        reducing each term by the lowest-index divisor.
+        taking its largest monomial, ``max(work)``, at each step and
+        reducing it by the lowest-index divisor; ``work`` is used up.
 
         The work is multiplied by integers to keep it integral, so this
         returns ``(remainder, scale)``: the remainder, not made primitive, is
@@ -322,13 +327,9 @@ class Reducer:
         divisors = self.divisors
         out = []
         scale = 1
-        heap = [-m for m in work]
-        heapify(heap)
-        while heap:
-            m = -heappop(heap)
-            c = work.pop(m, 0)
-            if not c:
-                continue
+        while work:
+            m = max(work)
+            c = work.pop(m)
             r = cache.get(m)
             if r is None:
                 hits = divisors(m)
@@ -350,16 +351,11 @@ class Reducer:
                 out = [(x, a * y) for x, y in out]
             for x, y in tail:
                 x += t
-                v = work.get(x)
-                if v is None:
-                    work[x] = -b * y
-                    heappush(heap, -x)
+                v = work.get(x, 0) - b * y
+                if v:
+                    work[x] = v
                 else:
-                    v -= b * y
-                    if v:
-                        work[x] = v
-                    else:
-                        del work[x]
+                    del work[x]
         return out, scale
 
 
@@ -423,19 +419,26 @@ def groebner(polys, ring):
         # has j as its only member.  lt is reduced by every element, so no
         # u_j is 1.
         # above[k]: the active j whose exponent in field k exceeds lt's,
-        # that is, whose u_j has field k
+        # that is, whose u_j has field k; once and twice: the j in at least
+        # one and at least two of them.  The active multiples of lt have
+        # every field at least lt's
         exps = ring.fields(lt)
-        above = [active & row[e + 1] for row, e in zip(rows, exps)]
-        after = [0] * len(above)  # after[k]: the union of above[g], g > k
-        for k in range(len(above) - 1, 0, -1):
-            after[k - 1] = after[k] | above[k]
-        # the class u_j = x_k, in above[k], in no other above[g] and not in
-        # row[e + 2], is minimal, and x_k divides every u_j in above[k]:
-        # keep its lowest j and drop all of above[k] (criterion M)
-        before = dropped = 0
+        above = []
+        once = twice = 0
+        multiples = active
+        for row, e in zip(rows, exps):
+            ak = active & row[e + 1]
+            above.append(ak)
+            twice |= once & ak
+            once |= ak
+            if e:
+                multiples &= row[e]
+        # the class u_j = x_k, in above[k] alone and not in row[e + 2], is
+        # minimal, and x_k divides every u_j in above[k]: keep its lowest j
+        # and drop all of above[k] (criterion M)
+        dropped = 0
         for k, (row, e) in enumerate(zip(rows, exps)):
-            cls = above[k] & ~row[e + 2] & ~(before | after[k])
-            before |= above[k]
+            cls = above[k] & ~twice & ~row[e + 2]
             if cls:
                 j = (cls & -cls).bit_length() - 1
                 u = 1 << (B * k)
@@ -466,11 +469,6 @@ def groebner(polys, ring):
                 j = classes[u]
                 if j >= 0:
                     push(j, u)
-        # the active multiples of lt have every field at least lt's
-        multiples = active
-        for row, e in zip(rows, exps):
-            if e:
-                multiples &= row[e]
         active = (active & ~multiples) | (1 << idx)
 
     for k, f in enumerate(polys):

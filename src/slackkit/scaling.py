@@ -5,6 +5,7 @@ matrices and irrationality certificates."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (NeedsNumericDataError, NeedsScaledMatrixError,
                      NoFlagFoundError, NotAForestError,
@@ -299,16 +300,47 @@ class Certificate(Record):
         }
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    """Miller-Rabin to the bases ``_PRIMES`` for n > 41 prime to them: exact
+    below 3.3e24 (Sorenson & Webster, Math. Comp. 86, 2017), a strong
+    probable-prime test above."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
 def _divisors(n):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
+    """The positive divisors of n != 0, from its prime factors: those in
+    ``_PRIMES`` by trial division, the rest split by Pollard's rho until
+    :func:`_is_prime`, so the cost does not grow with sqrt(n)."""
+    n, primes = abs(n), []
+    for p in _PRIMES:
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+    rest = [n] if n > 1 else []
+    while rest:
+        n = rest.pop()
+        if _is_prime(n):
+            primes.append(n)
+            continue
+        d, c = n, 0
+        while d == n:  # x -> x^2 + c, Floyd's cycle finding
+            c, x, y, d = c + 1, 2, 2, 1
+            while d == 1:
+                x = (x * x + c) % n
+                y = ((y * y + c) ** 2 + c) % n
+                d = gcd(x - y, n)
+        rest += [d, n // d]
+    out = [1]
+    for p in set(primes):
+        out = [d * p ** k for d in out for k in range(primes.count(p) + 1)]
     return sorted(out)
 
 
@@ -320,19 +352,13 @@ def rational_roots(p: Polynomial, var: int):
         return []
     scale = denominator_lcm(p.terms.values())
     coeffs = {m[var]: int(c * scale) for m, c in p.terms.items()}
-    degree = max(coeffs)
-    lead = coeffs[degree]
-    low = min(e for e in coeffs)  # factor out x^low; x=0 root iff low > 0
-    trailing = coeffs[low]
-    roots = set()
-    if low > 0:
-        roots.add(Fraction(0))
-    for pnum in _divisors(trailing):
-        for qden in _divisors(lead):
-            for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                val = sum(c * cand ** e for e, c in coeffs.items())
-                if val == 0:
-                    roots.add(cand)
+    low = min(coeffs)  # factor out x^low; x=0 root iff low > 0
+    roots = {Fraction(0)} if low > 0 else set()
+    dens = _divisors(coeffs[max(coeffs)])
+    for num in _divisors(coeffs[low]):
+        for cand in (Fraction(s * num, q) for q in dens for s in (1, -1)):
+            if sum(c * cand ** e for e, c in coeffs.items()) == 0:
+                roots.add(cand)
     return sorted(roots)
 
 

@@ -11,8 +11,9 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
-                     NotACofacetError, NotAForestError, ScaledMatrixError,
-                     SizeMismatchError, check_support, check_variables)
+                     NonVertexPointError, NotACofacetError, NotAForestError,
+                     ScaledMatrixError, SizeMismatchError, check_support,
+                     check_variables)
 from .geometry import (GaleTransform, PointConfiguration, check_vertices,
                        facets_from_vertices, matroid_hyperplanes,
                        positive_circuits)
@@ -469,7 +470,10 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
     coordinates.  The columns C have rank k - 1 exactly when every row of G
     is orthogonal to that vector.  Only a column that passes every check is
     turned into Fractions, divided once by the product of its rows' integer
-    scale factors.  A cofacet given twice is rejected; a partial list is not.
+    scale factors.  A cofacet given twice is rejected; a partial list is not,
+    but every point must lie outside at least one cofacet, that is, on at
+    least one of the facets listed: a point inside every cofacet is no
+    vertex of the hull (:class:`~slackkit.errors.NonVertexPointError`).
     """
     M = G.matrix
     n = G.n
@@ -503,6 +507,9 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
         if nonzero[0] < 0:
             scale = -scale
         cols.append([Fraction(x, scale) for x in col])
+    bad = [i for i in range(n) if all(col[i] for col in cols)]
+    if bad:
+        raise NonVertexPointError(f"points {bad} are not vertices of the hull")
     cols.sort(key=lambda col: sorted(i for i, x in enumerate(col) if x == 0))
     entries = RationalMatrix([[cols[j][i] for j in range(len(cols))]
                               for i in range(n)])

@@ -19,8 +19,8 @@ from slackkit.builtins import PERLES_ONES
 
 def count_engine_work():
     """Count the engine's pairs pushed and reductions run, as
-    ``engine_work`` in test_engine.py does: the pair heap holds tuples, a
-    reduction's term heap ints."""
+    ``engine_work`` in test_engine.py does: every tuple pushed on the pair
+    heap, inputs included, and every Reducer.reduce call."""
     work = {"pairs": 0, "reductions": 0}
     push, reduce = engine.heappush, engine.Reducer.reduce
 

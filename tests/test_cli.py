@@ -626,6 +626,21 @@ def test_gale_slack_of_a_non_vertex_set_is_domain_error(capsys, tmp_path, gale,
     assert err == f"error: points {bad} are not vertices of the hull\n"
 
 
+def test_gale_slack_cofacets_of_a_non_vertex_set_is_domain_error(capsys,
+                                                                 tmp_path):
+    # the square plus its centre: the centre lies in all four cofacets, so
+    # it is on no facet; this route once printed a row 1 1 1 1 and exited 0
+    vertices = tmp_path / "square-centre.txt"
+    vertices.write_text("0 0\n1 0\n1 1\n0 1\n1/2 1/2")
+    code, gale, _ = run(capsys, "gale", "--vertices", str(vertices))
+    assert code == 0
+    path = tmp_path / "gale.txt"
+    path.write_text(gale)
+    assert run(capsys, "gale-slack", "--gale", str(path), "--cofacets",
+               "2,3,4;0,3,4;0,1,4;1,2,4") == (
+        1, "", "error: points [4] are not vertices of the hull\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_gale_slack_of_an_empty_gale_transform_is_domain_error(capsys, tmp_path,
                                                                 fmt):

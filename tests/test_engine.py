@@ -112,6 +112,117 @@ def test_heap_reduction_by_a_reduced_basis_matches_sympy(name, divisors, queries
                             - expected) == 0
 
 
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_reduction_of_a_long_polynomial_matches_sympy(name):
+    # every monomial of degree at most 9 in 3 variables, 220 terms: the
+    # next term is the max of a long work dict, not of a binomial's few
+    # terms, and the tails of the divisors land among the terms left
+    ring, grevlex = RINGS[name], RINGS["grevlex"]
+    gens = [poly(NV, (1, {0: 2}), (-2, {1: 1}), (1, {})),
+            poly(NV, (1, {1: 2}), (-1, {0: 1, 2: 1})),
+            poly(NV, (1, {2: 2}), (-1, {0: 1}), (3, {1: 1}))]
+    basis = groebner.convert_basis(
+        engine.groebner(engine.pack_polys(gens, grevlex), grevlex),
+        grevlex, ring)
+    red = engine.Reducer(ring)
+    for g in basis:
+        red.add(g)
+    rng = random.Random(3)
+    f = {(a, b, c): rng.choice([-1, 1]) * rng.randint(1, 9)
+         for a in range(10) for b in range(10 - a) for c in range(10 - a - b)}
+    work = {ring.pack(m): c for m, c in f.items()}
+    assert len(work) >= 200
+    got, scale = red.reduce(work)
+    exprs = [to_sympy(engine.to_polynomial(g, ring)) for g in basis]
+    _, expected = sympy.reduced(to_sympy(Polynomial(NV, f)), exprs, *SYMS,
+                                order=name, domain="QQ")
+    assert sympy.expand(to_sympy(unpacked(got, scale, ring)) - expected) == 0
+
+
+# -- the pairs an install keeps ----------------------------------------------
+
+
+def reference_pairs(lts, idx):
+    """The pairs ``(j, idx, lcm)`` that the Gebauer-Moeller criteria keep
+    when element idx is installed after 0, ..., idx - 1, from the leading
+    exponent tuples ``lts`` by brute force.  The active elements are those
+    whose leading monomial no later one divides.  The pair (j, idx) has lcm
+    lt * u_j, u_j = lt_j / gcd(lt_j, lt): criterion M drops it when some
+    active u_k properly divides u_j, criterion F keeps the lowest j of each
+    u_j, and the product criterion drops a u_j whose class holds an lt_j
+    coprime to lt."""
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    lt = lts[idx]
+    active = [j for j in range(idx)
+              if not any(divides(lts[k], lts[j]) for k in range(j + 1, idx))]
+    u = {j: tuple(max(a - b, 0) for a, b in zip(lts[j], lt)) for j in active}
+    pairs = set()
+    for j in active:
+        cls = [k for k in active if u[k] == u[j]]
+        if (any(u[k] != u[j] and divides(u[k], u[j]) for k in active)
+                or j != cls[0] or any(u[k] == lts[k] for k in cls)):
+            continue
+        pairs.add((j, idx, tuple(a + b for a, b in zip(lt, u[j]))))
+    return pairs
+
+
+@st.composite
+def engine_inputs(draw):
+    """A ring in 3 to 6 variables, grevlex, two grevlex blocks or grevlex
+    after the degree in some variables, at 8 or 16 bits, and generators as
+    {exponent tuple: int}."""
+    n = draw(st.integers(3, 6))
+    bits = draw(st.sampled_from([8, 16]))
+    kind = draw(st.sampled_from(["grevlex", "block", "weighted"]))
+    order = draw(st.permutations(range(n)))
+    if kind == "block":
+        cut = draw(st.integers(1, n - 1))
+        ring = Ring(n, [order[:cut], order[cut:]], bits=bits)
+    else:
+        weight = order[:draw(st.integers(1, n - 1))] if kind == "weighted" else None
+        ring = Ring(n, [order], weight, bits)
+    # dense and sparse monomials, so that linear leading monomials occur
+    monomial = st.one_of(
+        st.tuples(*[st.integers(0, 2)] * n),
+        st.dictionaries(st.integers(0, n - 1), st.integers(1, 2),
+                        max_size=3).map(
+            lambda e: tuple(e.get(v, 0) for v in range(n))))
+    gens = draw(st.lists(st.dictionaries(
+        monomial, st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
+        min_size=1, max_size=4))
+    return ring, gens
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(engine_inputs())
+def test_install_pushes_the_pairs_the_criteria_keep(inputs):
+    # every pair an install pushes, as engine.heappush sees it, against the
+    # brute-force criteria over the leading monomials installed so far
+    ring, gens = inputs
+    lts, pushed = [], []
+    push, add = engine.heappush, engine.Reducer.add
+
+    def recorded_push(heap, item):
+        if item[2] >= 0:  # a pair, not an input
+            pushed.append((item[2], item[3], ring.unpack(item[1])))
+        push(heap, item)
+
+    def recorded_add(self, f):
+        lts.append(ring.unpack(f[0][0]))
+        return add(self, f)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "heappush", recorded_push)
+        patch.setattr(engine.Reducer, "add", recorded_add)
+        engine.groebner([ring.from_terms(g) for g in gens], ring)
+    expected = set()
+    for idx in range(len(lts)):
+        expected |= reference_pairs(lts, idx)
+    assert sorted(pushed) == sorted(expected)
+
+
 @ORACLE
 @given(ideal)
 def test_buchberger_matches_sympy(gens):
@@ -455,8 +566,9 @@ def test_radical_membership_is_one_saturation(monkeypatch):
 
 
 def engine_work(monkeypatch):
-    """Count the engine's pairs pushed and reductions run: the pair heap
-    holds tuples, a reduction's term heap ints."""
+    """Count the engine's pairs pushed and reductions run: every tuple
+    pushed on the pair heap, inputs included, and every Reducer.reduce
+    call."""
     work = {"pairs": 0, "reductions": 0}
     push, reduce = engine.heappush, engine.Reducer.reduce
 

@@ -1,6 +1,7 @@
 """Facet enumeration, matroid hyperplanes, Gale transforms, circuits."""
 
 import itertools
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -492,7 +493,8 @@ def test_plucker_slack_entries_are_pluecker_coordinates(points):
     # (-1)^(position of i) det(rows; C minus i), up to one sign per column,
     # with sympy's determinants of the first spanning rows; with
     # k = rank + 1 those rows are all of G and the entries are
-    # +-pluecker(G, C minus i)
+    # +-pluecker(G, C minus i).  A point in every cofacet lies on no facet,
+    # so it is no vertex and the fill must name it instead
     def minor(M, cols):
         return sympy_det(M.submatrix(range(M.nrows), cols).rows)
 
@@ -501,6 +503,12 @@ def test_plucker_slack_entries_are_pluecker_coordinates(points):
     G = gale_transform(V)
     cofacets = [c.support for c in positive_circuits(G)]
     assume(cofacets)
+    inside = [i for i in range(V.n) if all(i in c for c in cofacets)]
+    if inside:
+        with pytest.raises(NonVertexPointError,
+                           match=fr"^points {re.escape(str(inside))} are not"):
+            slack_from_gale_plucker(G, cofacets)
+        return
     S = slack_from_gale_plucker(G, cofacets)
     M = G.matrix
     for cofacet in cofacets:

@@ -4,6 +4,7 @@ certificates."""
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 from slackkit import (BUILTIN_NAMES, Ideal, NonIncidenceGraph, Polynomial,
@@ -585,6 +586,31 @@ def test_rational_roots_quadratic():
     assert rational_roots(poly(1, (1, {0: 2}), (-1, {})), 0) == \
         [Fraction(-1), Fraction(1)]
     assert rational_roots(poly(1, (1, {0: 2}), (-2, {})), 0) == []
+
+
+SEMIPRIME = 999999937 * 1000000007  # two primes near 10^9
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, -(10**14 + 37)),  # x^2 - N, no rational root
+    (1, 0, -10**14),  # x^2 - (10^7)^2
+    (1, 0, -SEMIPRIME),
+    (1, -(999999937 + 1000000007), SEMIPRIME),  # roots the two primes
+    (999999937, 999999937 - 1000000007, -1000000007, 0),  # 0, -1, a ratio
+], ids=["1e14", "1e14-square", "semiprime", "semiprime-roots", "ratio"])
+def test_rational_roots_of_large_constants_match_sympy(coeffs):
+    # the candidates come from factoring the constant term, not from trial
+    # division up to its square root, which took a second at 10^14
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    degree = len(coeffs) - 1
+    expected = sympy.roots(sum(c * x ** (degree - k) for k, c in enumerate(coeffs)),
+                           x, filter="Q")
+    p = poly(1, *[(c, {0: degree - k}) for k, c in enumerate(coeffs) if c])
+    start = time.perf_counter()
+    got = rational_roots(p, 0)
+    assert time.perf_counter() - start < 5
+    assert got == sorted(Fraction(int(r.p), int(r.q)) for r in expected)
 
 
 def test_certificate_rational_root_is_inconclusive():
