@@ -43,9 +43,16 @@ run on bitsets over the divisor rows of the :class:`Reducer`.  One pass
 over the fields finds the active elements above the new leading monomial
 in each field, those above it in two fields or more, and its active
 multiples.  An element above it in one field only, by one, has a pair
-whose lcm is the new leading monomial times a variable; it and every
-element criterion M drops for it take a few ANDs, and only the rest are
-scanned one by one.
+whose lcm is the new leading monomial times a variable, read from a table
+of the packed variables by field; it and every element criterion M drops
+for it take a few ANDs, and only the rest are scanned one by one.
+
+Criterion B drops a selected pair (i, j), i < j, when an element k > j has
+a leading monomial that divides the lcm and shares it with neither side.
+Its divisor lookup is skipped when nothing was installed after j, or when
+the lcm is lt_j times a variable and j is still active (likewise i).  That
+is exact: lcm(lt_j, lt_k) is then lt_j or the lcm, so a witness k has lt_k
+dividing lt_j, and installing k would have made j inactive.
 
 A reduction takes its next term as the ``max`` of its work dict, with no
 term heap: the term order of Monagan & Pearce's heap division, but the
@@ -139,7 +146,11 @@ class Ring:
                 for m in bmasks:
                     k |= ((e & m) * ones) & m
                 return k
-        if wmask:
+        if wmask and len(self.blocks) == 1 and n > 1:
+            def key(e):  # an edge step's order, in one closure
+                return ((e * ones) & full_mask) | (
+                    (((e & wmask) * ones) >> ts) & fm) << E
+        elif wmask:
             block_key = key
 
             def key(e):
@@ -272,6 +283,7 @@ class Reducer:
 
     def __init__(self, ring):
         self.ring = ring
+        self.fields = ring.fields
         self.lts = []      # leading monomials
         self.polys = []    # (leading coefficient, tail, extra degree)
         self.cache = {}
@@ -286,7 +298,7 @@ class Reducer:
         if not ring.graded and tail:
             extra = max(0, ring.max_degree(tail) - ring.degree(lt))
         bit = 1 << len(self.lts)
-        exps = ring.fields(lt)
+        exps = self.fields(lt)
         if exps and max(exps) + 3 > len(self.rows[0]):
             for row in self.rows:
                 row.extend([0] * (max(exps) + 3 - len(row)))
@@ -301,11 +313,11 @@ class Reducer:
         """Bitset of the indices whose leading monomial divides m."""
         bad = 0
         try:
-            for row, e in zip(self.rows, self.ring.fields(m)):
+            for row, e in zip(self.rows, self.fields(m)):
                 bad |= row[e + 1]
         except IndexError:  # an exponent above every leading one
             bad = 0
-            for row, e in zip(self.rows, self.ring.fields(m)):
+            for row, e in zip(self.rows, self.fields(m)):
                 if e + 1 < len(row):
                     bad |= row[e + 1]
         return ((1 << len(self.lts)) - 1) & ~bad
@@ -385,32 +397,35 @@ def groebner(polys, ring):
     lts = red.lts
     polys_of = red.polys
     rows = red.rows
+    xs = [ring.full(1 << (B * k)) for k in range(ring.size)]  # x_k of field k
+    units = frozenset(xs)
     lte = []           # exponent parts of the leading monomials
     sugar = []
     ltdeg = []
     active = 0         # bitset of the indices whose leading monomial is minimal
     heap = []          # (sugar, lcm, i, j); i < 0 marks input j
 
-    def install(f, s):
+    def install(f, s, is_input):
         nonlocal active
         idx = red.add(f)
         lt = f[0][0]
         a = lt & emask
         da = degree(lt)
+        extra = polys_of[idx][2]
+        if is_input:  # the sugar of an input is its largest degree
+            s = max(s, da + extra)
+        room = cap - extra
         lte.append(a)
         sugar.append(s)
         ltdeg.append(da)
-        extra = polys_of[idx][2]
 
-        def push(j, u):
-            du = degree(u)
+        def push(j, lcm, du):
             dl = da + du
-            if dl + max(extra, polys_of[j][2]) > cap:
+            if dl > room or dl + polys_of[j][2] > cap:
                 raise FieldOverflow("an S-pair leaves the packed field width")
             sj = sugar[j] + dl - ltdeg[j]
             si = s + du
-            heappush(heap, (si if si > sj else sj,
-                            lt + ((key(u) << E) | u), j, idx))
+            heappush(heap, (si if si > sj else sj, lcm, j, idx))
 
         # Gebauer-Moeller: the pair (j, idx) has lcm lt * u_j with
         # u_j = lt_j / gcd(lt_j, lt); keep one pair per minimal u_j (M, F)
@@ -421,30 +436,30 @@ def groebner(polys, ring):
         # above[k]: the active j whose exponent in field k exceeds lt's,
         # that is, whose u_j has field k; once and twice: the j in at least
         # one and at least two of them.  The active multiples of lt have
-        # every field at least lt's
-        exps = ring.fields(lt)
+        # every field at least lt's.  Only the fields with above[k]
+        # nonzero are kept, as (x_k, above[k], row[e + 2])
         above = []
         once = twice = 0
         multiples = active
-        for row, e in zip(rows, exps):
+        for row, e, x in zip(rows, red.fields(lt), xs):
             ak = active & row[e + 1]
-            above.append(ak)
-            twice |= once & ak
-            once |= ak
+            if ak:
+                above.append((x, ak, row[e + 2]))
+                twice |= once & ak
+                once |= ak
             if e:
                 multiples &= row[e]
         # the class u_j = x_k, in above[k] alone and not in row[e + 2], is
         # minimal, and x_k divides every u_j in above[k]: keep its lowest j
         # and drop all of above[k] (criterion M)
         dropped = 0
-        for k, (row, e) in enumerate(zip(rows, exps)):
-            cls = above[k] & ~twice & ~row[e + 2]
+        for x, ak, over in above:
+            cls = ak & ~twice & ~over
             if cls:
                 j = (cls & -cls).bit_length() - 1
-                u = 1 << (B * k)
-                if lte[j] != u:
-                    push(j, u)
-                dropped |= above[k]
+                if lts[j] != x:
+                    push(j, lt + x, 1)
+                dropped |= ak
         classes = {}
         rest = active & ~dropped
         while rest:
@@ -468,7 +483,7 @@ def groebner(polys, ring):
                 kept.append(u)
                 j = classes[u]
                 if j >= 0:
-                    push(j, u)
+                    push(j, lt + ((key(u) << E) | u), degree(u))
         active = (active & ~multiples) | (1 << idx)
 
     for k, f in enumerate(polys):
@@ -479,26 +494,27 @@ def groebner(polys, ring):
         if i < 0:
             work = dict(polys[j])
         else:
-            # criterion B, applied lazily: a basis element installed after
-            # the pair whose leading monomial divides the lcm without
-            # sharing it with either side makes the pair redundant
-            le = lcm & emask
-            hits = red.divisors(lcm) >> (j + 1)
-            chained = False
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                b = lte[j + low.bit_length()]
-                if (_lcm_exp(lte[i], b, G, B) != le
-                        and _lcm_exp(lte[j], b, G, B) != le):
-                    chained = True
-                    break
-            if chained:
-                continue
-            lci, taili, _ = polys_of[i]
-            lcj, tailj, _ = polys_of[j]
+            # criterion B, applied lazily, after its exact pretest (see the
+            # module docstring)
             ti = lcm - lts[i]
             tj = lcm - lts[j]
+            if not (j + 1 == len(lts) or tj in units and active >> j & 1
+                    or ti in units and active >> i & 1):
+                le = lcm & emask
+                hits = red.divisors(lcm) >> (j + 1)
+                chained = False
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    b = lte[j + low.bit_length()]
+                    if (_lcm_exp(lte[i], b, G, B) != le
+                            and _lcm_exp(lte[j], b, G, B) != le):
+                        chained = True
+                        break
+                if chained:
+                    continue
+            lci, taili, _ = polys_of[i]
+            lcj, tailj, _ = polys_of[j]
             g = gcd(lci, lcj)
             a, b = lcj // g, lci // g
             work = {x + ti: a * y for x, y in taili}
@@ -514,7 +530,7 @@ def groebner(polys, ring):
             continue
         if not r[0][0] & emask:
             return [[(0, 1)]]
-        install(r, max(s, ring.max_degree(r)) if i < 0 else s)
+        install(r, s, i < 0)
 
     out = []
     while active:

@@ -346,8 +346,15 @@ def _divisors(n):
 
 def rational_roots(p: Polynomial, var: int):
     """All rational roots of a univariate polynomial via the rational root
-    test on an integer-cleared copy."""
+    test on an integer-cleared copy.  A term in any other variable raises
+    :class:`UniverseMismatchError`."""
     check_variables([var], p.nvars)
+    for m in p.terms:
+        for v, e in enumerate(m):
+            if e and v != var:
+                raise UniverseMismatchError(
+                    f"a polynomial in variable {var} alone is needed, and "
+                    f"variable {v} occurs")
     if p.is_zero() or p.is_constant():
         return []
     scale = denominator_lcm(p.terms.values())

@@ -223,6 +223,58 @@ def test_install_pushes_the_pairs_the_criteria_keep(inputs):
     assert sorted(pushed) == sorted(expected)
 
 
+def reference_chained(lts, i, j, lcm):
+    """Whether criterion B drops the pair (i, j) of lcm ``lcm``, by brute
+    force over the leading exponent tuples ``lts`` installed so far: some
+    k > j has lt_k dividing the lcm, and neither lcm(lt_i, lt_k) nor
+    lcm(lt_j, lt_k) is the lcm."""
+    def lcm_of(a, b):
+        return tuple(map(max, a, b))
+
+    return any(all(x <= y for x, y in zip(lts[k], lcm))
+               and lcm_of(lts[i], lts[k]) != lcm != lcm_of(lts[j], lts[k])
+               for k in range(j + 1, len(lts)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(engine_inputs())
+def test_a_popped_pair_is_reduced_unless_criterion_b_drops_it(inputs):
+    # the run's pops and reductions in turn: a popped pair is reduced next
+    # unless B drops it, and the run ends with one reduction per element of
+    # the basis it returns (none for the unit ideal, returned at once)
+    ring, gens = inputs
+    lts, events = [], []
+    pop, add, reduce = engine.heappop, engine.Reducer.add, engine.Reducer.reduce
+
+    def recorded_pop(heap):
+        item = pop(heap)
+        events.append((item, len(lts)))
+        return item
+
+    def recorded_add(self, f):
+        lts.append(ring.unpack(f[0][0]))
+        return add(self, f)
+
+    def recorded_reduce(self, work):
+        events.append(None)
+        return reduce(self, work)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "heappop", recorded_pop)
+        patch.setattr(engine.Reducer, "add", recorded_add)
+        patch.setattr(engine.Reducer, "reduce", recorded_reduce)
+        basis = engine.groebner([ring.from_terms(g) for g in gens], ring)
+    if basis != [[(0, 1)]]:
+        assert events[len(events) - len(basis):] == [None] * len(basis)
+        del events[len(events) - len(basis):]
+    for n, event in enumerate(events):
+        if event and event[0][2] >= 0:
+            (_, lcm, i, j), installed = event
+            reduced = events[n + 1:n + 2] == [None]
+            assert reduced != reference_chained(lts[:installed], i, j,
+                                                ring.unpack(lcm))
+
+
 @ORACLE
 @given(ideal)
 def test_buchberger_matches_sympy(gens):
@@ -586,6 +638,21 @@ def engine_work(monkeypatch):
     return work
 
 
+def popped_hash(monkeypatch):
+    """A sha256 updated with every tuple popped off the pair heap, in turn."""
+    popped = hashlib.sha256()
+    pop = engine.heappop
+
+    def recorded_pop(heap):
+        item = pop(heap)
+        if isinstance(item, tuple):
+            popped.update(repr(item).encode() + b"\n")
+        return item
+
+    monkeypatch.setattr(engine, "heappop", recorded_pop)
+    return popped
+
+
 def test_pentagon_slack_ideal_engine_work(monkeypatch):
     # 9 engine runs: the saturation and the last 8 of the 9 edge steps.  The
     # first edge step gets the saturated basis and the final grevlex run the
@@ -595,22 +662,14 @@ def test_pentagon_slack_ideal_engine_work(monkeypatch):
     # pushed in any order, but they must be popped in this one: the hash is
     # of every (sugar, lcm, i, j) popped, in turn
     work = engine_work(monkeypatch)
-    popped = hashlib.sha256()
-    pop = engine.heappop
+    popped = popped_hash(monkeypatch)
     runs = []
     run = groebner.groebner
-
-    def recorded_pop(heap):
-        item = pop(heap)
-        if isinstance(item, tuple):
-            popped.update(repr(item).encode() + b"\n")
-        return item
 
     def recorded_run(polys, ring):
         runs.append(ring)
         return run(polys, ring)
 
-    monkeypatch.setattr(engine, "heappop", recorded_pop)
     monkeypatch.setattr(groebner, "groebner", recorded_run)
     points = [(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)]
     S = slack_matrix([tuple(map(Fraction, p)) for p in points])
@@ -630,6 +689,37 @@ def test_perles_graphic_ideal_engine_work(monkeypatch):
     I = graphic_ideal(specific_slack_matrix("perles-reduced"))
     assert len(I.groebner_basis()) == 266
     assert work == {"pairs": 21170, "reductions": 20443}
+
+
+def test_weighted_run_with_tails_above_the_leading_degree(monkeypatch):
+    # x0 is weighted first, so x0*x1 leads 3*x1*x2*x3^2: reduced inputs
+    # carry tail terms of higher degree than their leading one, and the
+    # sugar of an input is its leading degree plus that excess.  A change
+    # to the sugar moves the pop hash
+    ring, grevlex = Ring(4, [[0, 1, 2, 3]], weight={0}), Ring(4, [[0, 1, 2, 3]])
+    gens = [{(1, 0, 0, 1): -2, (0, 1, 1, 2): 3, (1, 1, 0, 0): -2},
+            {(1, 2, 1, 0): 2, (0, 1, 1, 1): -1},
+            {(1, 2, 2, 0): 3, (1, 2, 0, 2): -3, (1, 1, 1, 2): 1}]
+    expected = groebner.convert_basis(
+        engine.groebner([grevlex.from_terms(g) for g in gens], grevlex),
+        grevlex, ring)
+    extras = []
+    add = engine.Reducer.add
+
+    def recorded_add(self, f):
+        idx = add(self, f)
+        extras.append(self.polys[idx][2])
+        return idx
+
+    monkeypatch.setattr(engine.Reducer, "add", recorded_add)
+    work = engine_work(monkeypatch)
+    popped = popped_hash(monkeypatch)
+    basis = engine.groebner([ring.from_terms(g) for g in gens], ring)
+    assert max(extras) > 0
+    assert basis == expected
+    assert (len(basis), work) == (8, {"pairs": 19, "reductions": 25})
+    assert popped.hexdigest() == ("8d1d58bbe39fa66ed83878371a399d44"
+                                  "8c89e2744de5b2c8e91ced8292ac213c")
 
 
 def test_pack_of_a_variable_the_ring_does_not_carry_raises():

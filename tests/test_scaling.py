@@ -582,6 +582,18 @@ def test_rational_roots_include_zero():
         [Fraction(0), Fraction(1)]
 
 
+@pytest.mark.parametrize("p, other", [
+    (poly(2, (1, {0: 1, 1: 1}), (-2, {0: 1}), (2, {})), 1),  # x0*x1 - 2*x0 + 2
+    (poly(2, (1, {0: 1}), (1, {1: 1})), 1),  # x0 + x1
+    (poly(3, (1, {2: 2}), (-1, {})), 2),  # no term in x0 at all
+], ids=["shared-exponent", "linear", "other-variable-only"])
+def test_rational_roots_of_a_polynomial_in_another_variable_raise(p, other):
+    # the terms were keyed by the exponent of x0 alone, so x0*x1 - 2*x0 + 2
+    # read as -2*x0 + 2 and gave [1], and x0 + x1 gave [-1]
+    with pytest.raises(UniverseMismatchError, match=f"variable {other} occurs"):
+        rational_roots(p, 0)
+
+
 def test_rational_roots_quadratic():
     assert rational_roots(poly(1, (1, {0: 2}), (-1, {})), 0) == \
         [Fraction(-1), Fraction(1)]
