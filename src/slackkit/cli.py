@@ -349,15 +349,10 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ParseError, UsageError) as e:
+    except (SlackkitError, ParseError, UsageError, OSError) as e:
+        # a domain error exits 1; a parse, usage or file error exits 2
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SlackkitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, SlackkitError) else 2
     return 0
 
 

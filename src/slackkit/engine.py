@@ -13,10 +13,10 @@ so
 * ``a`` divides ``b`` iff ``(b - a) & guard == 0``.
 
 The supported orders are grevlex blocks (each block compared by degree and
-then reverse lexicographically, the first block most significant), optionally
-preceded by the degree in a chosen set of variables.  Grevlex, lex, block
-elimination orders and the "degree in one row of the slack matrix, then
-grevlex" orders of edge-by-edge homogenization are all of that form.
+then reverse lexicographically, the first block most significant), or one
+block preceded by the degree in a chosen set of variables.  Grevlex, lex,
+block elimination orders and the "degree in one row of the slack matrix,
+then grevlex" orders of edge-by-edge homogenization are all of these forms.
 
 A ring packs a subset of its universe: a variable it does not carry has
 exponent zero in all of its monomials.  The operations that build a ring
@@ -70,7 +70,7 @@ from heapq import heappop, heappush
 from math import gcd
 
 from .poly import Polynomial
-from .rationals import denominator_lcm
+from .rationals import integer_row
 
 
 class FieldOverflow(ArithmeticError):
@@ -87,7 +87,8 @@ class Ring:
     first and, inside a block, most significant variable first; each gets
     one packed field, ``size`` fields in all.  A variable left out has
     exponent zero in every monomial of the ring.  ``weight`` is an optional
-    set of variables whose total degree is compared before everything else.
+    set of variables whose total degree is compared before everything else;
+    a ring with a weight has one block.
     """
 
     def __init__(self, nvars, blocks, weight=None, bits=8):
@@ -104,57 +105,44 @@ class Ring:
         fm = (1 << B) - 1
         field = [None] * nvars
         top = n
-        bmasks = []
         for blk in self.blocks:
-            lo = top - len(blk)
-            mask = 0
+            top -= len(blk)
             for j, v in enumerate(blk):
-                field[v] = lo + j
-                mask |= fm << (B * (lo + j))
-            bmasks.append(mask)
-            top = lo
+                field[v] = top + j
         self.field = field
         self.absent = tuple(v for v in range(nvars) if field[v] is None)
         # an absent variable reads the bits above the exponent part, which
         # are zero once the key is masked off
         self.shifts = [B * (n if f is None else f) for f in field]
         self.fm = fm
+        bmasks = [self.mask(blk) for blk in self.blocks]
         self.E = E = B * n
         self.emask = (1 << E) - 1
         self.ones = ones = sum(1 << (B * j) for j in range(n))
         self.guard = sum(1 << (B * j + B - 1) for j in range(n))
         self.cap = (1 << (B - 1)) - 1
         self.top_shift = ts = B * (n - 1) if n else 0
-        wmask = 0
-        for v in self.weight:
-            wmask |= fm << (B * field[v])
-        self.wmask = wmask
+        if self.weight and len(self.blocks) != 1:
+            raise ValueError("a weight needs a ring of one block")
+        self.wmask = wmask = self.mask(self.weight)
         # degree-compatible: a smaller monomial never has a larger degree
         self.graded = len(self.blocks) == 1 and not self.weight
 
-        if all(len(b) == 1 for b in self.blocks):
-            def key(e):
-                return e
-        elif len(self.blocks) == 1:
-            full_mask = bmasks[0]
-
-            def key(e):
-                return (e * ones) & full_mask
-        else:
+        # one closure per ring shape; lex is one block per variable
+        full_mask = bmasks[0] if bmasks else 0
+        if len(self.blocks) != 1:
             def key(e):
                 k = 0
                 for m in bmasks:
                     k |= ((e & m) * ones) & m
                 return k
-        if wmask and len(self.blocks) == 1 and n > 1:
+        elif wmask:
             def key(e):  # an edge step's order, in one closure
                 return ((e * ones) & full_mask) | (
                     (((e & wmask) * ones) >> ts) & fm) << E
-        elif wmask:
-            block_key = key
-
+        else:
             def key(e):
-                return block_key(e) | ((((e & wmask) * ones) >> ts) & fm) << E
+                return (e * ones) & full_mask
         self.key = key
         self.units = [None if f is None else self.full(1 << (B * f))
                       for f in field]
@@ -166,6 +154,10 @@ class Ring:
 
     def widened(self):
         return Ring(self.nvars, self.blocks, self.weight, self.bits * 2)
+
+    def mask(self, variables):
+        """The exponent fields of the carried ``variables``, all bits set."""
+        return sum(self.fm << (self.bits * self.field[v]) for v in variables)
 
     # monomials ------------------------------------------------------------
 
@@ -245,8 +237,8 @@ def pack_polys(polys, ring):
     """Packed integer multiples of Fraction :class:`Polynomial` values."""
     out = []
     for p in polys:
-        scale = denominator_lcm(p.terms.values())
-        out.append(ring.from_terms({m: int(c * scale) for m, c in p.terms.items()}))
+        ints, _ = integer_row(p.terms.values())
+        out.append(ring.from_terms(dict(zip(p.terms, ints))))
     return out
 
 
@@ -380,6 +372,11 @@ def groebner(polys, ring):
 
     Returns the basis sorted by leading monomial, descending; the unit ideal
     is ``[[(0, 1)]]``.
+
+    A run in an order that is not graded can swell from raw generators:
+    start it from a reduced basis, as :func:`~slackkit.groebner.convert_basis`
+    does.  :func:`~slackkit.groebner.saturate`'s block run, which starts from
+    I + <1 - t*f>, is the one exception, measured faster.
     """
     polys = [normalize(list(f)) for f in polys if f]
     for f in polys:

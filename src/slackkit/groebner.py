@@ -31,7 +31,7 @@ from .engine import (FieldOverflow, Reducer, Ring, groebner, pack_polys,
 from .errors import (UniverseMismatchError, ZeroDivisorPolynomialError,
                      check_variables)
 from .poly import GRevLex, Polynomial
-from .rationals import denominator_lcm
+from .rationals import integer_row
 
 
 def _check_ring(nvars, polys):
@@ -62,7 +62,7 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
         _check_ring(f.nvars, items)
     if f.is_zero():
         return f
-    scale = denominator_lcm(f.terms.values())
+    ints, scale = integer_row(f.terms.values())
 
     def run(ring):
         if memo is not None and memo[3].ring is ring:
@@ -71,8 +71,8 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
             red = Reducer(ring)
             for g in pack_polys([g for g in items if not g.is_zero()], ring):
                 red.add(g)
-        return (red, *red.reduce({ring.pack(m): int(c * scale)
-                                  for m, c in f.terms.items()}))
+        return (red, *red.reduce({ring.pack(m): c
+                                  for m, c in zip(f.terms, ints)}))
 
     start = memo[3].ring if memo is not None else Ring.for_order(order, f.nvars)
     red, out, factor = widening(run, start)
@@ -238,8 +238,8 @@ def ideal_equals(I: Ideal, J: Ideal) -> bool:
 def _rabinowitsch(f, ring):
     """1 - t*f packed in ``ring``, t being its last variable and f a
     polynomial in the variables before it."""
-    scale = denominator_lcm(f.terms.values())
-    terms = {m + (1,): -int(c * scale) for m, c in f.terms.items()}
+    ints, scale = integer_row(f.terms.values())
+    terms = {m + (1,): -c for m, c in zip(f.terms, ints)}
     terms[(0,) * ring.nvars] = scale
     return ring.from_terms(terms)
 
@@ -257,7 +257,7 @@ def _eliminate(basis, front, rest, nvars):
     size = max([nvars, *(v + 1 for v in front)])
 
     def run(block):
-        mask = sum(block.fm << (block.bits * block.field[v]) for v in front)
+        mask = block.mask(front)
         final = Ring(nvars, [rest], bits=block.bits)
         return final, [final.convert(f, block)
                        for f in basis(block)
@@ -337,7 +337,7 @@ def homogenize_by_edges(I: Ideal, edges) -> Ideal:
         for v, weight in edges:
             weighted = Ring(grevlex.nvars, grevlex.blocks, weight, grevlex.bits)
             wdeg, unit = weighted.weight_degree, weighted.units[v]
-            occurs = (unit & weighted.emask) * weighted.fm  # v's field
+            occurs = weighted.mask([v])
             polys = convert_basis(basis, ring, weighted)
             if any(m & occurs for f in polys for m, _ in f):
                 raise UniverseMismatchError(

@@ -27,10 +27,17 @@ class MonomialOrder:
     ``blocks(nvars)`` lists the variables block by block, most significant
     block first.  Blocks compare by degree, then reverse lexicographically.
     The packed engine (:meth:`slackkit.engine.Ring.for_order`) reads the same
-    layout, so printed and computed bases agree."""
+    layout, so printed and computed bases agree.  The class fixes the layout
+    for every ``nvars``, so two orders of one class are equal."""
 
     def blocks(self, nvars):
         raise NotImplementedError
+
+    def __eq__(self, other):
+        return type(self) is type(other)
+
+    def __hash__(self):
+        return hash(type(self))
 
     def key(self, m):
         """Sort key, larger for larger monomials: per block, the degree,

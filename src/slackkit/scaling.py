@@ -15,7 +15,7 @@ from .geometry import PointConfiguration, check_columns
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
                        saturate_by_variables)
 from .poly import Polynomial
-from .rationals import denominator_lcm, int_rref
+from .rationals import int_rref, integer_row
 from .record import Record
 from .slack import (NonIncidenceGraph, ScaledSlackMatrix, SlackMatrix,
                     SpanningForest, SymbolicSlackMatrix, slack_matrix,
@@ -357,8 +357,8 @@ def rational_roots(p: Polynomial, var: int):
                     f"variable {v} occurs")
     if p.is_zero() or p.is_constant():
         return []
-    scale = denominator_lcm(p.terms.values())
-    coeffs = {m[var]: int(c * scale) for m, c in p.terms.items()}
+    ints, _ = integer_row(p.terms.values())
+    coeffs = {m[var]: c for m, c in zip(p.terms, ints)}
     low = min(coeffs)  # factor out x^low; x=0 root iff low > 0
     roots = {Fraction(0)} if low > 0 else set()
     dens = _divisors(coeffs[max(coeffs)])

@@ -214,9 +214,16 @@ def slack_matrix(V, object="polytope") -> SlackMatrix:
         h, k = integer_row([hp.offset, *hp.normal])
         h[1:] = [-a for a in h[1:]]
         cols.append([Fraction(sum(map(mul, h, x)), k * kx) for x, kx in points])
-    entries = RationalMatrix([[cols[j][i] for j in range(len(cols))]
-                              for i in range(V.n)])
-    return SlackMatrix(entries, source=object)
+    return _from_columns(cols, V.n, object)
+
+
+def _from_columns(cols, n, source):
+    """The slack matrix of ``n`` points with the columns ``cols``, ordered
+    by their zero (incidence) sets as :func:`slack_matrix` orders its
+    hyperplanes, so that constructions of one polytope align."""
+    cols = sorted(cols, key=lambda col: [i for i, x in enumerate(col) if x == 0])
+    return SlackMatrix(RationalMatrix([[col[i] for col in cols]
+                                       for i in range(n)]), source=source)
 
 
 def symbolic_slack_matrix(S) -> SymbolicSlackMatrix:
@@ -449,9 +456,7 @@ def slack_from_gale_circuits(G: GaleTransform) -> SlackMatrix:
         for i, lam in zip(c.support, c.coefficients):
             col[i] = lam
         cols.append(col)
-    cols.sort(key=lambda col: sorted(i for i, x in enumerate(col) if x == 0))
-    S = SlackMatrix(RationalMatrix([[cols[j][i] for j in range(len(cols))]
-                                    for i in range(n)]), source="polytope")
+    S = _from_columns(cols, n, "polytope")
     # a Gale transform of n points spanning Q^d has rank n - 1 - d
     check_vertices(S.incidence, n, n - 1 - G.matrix.rank())
     return S
@@ -510,10 +515,7 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
     bad = [i for i in range(n) if all(col[i] for col in cols)]
     if bad:
         raise NonVertexPointError(f"points {bad} are not vertices of the hull")
-    cols.sort(key=lambda col: sorted(i for i, x in enumerate(col) if x == 0))
-    entries = RationalMatrix([[cols[j][i] for j in range(len(cols))]
-                              for i in range(n)])
-    return SlackMatrix(entries, source="polytope")
+    return _from_columns(cols, n, "polytope")
 
 
 def count_minors(d, S=None, nrows=None, ncols=None) -> int:

@@ -1,13 +1,15 @@
 """Containment checks for the Perles reduced pattern, run as a standalone
 script so the caller can bound its runtime.
 
-Verifies that every reduced generator of the slack ideal has normal form 0
-modulo the rehomogenized ideal, and that every rehomogenized generator lies
-in the radical of the slack ideal.  Prints each stage with its elapsed time,
-basis size and engine work (pairs pushed and reductions run since the
-previous stage) as it finishes, and "ok" on success.
+Verifies that the rehomogenized ideal prints the pinned basis (by the
+sha256 of its lines), that every reduced generator of the slack ideal has
+normal form 0 modulo the rehomogenized ideal, and that every rehomogenized
+generator lies in the radical of the slack ideal.  Prints each stage with
+its elapsed time, basis size and engine work (pairs pushed and reductions
+run since the previous stage) as it finishes, and "ok" on success.
 """
 
+import hashlib
 import sys
 import time
 
@@ -15,6 +17,10 @@ from slackkit import (engine, normal_form, radical_membership,
                       rehomogenize_ideal, set_ones, slack_ideal,
                       specific_slack_matrix)
 from slackkit.builtins import PERLES_ONES
+
+# sha256 of the rehomogenized basis' to_strings(), joined by newlines: 3,106
+# elements
+BASIS_SHA256 = "0ae50bd574896c6607bf419eb92a249681b9fb3efeb9785cd3cb2ad82e85795e"
 
 
 def count_engine_work():
@@ -52,6 +58,10 @@ def main():
     Y = set_ones(perles, PERLES_ONES)
     H = rehomogenize_ideal(8, Y)
     stage("rehomogenized ideal done", len(H.groebner_basis()))
+    digest = hashlib.sha256("\n".join(H.to_strings()).encode()).hexdigest()
+    if digest != BASIS_SHA256:
+        print(f"rehomogenized basis has sha256 {digest}, not {BASIS_SHA256}")
+        return 1
     I = slack_ideal(8, perles)
     stage("slack ideal done", len(I.groebner_basis()))
     basis = H.groebner_basis()

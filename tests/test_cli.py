@@ -1,17 +1,21 @@
 """Command-line interface: verbs, formats, exit codes."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import slackkit
+from slackkit import cli
 from slackkit.cli import build_parser, main, parse_matrix_input
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 
 SQUARE_JSON = '[["0","0"],["1","0"],["1","1"],["0","1"]]'
@@ -739,3 +743,105 @@ def test_cli_path(capsys, tmp_path, argv, text, expected):
         path.write_text(text)
     argv = [str(path) if a == "FILE" else a for a in argv]
     assert run(capsys, *argv) == expected
+
+
+# -- robustness: random requests, some malformed, end in exit 0, 1 or 2 ------
+
+FILE_OPTIONS = {"vertices", "matrix", "pattern", "gale", "gale-vertices"}
+TOKENS = ["0", "1", "2", "-1", "1/2", "3/0", "x", "0.5"]
+
+
+def matrix_texts():
+    """Small matrices as text or JSON: rectangular 0/1 ones, and any rows
+    of tokens (ragged rows, bad tokens, 3/0), some as broken JSON."""
+    rectangular = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.sampled_from(["0", "1", "1", "2"]), min_size=shape[1],
+                     max_size=shape[1]), min_size=shape[0], max_size=shape[0]))
+    anything = st.lists(st.lists(st.sampled_from(TOKENS), max_size=5),
+                        max_size=6)
+    return st.one_of(rectangular, rectangular, anything).flatmap(
+        lambda rows: st.sampled_from(["\n".join(" ".join(row) for row in rows)] * 2
+                                     + [json.dumps(rows), json.dumps(rows)[:-1]]))
+
+
+def indices():
+    return st.lists(st.sampled_from(["0", "1", "2", "5", "-1", "x"]),
+                    max_size=4).map(",".join)
+
+
+# the Perles and sphere built-ins are left out of --builtin: their slack
+# ideals take seconds, which is work, not a fault
+VALUES = {
+    "object": st.sampled_from(["polytope", "matroid"] * 2 + ["cube"]),
+    "builtin": st.sampled_from(["square", "prism"] * 2 + ["bogus"]),
+    "name": st.sampled_from([*cli.BUILTIN_NAMES, "bogus"]),
+    "cofacets": st.lists(indices(), min_size=1, max_size=4).map(";".join),
+    "ones": indices(), "certificate-ones": indices(),
+    "flag-indices": indices(), "indices": indices(),
+    "format": st.sampled_from(["text", "json"] * 2 + ["xml"]),
+}
+NUMBER = st.one_of(st.integers(-1, 4).map(str),
+                   st.sampled_from(["9", "x", "1.5"]))
+
+
+@st.composite
+def requests(draw):
+    """(argv, {file name: text}) for one verb of ``cli._VERBS``: one of its
+    source options, if it has any, its required options, each other option
+    of ``cli._OPTIONS`` it takes maybe, and maybe one option of any verb."""
+    verb, _, _, options = draw(st.sampled_from(cli._VERBS))
+    options = options.split()
+    sources = [name for name in options
+               if name in ("vertices", "matrix", "pattern", "builtin")]
+    required = [name for name in options
+                if name == "name" or cli._OPTIONS[name][1].get("required")]
+    names = [name for name in options if name not in sources + ["object"]
+             and (name in required or draw(st.booleans()))]
+    if sources:
+        names.append(draw(st.sampled_from(sources)))
+        if names[-1] == "vertices" and draw(st.booleans()):
+            names.append("object")
+    if draw(st.integers(0, 4)) == 0:
+        names.append(draw(st.sampled_from(sorted(cli._OPTIONS))))
+    argv, files = [verb], {}
+    for name in names:
+        flag = cli._OPTIONS[name][0]
+        if name in FILE_OPTIONS:
+            value = f"m{len(files)}.txt"
+            files[value] = draw(matrix_texts())
+        else:
+            value = draw(VALUES.get(name, NUMBER))
+        argv += [value] if flag == "name" else [flag, value]
+    return argv, files
+
+
+class Alarm(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise Alarm
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=requests())
+def test_a_random_request_exits_0_1_or_2(request, tmp_path):
+    # no request, however malformed, ends in a traceback or runs for long
+    argv, files = request
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(3)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and -h
+        code = exc.code or 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code in (0, 1, 2), argv

@@ -529,14 +529,40 @@ def test_generator_reducing_to_constant_returns_unit():
     assert buchberger([x0, x0 + 1], GRevLex()) == [Polynomial.constant(1, 2)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+def reference_key(m, blocks, weight=()):
+    """A plain sort key for the monomial m: its degree in ``weight``, then
+    per block its degree and its negated exponents in reverse."""
+    k = [sum(m[v] for v in weight)]
+    for block in blocks:
+        neg = [-m[v] for v in reversed(block)]
+        k += [-sum(neg), *neg]
+    return k
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.data())
 def test_packed_order_is_the_printed_order(data):
     # one block layout defines each order: the Fraction sort key and the
-    # packed int must agree on every comparison, at both field widths
-    order = data.draw(st.sampled_from([Lex(), GRevLex()]))
-    n = data.draw(st.integers(1, 6))
-    ring = Ring.for_order(order, n)
+    # packed int must agree on every comparison, at both field widths, in
+    # every ring shape Ring.key serves: lex and grevlex, two blocks (an
+    # elimination order) and one block after a weight (an edge step), the
+    # last from one variable on
+    shape = data.draw(st.sampled_from(["lex", "grevlex", "two blocks", "weighted"]))
+    n = data.draw(st.integers(2 if shape == "two blocks" else 1, 6))
+    order, weight = None, ()
+    if shape in ("lex", "grevlex"):
+        order = Lex() if shape == "lex" else GRevLex()
+        blocks = order.blocks(n)
+        ring = Ring.for_order(order, n)
+    else:
+        variables = data.draw(st.permutations(range(n)))
+        if shape == "two blocks":
+            cut = data.draw(st.integers(1, n - 1))
+            blocks = [variables[:cut], variables[cut:]]
+        else:
+            blocks = [variables]
+            weight = data.draw(st.sets(st.sampled_from(range(n)), min_size=1))
+        ring = Ring(n, blocks, weight)
     if data.draw(st.sampled_from([8, 16])) == 16:
         ring = ring.widened()
     top = data.draw(st.sampled_from([3, ring.cap // n]))
@@ -544,7 +570,18 @@ def test_packed_order_is_the_printed_order(data):
     a = data.draw(monomial)
     b = data.draw(monomial | st.permutations(a).map(tuple))
     pa, pb = ring.pack(a), ring.pack(b)
-    assert compare(order, a, b) == (pa > pb) - (pa < pb)
+    packed = (pa > pb) - (pa < pb)
+    ka, kb = reference_key(a, blocks, weight), reference_key(b, blocks, weight)
+    assert (ka > kb) - (ka < kb) == packed
+    if order is not None:
+        assert compare(order, a, b) == packed
+
+
+def test_a_weight_needs_a_ring_of_one_block():
+    with pytest.raises(ValueError):
+        Ring(3, [[0], [1, 2]], weight={0})
+    with pytest.raises(ValueError):
+        Ring(3, [[0], [1], [2]], weight={1, 2})
 
 
 def test_certificate_pipeline_converts_at_its_boundary_only(monkeypatch):

@@ -7,6 +7,7 @@ from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger, eliminate,
                       ideal_equals, normal_form, radical_membership, saturate,
                       saturate_by_variables, slack_matrix,
                       symbolic_slack_matrix)
+from slackkit import groebner
 from slackkit.slack import unit_triangle_ideal
 from slackkit.errors import UniverseMismatchError, ZeroDivisorPolynomialError
 from conftest import poly
@@ -226,6 +227,32 @@ def test_normal_form_memo_keeps_the_ring_of_no_divisors():
     out = normal_form(Polynomial.variable(0, 1), [], order)
     assert out == Polynomial.variable(0, 1)
     assert list(out.terms) == [(1,)]
+
+
+def test_orders_compare_by_class():
+    assert Lex() == Lex() and GRevLex() == GRevLex()
+    assert Lex() != GRevLex()
+    assert len({Lex(), Lex(), GRevLex(), GRevLex()}) == 2
+
+
+def test_normal_form_memo_holds_for_fresh_order_objects(monkeypatch):
+    # a caller that builds its order per call still reduces by the one
+    # memoized Reducer of the basis
+    built = []
+
+    class CountedReducer(groebner.Reducer):
+        def __init__(self, ring):
+            built.append(ring)
+            super().__init__(ring)
+
+    monkeypatch.setattr(groebner, "Reducer", CountedReducer)
+    monkeypatch.setattr(groebner, "_last_divisors", None)
+    basis = Ideal([poly(3, (1, {0: 2}), (-1, {1: 1, 2: 1})),
+                   poly(3, (1, {1: 2}), (-1, {0: 1, 2: 1}))]).groebner_basis()
+    for k in range(5):
+        f = poly(3, (1, {0: k + 2}), (3, {1: k, 2: 1}))
+        normal_form(f, basis, GRevLex())
+    assert len(built) == 1
 
 
 def test_zero_ideals_of_two_sizes_decide_membership_in_turn():
