@@ -202,13 +202,23 @@ class Ring:
         return normalize(sorted(((pack(m), c) for m, c in terms.items() if c),
                                 reverse=True))
 
-    def convert(self, f, source):
-        """f, packed in ``source``, repacked in this ring."""
+    def repack(self, source):
+        """The map that takes a monomial packed in ``source`` to the same
+        monomial packed in this ring.  Where both rings give every variable
+        the same field at the same width, the exponent part carries over as
+        it is and only the key is made again."""
         if source.field == self.field and source.bits == self.bits:
             emask, full = source.emask, self.full
-            return sorted(((full(m & emask), c) for m, c in f), reverse=True)
+            return lambda m: full(m & emask)
         unpack, pack = source.unpack, self.pack
-        return sorted(((pack(unpack(m)), c) for m, c in f), reverse=True)
+        return lambda m: pack(unpack(m))
+
+    def convert(self, polys, source):
+        """The polynomials ``polys``, packed in ``source``, repacked in this
+        ring, each with its leading term first."""
+        repack = self.repack(source)
+        return [sorted(((repack(m), c) for m, c in f), reverse=True)
+                for f in polys]
 
     def max_degree(self, f):
         if self.graded:  # the leading monomial has the largest degree

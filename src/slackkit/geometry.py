@@ -11,12 +11,19 @@ dual configuration (Oxley, *Matroid Theory*, 2.1), and the positive ones
 are the complements of facets (Ziegler, *Lectures on Polytopes*, ch. 6).
 The search visits C(n, r-1) subsets; above ``MAX_HYPERPLANE_SUBSETS`` it
 raises :class:`~slackkit.errors.TooManySubsetsError` before it starts.  At
-d = 3 a subset takes about 0.02 ms among 8 points, 0.025 ms among 25, 0.05
-ms among 60 and 0.1 ms among 120 (2 cores, Python 3.11): past the walk it
-costs one dot product per point.  The largest search the bound allows at
-d = 3, among 182 points, would take about 0.15 ms a subset at that rate,
-so about 2.5 minutes.  The search runs on integer-scaled rows
-and returns exact rationals, so results are reproducible bit for bit.
+d = 3, for facets of points on a paraboloid, a subset takes about 0.017 ms
+among 8 points, 0.025 ms among 25, 0.036 ms among 60 and 0.052 ms among
+120 (2 cores, Python 3.11): past the walk it costs one dot product per
+point.  The largest search the bound allows at d = 3, among 182 points,
+took 0.075 ms a subset in one run, so about 75 s.
+
+The search runs on integer-scaled rows, so results are reproducible bit
+for bit, and its integers are what the callers read:
+:func:`integer_hyperplanes` hands on each hyperplane's integer functional,
+divisor and values.  Fractions are made only for what is kept: a facet's
+or a hyperplane's offset and normal (:func:`facets_from_vertices`,
+:func:`matroid_hyperplanes`), a circuit's coefficients, and one per entry
+of a slack matrix, in :func:`~slackkit.slack.slack_matrix`.
 """
 
 from __future__ import annotations
@@ -172,30 +179,68 @@ def _affine(vec, den, flat):
                             incident=flat)
 
 
+def integer_hyperplanes(V: PointConfiguration, object="polytope"):
+    """``(rows, hyperplanes)``: the facets of conv(V) (``object`` =
+    "polytope") or the matroid hyperplanes of [1|V] ("matroid"), all on
+    integers.
+
+    ``rows`` are the rows of [1|V], row i scaled by the lcm k_i of its
+    point's denominators, so that ``rows[i][0]`` is k_i.  ``hyperplanes``
+    holds each hyperplane in flat order as ``(flat, c, den, values)``: the
+    integer functional c, the positive divisor den with c / den the kernel
+    row :func:`facets_from_vertices` or :func:`matroid_hyperplanes` reports,
+    and values[i] = c . rows[i], so the slack of point i is
+    values[i] / (den * k_i).
+
+    The facets are the hyperplanes whose values are one-signed; the points
+    must be the vertices of a full-dimensional polytope.  [1|V] then has
+    full column rank, so a flat's kernel row is the search's functional
+    over its leading entry (:func:`_kernel_row`); c is that functional,
+    negated when its values are nonpositive, and den the leading entry's
+    absolute value, which keeps the slacks nonnegative.  A matroid
+    hyperplane's c / den is :func:`_kernel_row`'s, with den made positive.
+    Where [1|V] has full column rank its c and values are the search's too;
+    otherwise c differs and its values are its own dot products.
+    """
+    rows = V.homogenized().integer_rows()
+    ncols = V.dim + 1
+    red, pivots = int_rref(rows, ncols)
+    if object == "polytope":
+        if len(pivots) != ncols:
+            raise NotFullDimensionalError(
+                f"points span affine dimension {len(pivots) - 1}, "
+                f"expected {V.dim}")
+        flats = _hyperplanes(rows, pivots, one_signed=True)
+        check_vertices(flats, V.n, V.dim)
+    elif object == "matroid":
+        flats = _hyperplanes(rows, pivots)
+        kernel = int_rref(int_kernel(red, pivots, ncols), ncols)
+    else:
+        raise ValueError(f"unknown object {object!r}")
+    out = []
+    for flat in sorted(flats, key=sorted):
+        c, values = flats[flat]
+        if object == "polytope":
+            den = abs(next(x for x in c if x))
+            flip = min(values) < 0
+        else:
+            c, den = _kernel_row(c, kernel)
+            if kernel[0]:  # ker(W) is not zero, so c is not the search's
+                values = [sum(map(mul, c, w)) for w in rows]
+            flip = den < 0
+            den = abs(den)
+        if flip:
+            c, values = [-x for x in c], [-x for x in values]
+        out.append((flat, c, den, values))
+    return rows, out
+
+
 def facets_from_vertices(V: PointConfiguration):
     """All facet hyperplanes of conv(V), slack-nonnegative, sorted by their
-    incidence sets.  Inputs must be full-dimensional vertex sets.
-
-    The facets are the hyperplanes of [1|V] whose values on the points are
-    one-signed.  [1|V] has full column rank, so the kernel row of a flat is
-    its functional over the functional's leading entry (:func:`_kernel_row`);
-    dividing by the leading entry's absolute value instead, after flipping a
-    functional with nonpositive values, keeps the slacks nonnegative.
-    """
-    d = V.dim
-    rows = V.homogenized().integer_rows()
-    pivots = int_rref(rows, d + 1)[1]
-    if len(pivots) != d + 1:
-        raise NotFullDimensionalError(
-            f"points span affine dimension {len(pivots) - 1}, expected {d}")
-    facets = {}
-    for flat, (c, values) in _hyperplanes(rows, pivots,
-                                          one_signed=True).items():
-        if min(values) < 0:
-            c = [-x for x in c]
-        facets[flat] = _affine(c, abs(next(x for x in c if x)), flat)
-    check_vertices(facets, V.n, d)
-    return [facets[inc] for inc in sorted(facets, key=sorted)]
+    incidence sets (:func:`integer_hyperplanes`).  Inputs must be
+    full-dimensional vertex sets."""
+    return [_affine(c, den, flat)
+            for flat, c, den, _ in integer_hyperplanes(V)[1]]
 
 
 def check_vertices(incidences, n, d):
@@ -236,16 +281,11 @@ def matroid_hyperplanes(V: PointConfiguration):
     sorted by their incidence sets.
 
     Normals are the kernel rows of :func:`_kernel_row`, with a leading 1 and
-    no canonical sign otherwise.  A single point has one hyperplane, the
-    empty flat.
+    no canonical sign otherwise (:func:`integer_hyperplanes`).  A single
+    point has one hyperplane, the empty flat.
     """
-    rows = V.homogenized().integer_rows()
-    ncols = V.dim + 1
-    red, pivots = int_rref(rows, ncols)
-    flats = _hyperplanes(rows, pivots)
-    kernel = int_rref(int_kernel(red, pivots, ncols), ncols)
-    return [_affine(*_kernel_row(flats[flat][0], kernel), flat)
-            for flat in sorted(flats, key=sorted)]
+    return [_affine(c, den, flat)
+            for flat, c, den, _ in integer_hyperplanes(V, "matroid")[1]]
 
 
 def gale_transform(V: PointConfiguration) -> GaleTransform:

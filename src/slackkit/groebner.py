@@ -112,15 +112,9 @@ def convert_basis(basis, source, target):
     leading coefficient, they are what :func:`groebner` would return.
     Otherwise :func:`groebner` runs once on them.  The unit and zero ideals,
     ``[[(0, 1)]]`` and ``[]``, pass through unchanged."""
-    polys = [target.convert(f, source) for f in basis]
-    pairs = zip(basis, polys)
-    if source.field == target.field and source.bits == target.bits:
-        emask = source.emask  # the exponent parts compare directly
-        kept = all(f[0][0] & emask == g[0][0] & emask for f, g in pairs)
-    else:
-        old, new = source.unpack, target.unpack
-        kept = all(old(f[0][0]) == new(g[0][0]) for f, g in pairs)
-    if kept:
+    polys = target.convert(basis, source)
+    repack = target.repack(source)
+    if all(repack(f[0][0]) == g[0][0] for f, g in zip(basis, polys)):
         polys.sort(key=lambda f: f[0][0], reverse=True)
         return polys
     return groebner(polys, target)
@@ -181,7 +175,7 @@ class Ideal:
         """The reduced basis once computed, else the generators, packed in
         ``ring``: any ring whose variables include those of the ideal, at
         any field width."""
-        return [ring.convert(f, self._ring) for f in self._packed]
+        return ring.convert(self._packed, self._ring)
 
     def _reduced_basis(self):
         """The ring and the packed reduced grevlex basis, computed once."""
@@ -259,9 +253,8 @@ def _eliminate(basis, front, rest, nvars):
     def run(block):
         mask = block.mask(front)
         final = Ring(nvars, [rest], bits=block.bits)
-        return final, [final.convert(f, block)
-                       for f in basis(block)
-                       if not f[0][0] & mask]
+        return final, final.convert(
+            [f for f in basis(block) if not f[0][0] & mask], block)
 
     return Ideal.of_packed(*widening(run, Ring(size, [front, rest])))
 

@@ -11,7 +11,10 @@ one's signed maximal minors off by Cramer's rule; a determinant is the last
 row dotted with the cofactor vector of the rows before it.  Fractions come
 back only in the results of :meth:`RationalMatrix.rref` and
 :meth:`RationalMatrix.kernel_basis`, where each pivot row is divided by its
-pivot once; :meth:`RationalMatrix.rank` builds no Fraction at all.
+pivot once; :meth:`RationalMatrix.rank` builds no Fraction at all.  A slack
+matrix is made from the hyperplane search's integers with one Fraction per
+entry, in :func:`slackkit.slack.slack_matrix`, and a matrix prints each
+entry as ``str`` of its Fraction, which is its :func:`format_rational` text.
 """
 
 from __future__ import annotations
@@ -273,13 +276,14 @@ class RationalMatrix:
     # -- serialization ------------------------------------------------------
 
     def to_lists(self):
-        return [[format_rational(x) for x in row] for row in self.rows]
+        # str of a Fraction is its format_rational text
+        return [list(map(str, row)) for row in self.rows]
 
     def to_json(self) -> str:
         return json.dumps(self.to_lists())
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(format_rational(x) for x in row) for row in self.rows)
+        return "\n".join(" ".join(map(str, row)) for row in self.rows)
 
     @classmethod
     def from_lists(cls, lists) -> "RationalMatrix":

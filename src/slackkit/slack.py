@@ -8,15 +8,13 @@ import itertools
 import math
 from functools import cached_property
 from fractions import Fraction
-from operator import mul
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
                      NonVertexPointError, NotACofacetError, NotAForestError,
                      ScaledMatrixError, SizeMismatchError, check_support,
                      check_variables)
 from .geometry import (GaleTransform, PointConfiguration, check_vertices,
-                       facets_from_vertices, matroid_hyperplanes,
-                       positive_circuits)
+                       integer_hyperplanes, positive_circuits)
 from . import engine
 from .engine import Ring
 from .groebner import Ideal
@@ -32,8 +30,9 @@ class SlackMatrix:
     def __init__(self, entries: RationalMatrix, source="pattern"):
         self.entries = entries
         self.source = source
+        rows = entries.rows
         self.incidence = [
-            frozenset(i for i in range(entries.nrows) if entries[i, j] == 0)
+            frozenset(i for i, row in enumerate(rows) if not row[j])
             for j in range(entries.ncols)]
 
     @property
@@ -197,23 +196,19 @@ class ScaledSlackMatrix:
 def slack_matrix(V, object="polytope") -> SlackMatrix:
     """Slack matrix of conv(V) (object="polytope") or of the matroid of the
     homogenized points (object="matroid"); columns in canonical incidence
-    order."""
+    order.
+
+    Every entry is one Fraction, made here from integers: the slack of
+    point i in a hyperplane of :func:`~slackkit.geometry.integer_hyperplanes`
+    is c . (1, p_i) / den, and row i of the integer [1|V] is k_i (1, p_i)
+    with k_i its first entry, so the entry is values[i] / (den * k_i), with
+    the values the hyperplane search already computed."""
     if not isinstance(V, PointConfiguration):
         V = PointConfiguration(V)
-    if object == "polytope":
-        hyperplanes = facets_from_vertices(V)
-    elif object == "matroid":
-        hyperplanes = matroid_hyperplanes(V)
-    else:
-        raise ValueError(f"unknown object {object!r}")
-    # the slack of point p in {x : b - a.x = 0} is (b, -a) . (1, p); both
-    # sides are scaled to integers once
-    points = [integer_row(row) for row in V.homogenized().rows]
-    cols = []
-    for hp in hyperplanes:
-        h, k = integer_row([hp.offset, *hp.normal])
-        h[1:] = [-a for a in h[1:]]
-        cols.append([Fraction(sum(map(mul, h, x)), k * kx) for x, kx in points])
+    rows, hyperplanes = integer_hyperplanes(V, object)
+    scales = [row[0] for row in rows]
+    cols = [[Fraction(x, den * k) for x, k in zip(values, scales)]
+            for _, _, den, values in hyperplanes]
     return _from_columns(cols, V.n, object)
 
 
@@ -221,7 +216,7 @@ def _from_columns(cols, n, source):
     """The slack matrix of ``n`` points with the columns ``cols``, ordered
     by their zero (incidence) sets as :func:`slack_matrix` orders its
     hyperplanes, so that constructions of one polytope align."""
-    cols = sorted(cols, key=lambda col: [i for i, x in enumerate(col) if x == 0])
+    cols = sorted(cols, key=lambda col: [i for i, x in enumerate(col) if not x])
     return SlackMatrix(RationalMatrix([[col[i] for col in cols]
                                        for i in range(n)]), source=source)
 

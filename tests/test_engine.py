@@ -900,7 +900,7 @@ def test_convert_basis_is_the_reduced_basis_of_the_target_order(monkeypatch):
                 for _ in range(rng.randint(1, 3))]
         for source, target in CONVERSIONS.values():
             basis = run(engine.pack_polys(gens, source), source)
-            expected = run([target.convert(f, source) for f in basis], target)
+            expected = run(target.convert(basis, source), target)
             del runs[:]
             assert groebner.convert_basis(basis, source, target) == expected
             fired[not runs] += 1

@@ -19,7 +19,7 @@ from conftest import PRISM_VERTICES, SQUARE_VERTICES
 from test_rationals import sympy_det
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 
 def unit_simplex(d):
@@ -437,6 +437,86 @@ def test_one_point_has_the_empty_hyperplane():
     P = PointConfiguration([()])
     assert facets_from_vertices(P) == [AffineHyperplane(1, (), frozenset())]
     assert reference_facets_from_vertices(P) == []
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def rational_paraboloid(draw):
+    """Points (x, |x|^2) for distinct rational x in Q^(d-1), all of them
+    vertices of a d-polytope."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d + 1, 8))
+    base = draw(st.lists(st.tuples(*[small_rationals] * (d - 1)), min_size=n,
+                         max_size=n, unique=True))
+    pts = [p + (sum(x * x for x in p),) for p in base]
+    assume(affine_rank(pts) == d)
+    return pts
+
+
+@st.composite
+def four_coplanar(draw):
+    """A quadrilateral o + s u + t v of a random plane in Q^3, and one to
+    three rational points anywhere, in a random order."""
+    o = draw(st.tuples(coords, coords, coords))
+    u, v = draw(st.lists(st.tuples(coords, coords, coords), min_size=2,
+                         max_size=2))
+    s, t = draw(st.lists(small_rationals.filter(bool), min_size=2,
+                         max_size=2))
+    quad = [(0, 0), (s, 0), (s, t), (0, t)]
+    plane = [tuple(o[i] + a * u[i] + b * v[i] for i in range(3))
+             for a, b in quad]
+    off = draw(st.lists(st.tuples(*[small_rationals] * 3), min_size=1,
+                        max_size=3))
+    pts = draw(st.permutations(plane + off))
+    assume(len(set(pts)) == len(pts) and affine_rank(pts) == 3)
+    return pts
+
+
+@st.composite
+def rational_lower_dimensional(draw):
+    """:func:`lower_dimensional` with coordinate i divided by q_i: an affine
+    image that spans a proper affine subspace, with denominators."""
+    pts = draw(lower_dimensional())
+    q = draw(st.lists(st.integers(1, 5), min_size=len(pts[0]),
+                      max_size=len(pts[0])))
+    return [tuple(Fraction(x, k) for x, k in zip(p, q)) for p in pts]
+
+
+def slacks_of_hyperplanes(V, object):
+    """The slack matrix read off the public hyperplane lists, as its rows
+    and its column incidences: entry (i, j) is the slack of point i in
+    hyperplane j (:meth:`AffineHyperplane.slack`)."""
+    hyperplanes = (facets_from_vertices(V) if object == "polytope"
+                   else matroid_hyperplanes(V))
+    return ([[hp.slack(p) for hp in hyperplanes] for p in V.points],
+            [hp.incident for hp in hyperplanes])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(rational_paraboloid(), four_coplanar(),
+                 rational_lower_dimensional()),
+       st.sampled_from(["polytope", "matroid"]))
+@example([(0, 0), (0, 1), (0, 2)], "matroid")  # ker [1|V] != 0
+@example([(0, 0, 0), (3, 0, 0), (3, 2, 0), (0, 2, 0), (Fraction(3, 2), 1, 2)],
+         "polytope")  # a pyramid: four coplanar vertices on one facet
+def test_slack_matrix_is_the_slacks_of_the_public_hyperplanes(points, object):
+    # the integer route of slack_matrix against the Fraction route through
+    # facets_from_vertices / matroid_hyperplanes: same entries, column
+    # order, incidences and source, or the same error
+    V = PointConfiguration(points)
+    expected = outcome(slacks_of_hyperplanes, V, object)
+    S = outcome(slack_matrix, V, object)
+    if isinstance(expected, type):
+        assert S is expected
+        return
+    rows, incidence = expected
+    assert S.entries.rows == rows
+    assert all(type(x) is Fraction for row in S.entries.rows for x in row)
+    assert (S.entries.nrows, S.entries.ncols) == (V.n, len(incidence))
+    assert S.incidence == incidence
+    assert S.source == object
 
 
 def test_point_inside_an_edge_on_d_facets_is_not_a_vertex():

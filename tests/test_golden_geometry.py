@@ -3,11 +3,13 @@
 ``golden_geometry.json`` holds, for five vertex sets, the stdout, stderr
 and exit code of ``slack-matrix`` (polytope and matroid), ``gale``,
 ``gale-slack`` and ``gale-slack --cofacets``, recorded with the Fraction
-elimination that the integer one replaced.  The sets are three paraboloid
-sets of 7, 9 and 12 points, a pyramid over a quadrilateral with one more
-point beyond a side, whose base facet holds four coplanar points, and six
-points spanning only a plane in Q^3 (no ``gale-slack``; its polytope slack
-matrix is an error).  Running this file as a script records the current
+elimination that the integer one replaced, and of both ``slack-matrix``
+requests again with ``--format json``, recorded before the slack matrix was
+built straight from the hyperplane search's integers.  The sets are three
+paraboloid sets of 7, 9 and 12 points, a pyramid over a quadrilateral with
+one more point beyond a side, whose base facet holds four coplanar points,
+and six points spanning only a plane in Q^3 (no ``gale-slack``; its polytope
+slack matrix is an error).  Running this file as a script records the current
 output again: ``python tests/test_golden_geometry.py``.
 """
 
@@ -81,6 +83,9 @@ def requests(name, vertices, tmp):
                                      if row[j] != "0")
                             for j in range(len(rows[0])))
         argv = ["gale-slack", "--gale", "{gale}", "--cofacets", cofacets]
+        yield argv, run(argv, files)
+    for argv in argvs[:2]:
+        argv = argv + ["--format", "json"]
         yield argv, run(argv, files)
 
 

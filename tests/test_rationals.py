@@ -1,6 +1,7 @@
 """Exact rational matrices: rank, kernel, determinant, serialization."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -129,6 +130,30 @@ def test_json_roundtrip_with_fractions():
 def test_ragged_rows_rejected():
     with pytest.raises(RaggedRowsError):
         RationalMatrix.from_text("1 2\n3")
+
+
+BIG = 10**30
+printed_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(-BIG, BIG).map(Fraction),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 4).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.lists(printed_entries, min_size=ncols, max_size=ncols),
+             max_size=4))))
+def test_printing_is_format_rational_per_entry(case):
+    # zero, negative, integral and 30-digit entries print as format_rational
+    ncols, rows = case
+    M = RationalMatrix(rows, ncols=ncols)
+    lists = [[format_rational(x) for x in row] for row in rows]
+    assert M.to_lists() == lists
+    assert M.to_json() == json.dumps(lists)
+    assert M.to_text() == "\n".join(" ".join(row) for row in lists)
 
 
 entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 7]))
