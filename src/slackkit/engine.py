@@ -34,18 +34,19 @@ larger degree than its inputs checks the cap and raises
 field width when that happens.
 
 Polynomials are lists of ``(monomial, int coefficient)`` pairs in descending
-order, primitive, with a positive leading coefficient.  The Buchberger core
-selects pairs from a heap keyed once at insertion by (sugar, lcm), applies
-the Gebauer-Moeller criteria M, F and the product criterion when a basis
-element is installed and criterion B when a pair is selected, and returns
-the unit ideal as soon as a constant appears.  The criteria at an install
-run on bitsets over the divisor rows of the :class:`Reducer`.  One pass
-over the fields finds the active elements above the new leading monomial
-in each field, those above it in two fields or more, and its active
-multiples.  An element above it in one field only, by one, has a pair
-whose lcm is the new leading monomial times a variable, read from a table
-of the packed variables by field; it and every element criterion M drops
-for it take a few ANDs, and only the rest are scanned one by one.
+order, primitive, with a positive leading coefficient: the engine works on
+ints only, and :mod:`slackkit.poly` converts Fraction polynomials.  The
+Buchberger core selects pairs from a heap keyed once at insertion by (sugar,
+lcm), applies the Gebauer-Moeller criteria M, F and the product criterion
+when a basis element is installed and criterion B when a pair is selected,
+and returns the unit ideal as soon as a constant appears.  The criteria at
+an install run on bitsets over the divisor rows of the :class:`Reducer`.
+One pass over the fields finds the active elements above the new leading
+monomial in each field, those above it in two fields or more, and its active
+multiples.  An element above it in one field only, by one, has a pair whose
+lcm is the new leading monomial times a variable, read from a table of the
+packed variables by field; it and every element criterion M drops for it
+take a few ANDs, and only the rest are scanned one by one.
 
 Criterion B drops a selected pair (i, j), i < j, when an element k > j has
 a leading monomial that divides the lcm and shares it with neither side.
@@ -65,12 +66,8 @@ each monomial, and the memo outlives every ``add``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
-
-from .poly import Polynomial
-from .rationals import integer_row
 
 
 class FieldOverflow(ArithmeticError):
@@ -241,24 +238,6 @@ def normalize(f):
     if g != 1:
         f = [(m, c // g) for m, c in f]
     return f
-
-
-def pack_polys(polys, ring):
-    """Packed integer multiples of Fraction :class:`Polynomial` values."""
-    out = []
-    for p in polys:
-        ints, _ = integer_row(p.terms.values())
-        out.append(ring.from_terms(dict(zip(p.terms, ints))))
-    return out
-
-
-def to_polynomial(f, ring):
-    """Monic Fraction :class:`Polynomial` from a packed polynomial."""
-    if not f:
-        return Polynomial.zero(ring.nvars)
-    lc = Fraction(f[0][1])
-    unpack = ring.unpack
-    return Polynomial(ring.nvars, {unpack(m): Fraction(c) / lc for m, c in f})
 
 
 def widening(run, ring):

@@ -34,6 +34,14 @@ def check_variables(indices, nvars):
                 f"variable index {index} outside 0..{nvars - 1}")
 
 
+def check_ring(nvars, polys):
+    """Raise unless every polynomial of ``polys`` has ``nvars`` variables."""
+    for p in polys:
+        if p.nvars != nvars:
+            raise UniverseMismatchError(
+                f"polynomial in {p.nvars} variables, ring of {nvars}")
+
+
 class ZeroDivisorPolynomialError(SlackkitError):
     pass
 

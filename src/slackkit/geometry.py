@@ -268,9 +268,11 @@ def check_vertices(incidences, n, d):
 
 
 def check_columns(col_indices, ncols):
-    """The column indices as a list, each checked to lie in 0..ncols-1."""
+    """The column indices as a list: ints, each in 0..ncols-1."""
     col_indices = list(col_indices)
     for j in col_indices:
+        if type(j) is not int:  # 1.0 and True pass the range test
+            raise SizeMismatchError(f"column {j!r} is not an int")
         if not 0 <= j < ncols:
             raise SizeMismatchError(f"column {j} outside 0..{ncols - 1}")
     return col_indices

@@ -8,7 +8,8 @@ then its reduced basis.  Every operation on ideals follows one pattern: it
 reads its input packed (:meth:`Ideal.packed`), makes its engine calls there
 (under :func:`~slackkit.engine.widening`, so that a degree overflow reruns
 the whole operation with wider fields) and returns an ideal that holds the
-packed result.  Fractions come back only when a basis is asked for.
+packed result.  Fractions come back only when a basis is asked for; the
+conversions are :func:`~slackkit.poly.pack_polys` and its inverse.
 
 Every order but grevlex is reached by converting the reduced grevlex basis
 (:func:`convert_basis`); a lex run from raw generators can stall on growing
@@ -24,22 +25,11 @@ variables, reads a saturation off a homogenization instead.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .engine import (FieldOverflow, Reducer, Ring, groebner, pack_polys,
-                     to_polynomial, widening)
+from .engine import FieldOverflow, Reducer, Ring, groebner, widening
 from .errors import (UniverseMismatchError, ZeroDivisorPolynomialError,
-                     check_variables)
-from .poly import GRevLex, Polynomial
+                     check_ring, check_variables)
+from .poly import GRevLex, Polynomial, pack_polys, to_polynomial
 from .rationals import integer_row
-
-
-def _check_ring(nvars, polys):
-    """Raise unless every polynomial of ``polys`` has ``nvars`` variables."""
-    for p in polys:
-        if p.nvars != nvars:
-            raise UniverseMismatchError(
-                f"polynomial in {p.nvars} variables, ring of {nvars}")
 
 
 # -- normal forms ------------------------------------------------------------
@@ -59,7 +49,7 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
     if memo is not None and memo[:3] != (items, order, f.nvars):
         memo = None
     if memo is None:  # a memoized G was checked when it was stored
-        _check_ring(f.nvars, items)
+        check_ring(f.nvars, items)
     if f.is_zero():
         return f
     ints, scale = integer_row(f.terms.values())
@@ -77,9 +67,7 @@ def normal_form(f: Polynomial, G, order) -> Polynomial:
     start = memo[3].ring if memo is not None else Ring.for_order(order, f.nvars)
     red, out, factor = widening(run, start)
     _last_divisors = (items, order, f.nvars, red)
-    unpack = red.ring.unpack
-    scale *= factor
-    return Polynomial(f.nvars, {unpack(m): Fraction(c, scale) for m, c in out})
+    return to_polynomial(out, red.ring, scale * factor)
 
 
 def buchberger(gens, order) -> list:
@@ -140,7 +128,7 @@ class Ideal:
             if not generators:
                 raise ValueError("empty ideal needs an explicit nvars")
             nvars = generators[0].nvars
-        _check_ring(nvars, generators)
+        check_ring(nvars, generators)
         nonzero = [g for g in generators if not g.is_zero()]
 
         def run(ring):
@@ -196,7 +184,7 @@ class Ideal:
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
-        _check_ring(self.nvars, [f])
+        check_ring(self.nvars, [f])
         return normal_form(f, self.groebner_basis(), self.order).is_zero()
 
     def is_zero(self):
@@ -270,7 +258,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     was about 5 % slower."""
     if f.is_zero():
         raise ZeroDivisorPolynomialError("cannot saturate by the zero polynomial")
-    _check_ring(I.nvars, [f])
+    check_ring(I.nvars, [f])
     n = I.nvars
     return _eliminate(
         lambda ring: groebner(I.packed(ring) + [_rabinowitsch(f, ring)], ring),

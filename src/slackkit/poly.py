@@ -4,14 +4,18 @@ Monomials are dense exponent tuples (length = number of ring variables);
 variables print as x0, x1, ... with the convention x0 > x1 > ... in every
 order.  Polynomials are immutable dicts from exponent tuple to nonzero
 Fraction.
+
+This module is the Fraction side of the integer engine: it holds the
+conversions :func:`pack_polys` and :func:`to_polynomial`, and the trusted
+constructor :meth:`Polynomial._of` of the results this module computes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UniverseMismatchError, check_variables
-from .rationals import format_rational
+from .errors import UniverseMismatchError, check_ring, check_variables
+from .rationals import format_rational, integer_row
 
 
 def mono_mul(a, b):
@@ -75,7 +79,7 @@ class GRevLex(MonomialOrder):
 
 class Polynomial:
     """Immutable sparse polynomial over Q in a ring of `nvars` variables.
-    A monomial that is not `nvars` non-negative exponents raises
+    A monomial that is not `nvars` non-negative int exponents raises
     :class:`UniverseMismatchError`."""
 
     __slots__ = ("nvars", "terms")
@@ -85,7 +89,8 @@ class Polynomial:
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(mono)
-                if len(mono) != nvars or min(mono, default=0) < 0:
+                if (len(mono) != nvars or not {int}.issuperset(map(type, mono))
+                        or min(mono, default=0) < 0):
                     raise UniverseMismatchError(
                         f"{mono} is not a monomial in {nvars} variables")
                 if type(coeff) is not Fraction:
@@ -96,6 +101,15 @@ class Polynomial:
         self.terms = clean
 
     # constructors ----------------------------------------------------------
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        """The polynomial of ``terms`` as they are, unchecked: nonzero
+        Fractions on monomials of ``nvars`` non-negative ints."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, nvars):
@@ -126,15 +140,10 @@ class Polynomial:
 
     # arithmetic -------------------------------------------------------------
 
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise UniverseMismatchError(
-                f"operands in rings of {self.nvars} and {other.nvars} variables")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.nvars)
-        self._check(other)
+        check_ring(self.nvars, [other])
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m, 0) + c
@@ -142,17 +151,15 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial._of(self.nvars, terms)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.nvars)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -161,8 +168,9 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
-        self._check(other)
+            terms = {m: c * v for m, v in self.terms.items()} if c else {}
+            return Polynomial._of(self.nvars, terms)
+        check_ring(self.nvars, [other])
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -172,7 +180,7 @@ class Polynomial:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial._of(self.nvars, terms)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -192,18 +200,14 @@ class Polynomial:
         0..nvars-1 raises :class:`UniverseMismatchError`."""
         idx = set(var_indices)
         check_variables(idx, self.nvars)
-        terms = {}
+        out = {}
         for m, c in self.terms.items():
             e = list(m)
             for i in idx:
                 e[i] = 0
             m = tuple(e)
-            terms[m] = terms[m] + c if m in terms else c
-        # sums of the Fraction coefficients stay Fractions: skip __init__
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {m: c for m, c in terms.items() if c}
-        return out
+            out[m] = out[m] + c if m in out else c
+        return Polynomial._of(self.nvars, {m: c for m, c in out.items() if c})
 
     # printing ---------------------------------------------------------------
 
@@ -231,3 +235,22 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.to_string()})"
+
+
+def pack_polys(polys, ring):
+    """Packed integer multiples of Fraction polynomials, in ``ring``."""
+    out = []
+    for p in polys:
+        ints, _ = integer_row(p.terms.values())
+        out.append(ring.from_terms(dict(zip(p.terms, ints))))
+    return out
+
+
+def to_polynomial(f, ring, den=None):
+    """The Fraction :class:`Polynomial` of the polynomial ``f`` packed in
+    ``ring``, divided by ``den``: by default its leading coefficient, which
+    makes it monic."""
+    if den is None:
+        den = f[0][1] if f else 1
+    return Polynomial._of(ring.nvars,
+                          {ring.unpack(m): Fraction(c, den) for m, c in f})

@@ -9,7 +9,7 @@ from math import gcd
 
 from .errors import (NeedsNumericDataError, NeedsScaledMatrixError,
                      NoFlagFoundError, NotAForestError,
-                     UniverseMismatchError, check_variables)
+                     UniverseMismatchError, check_ring, check_variables)
 from .engine import Ring
 from .geometry import PointConfiguration, check_columns
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
@@ -94,9 +94,7 @@ def rehomogenize_poly(p: Polynomial, Y: ScaledSlackMatrix,
     sym = _scaled(Y).base
     if F is not Y.forest and F != Y.forest:
         raise NotAForestError("F is not Y's forest: pass forest_from_ones(Y)")
-    if p.nvars != sym.nvars:
-        raise UniverseMismatchError(
-            f"polynomial in {p.nvars} variables, pattern with {sym.nvars}")
+    check_ring(sym.nvars, [p])
     cell_of = sym.cell_of
     forest = F.variables
     merge = False

@@ -196,7 +196,7 @@ class ScaledSlackMatrix:
 def slack_matrix(V, object="polytope") -> SlackMatrix:
     """Slack matrix of conv(V) (object="polytope") or of the matroid of the
     homogenized points (object="matroid"); columns in canonical incidence
-    order.
+    order, the flat order of :func:`~slackkit.geometry.integer_hyperplanes`.
 
     Every entry is one Fraction, made here from integers: the slack of
     point i in a hyperplane of :func:`~slackkit.geometry.integer_hyperplanes`
@@ -205,17 +205,16 @@ def slack_matrix(V, object="polytope") -> SlackMatrix:
     the values the hyperplane search already computed."""
     if not isinstance(V, PointConfiguration):
         V = PointConfiguration(V)
-    rows, hyperplanes = integer_hyperplanes(V, object)
-    scales = [row[0] for row in rows]
-    cols = [[Fraction(x, den * k) for x, k in zip(values, scales)]
-            for _, _, den, values in hyperplanes]
-    return _from_columns(cols, V.n, object)
+    rows, planes = integer_hyperplanes(V, object)
+    return SlackMatrix(RationalMatrix(
+        [[Fraction(values[i], den * row[0]) for _, _, den, values in planes]
+         for i, row in enumerate(rows)]), source=object)
 
 
 def _from_columns(cols, n, source):
-    """The slack matrix of ``n`` points with the columns ``cols``, ordered
-    by their zero (incidence) sets as :func:`slack_matrix` orders its
-    hyperplanes, so that constructions of one polytope align."""
+    """The slack matrix of ``n`` points with the columns ``cols`` of a Gale
+    construction, sorted by their zero (incidence) sets, the order of
+    :func:`slack_matrix`'s columns, so that constructions align."""
     cols = sorted(cols, key=lambda col: [i for i, x in enumerate(col) if not x])
     return SlackMatrix(RationalMatrix([[col[i] for col in cols]
                                        for i in range(n)]), source=source)
@@ -482,6 +481,8 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
     cols, seen = [], set()
     for cofacet in cofacets:
         cofacet = sorted(cofacet)
+        if any(type(i) is not int for i in cofacet):  # as 1.0 or True
+            raise NotACofacetError(f"{cofacet} has a point that is not an int")
         if any(not 0 <= i < n for i in cofacet):
             raise NotACofacetError(f"{cofacet} has a point outside 0..{n - 1}")
         if tuple(cofacet) in seen:

@@ -15,6 +15,7 @@ from slackkit import (GRevLex, Ideal, Lex, Polynomial, buchberger,
                       set_ones, set_ones_forest, slack_ideal, slack_matrix,
                       specific_slack_matrix, symbolic_slack_matrix)
 from slackkit import engine, groebner, slack
+from slackkit import poly as poly_module
 from slackkit.groebner import homogenize_by_edges
 from slackkit.engine import FieldOverflow, Ring
 from slackkit.errors import UniverseMismatchError
@@ -103,7 +104,7 @@ def test_heap_reduction_by_a_reduced_basis_matches_sympy(name, divisors, queries
     red = engine.Reducer(ring)
     for g in basis:
         red.add(g)
-    exprs = [to_sympy(engine.to_polynomial(g, ring)) for g in basis]
+    exprs = [to_sympy(poly_module.to_polynomial(g, ring)) for g in basis]
     for f in queries:
         got, scale = red.reduce({ring.pack(m): c for m, c in f.items()})
         _, expected = sympy.reduced(to_sympy(Polynomial(NV, f)), exprs,
@@ -122,7 +123,7 @@ def test_reduction_of_a_long_polynomial_matches_sympy(name):
             poly(NV, (1, {1: 2}), (-1, {0: 1, 2: 1})),
             poly(NV, (1, {2: 2}), (-1, {0: 1}), (3, {1: 1}))]
     basis = groebner.convert_basis(
-        engine.groebner(engine.pack_polys(gens, grevlex), grevlex),
+        engine.groebner(poly_module.pack_polys(gens, grevlex), grevlex),
         grevlex, ring)
     red = engine.Reducer(ring)
     for g in basis:
@@ -133,7 +134,7 @@ def test_reduction_of_a_long_polynomial_matches_sympy(name):
     work = {ring.pack(m): c for m, c in f.items()}
     assert len(work) >= 200
     got, scale = red.reduce(work)
-    exprs = [to_sympy(engine.to_polynomial(g, ring)) for g in basis]
+    exprs = [to_sympy(poly_module.to_polynomial(g, ring)) for g in basis]
     _, expected = sympy.reduced(to_sympy(Polynomial(NV, f)), exprs, *SYMS,
                                 order=name, domain="QQ")
     assert sympy.expand(to_sympy(unpacked(got, scale, ring)) - expected) == 0
@@ -585,20 +586,22 @@ def test_a_weight_needs_a_ring_of_one_block():
 
 
 def test_certificate_pipeline_converts_at_its_boundary_only(monkeypatch):
-    # the only Fraction polynomial made is the certificate's minimal
-    # polynomial: the 12 unit-triangle minors go to the saturation packed in
-    # the ring of the minors, and the saturated basis goes to the
-    # elimination packed
+    # two Fraction polynomials are made: the monomial of the surviving
+    # variables, which saturate_by_variables builds and _rabinowitsch packs
+    # into 1 - t*m by itself, and the certificate's minimal polynomial, the
+    # one conversion from packed.  The 12 unit-triangle minors go to the
+    # saturation packed in the ring of the minors, and the saturated basis
+    # goes to the elimination packed
     Y = set_ones(specific_slack_matrix("perles-reduced"), PERLES_ONES)
     calls = {"pack_polys": 0, "to_polynomial": 0}
     for name in calls:
-        original = getattr(engine, name)
+        original = getattr(poly_module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        for module in (engine, groebner, slack):
+        for module in (poly_module, groebner, slack):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     cert = irrationality_certificate(dehomogenized_ideal(8, Y), 35)
@@ -804,12 +807,12 @@ def test_spair_beyond_field_width_widens():
     gens = [poly(3, (1, {0: 70, 1: 1}), (-1, {2: 1})),
             poly(3, (1, {0: 1, 1: 70}), (-1, {2: 1}))]
     ring = Ring(3, [[0, 1, 2]], bits=8)
-    packed = engine.pack_polys(gens, ring)
+    packed = poly_module.pack_polys(gens, ring)
     with pytest.raises(FieldOverflow):
         engine.groebner(packed, ring)
     wide = Ring(3, [[0, 1, 2]], bits=16)
-    expected = [engine.to_polynomial(f, wide)
-                for f in engine.groebner(engine.pack_polys(gens, wide), wide)]
+    basis = engine.groebner(poly_module.pack_polys(gens, wide), wide)
+    expected = [poly_module.to_polynomial(f, wide) for f in basis]
     assert buchberger(gens, GRevLex()) == expected
 
 
@@ -819,7 +822,7 @@ def test_reduction_beyond_field_width_widens():
     f = Polynomial.monomial((127, 0), 2)
     ring = Ring.for_order(Lex(), 2)
     red = engine.Reducer(ring)
-    for g in engine.pack_polys([x0 - x1 * x1], ring):
+    for g in poly_module.pack_polys([x0 - x1 * x1], ring):
         red.add(g)
     with pytest.raises(FieldOverflow):
         red.reduce({ring.pack((127, 0)): 1})
@@ -846,8 +849,8 @@ def test_widened_ring_agrees_on_random_ideals():
         results = []
         for bits in (8, 16):
             ring = Ring(3, [[0, 1, 2]], bits=bits)
-            results.append([engine.to_polynomial(f, ring) for f in
-                            engine.groebner(engine.pack_polys(gens, ring), ring)])
+            basis = engine.groebner(poly_module.pack_polys(gens, ring), ring)
+            results.append([poly_module.to_polynomial(f, ring) for f in basis])
         assert results[0] == results[1]
 
 
@@ -864,9 +867,9 @@ def test_interreduce_keeps_an_element_another_leading_monomial_divides():
                   (1, {7: 1}), (1, {}))
              for a in range(7) for b in range(7 - a)]
     ring = Ring(8, [range(8)])
-    out = engine.interreduce(engine.pack_polys(gens, ring), ring)
-    assert buchberger([engine.to_polynomial(f, ring) for f in out], GRevLex()) == \
-        buchberger(gens, GRevLex())
+    out = engine.interreduce(poly_module.pack_polys(gens, ring), ring)
+    assert buchberger([poly_module.to_polynomial(f, ring) for f in out],
+                      GRevLex()) == buchberger(gens, GRevLex())
 
 
 # -- converting a reduced basis to another order -----------------------------
@@ -899,7 +902,7 @@ def test_convert_basis_is_the_reduced_basis_of_the_target_order(monkeypatch):
                            for _ in range(rng.randint(1, 3))])
                 for _ in range(rng.randint(1, 3))]
         for source, target in CONVERSIONS.values():
-            basis = run(engine.pack_polys(gens, source), source)
+            basis = run(poly_module.pack_polys(gens, source), source)
             expected = run(target.convert(basis, source), target)
             del runs[:]
             assert groebner.convert_basis(basis, source, target) == expected
@@ -920,12 +923,13 @@ def test_convert_basis_runs_when_a_leading_monomial_moves(monkeypatch):
 
     monkeypatch.setattr(groebner, "groebner", recorded)
     x0, x1 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
-    basis = engine.pack_polys([x0 - x1 * x1], source)
+    basis = poly_module.pack_polys([x0 - x1 * x1], source)
     assert basis[0][0][0] == source.pack((0, 2))
     out = groebner.convert_basis(basis, source, target)
     assert runs == [target]
     assert out[0][0] == (target.pack((1, 0)), 1)
-    assert [engine.to_polynomial(f, target) for f in out] == [x0 - x1 * x1]
+    assert [poly_module.to_polynomial(f, target) for f in out] == \
+        [x0 - x1 * x1]
 
 
 @pytest.mark.parametrize("basis", [[[(0, 1)]], []], ids=["unit", "zero"])

@@ -1,6 +1,7 @@
 """Sparse polynomials, monomial orders, row and column degrees."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -57,6 +58,30 @@ def test_difference_of_squares():
 def test_multiply_by_zero():
     p = poly(2, (3, {0: 1}), (-2, {1: 2}))
     assert (p * Polynomial.zero(2)).is_zero()
+
+
+POLYS = st.lists(
+    st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * 3)),
+    max_size=5,
+).map(lambda ts: poly(3, *[(c, dict(enumerate(m))) for c, m in ts]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(POLYS, POLYS, st.sampled_from([0, 2, Fraction(-1, 3)]))
+def test_arithmetic_results_are_what_the_checking_constructor_makes(p, q, c):
+    # the arithmetic builds its results without the checks: each must hold
+    # nonzero Fractions only, as the public constructor would leave them
+    for r in (p + q, p - q, -p, p * q, p * c, c * p, p + c, c - p):
+        assert r.nvars == 3
+        assert all(type(v) is Fraction and v for v in r.terms.values())
+        assert r == Polynomial(3, r.terms)
+    assert (p * 0).terms == {}
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_across_rings_raises(op):
+    with pytest.raises(UniverseMismatchError):
+        op(Polynomial.variable(0, 2), Polynomial.variable(0, 3))
 
 
 def test_binomial_square_expansion():
@@ -198,6 +223,15 @@ def test_substitute_ones_matches_the_exponent_scan(terms, ones):
 def test_substitute_ones_outside_the_ring_raises(ones):
     with pytest.raises(UniverseMismatchError):
         poly(4, (1, {0: 1, 3: 2})).substitute_ones(ones)
+
+
+@pytest.mark.parametrize("mono", [(0.5, 1), (1.0, 1), (True, 1)],
+                         ids=["half", "float", "bool"])
+def test_a_monomial_of_non_int_exponents_raises_naming_it(mono):
+    # (0.5, 1) once printed as x0^0.5*x1, and the engine then failed on it
+    with pytest.raises(UniverseMismatchError) as info:
+        Polynomial(2, {mono: 1})
+    assert str(info.value) == f"{mono} is not a monomial in 2 variables"
 
 
 @pytest.mark.parametrize("mono", [(-1, 1), (0, 0, 1), (1,), ()])

@@ -18,8 +18,8 @@ from slackkit import (BUILTIN_NAMES, Ideal, NonIncidenceGraph, Polynomial,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix)
 from slackkit.errors import (NeedsNumericDataError, NeedsScaledMatrixError,
-                             NotAForestError, SlackkitError,
-                             UniverseMismatchError)
+                             NotAForestError, SizeMismatchError,
+                             SlackkitError, UniverseMismatchError)
 from slackkit.scaling import forest_weights
 from slackkit.slack import ONE, pattern_minor, unit_triangle_ideal
 from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES,
@@ -545,6 +545,23 @@ def test_simplex_contains_flag():
 def test_contains_flag_needs_numeric_data():
     with pytest.raises(NeedsNumericDataError):
         contains_flag([0, 1], specific_slack_matrix("perles-reduced"))
+
+
+@pytest.mark.parametrize("call, index", [
+    (lambda S: contains_flag([1.0, 2], S), "1.0"),
+    (lambda S: contains_flag([True, 2], S), "True"),
+    (lambda S: reduced_slack_matrix(1, S, flag_indices=[0.0, 1]), "0.0"),
+    (lambda S: pluecker(S.entries, [0, 1.0, 2, 3]), "1.0"),
+    (lambda S: pluecker(S.entries, [0, False, 2, 3]), "False"),
+], ids=["flag-float", "flag-bool", "reduced-float", "pluecker-float",
+        "pluecker-bool"])
+def test_a_column_index_that_is_not_an_int_raises_naming_it(call, index):
+    # 1.0 and True pass 0 <= j < ncols: a float once indexed no list, and
+    # True was read as column 1
+    S = slack_matrix(SQUARE_VERTICES)
+    with pytest.raises(SizeMismatchError) as info:
+        call(S)
+    assert str(info.value) == f"column {index} is not an int"
 
 
 def test_reduced_slack_matrix_of_square():

@@ -197,6 +197,17 @@ def test_plucker_rejects_non_cofacets_by_name(cofacet, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("first", [[2.0, 3], [True, 3]], ids=["float", "bool"])
+def test_plucker_rejects_a_point_that_is_not_an_int(first):
+    # 2.0 and True pass 0 <= i < n: a float once indexed no list, and True
+    # was read as point 1
+    G = gale_transform(PointConfiguration(SQUARE_VERTICES))
+    assert slack_from_gale_plucker(G, [[2, 3], [1, 2], [0, 3], [0, 1]]).nrows == 4
+    with pytest.raises(NotACofacetError) as info:
+        slack_from_gale_plucker(G, [first, [1, 2], [0, 3], [0, 1]])
+    assert str(info.value) == f"{first} has a point that is not an int"
+
+
 def test_plucker_column_below_full_size():
     # columns 0 and 2, (1, 0) and (-3, 0), are parallel: a cofacet of size 2
     # in a rank-2 Gale, whose column is the cofactor vector of the first row

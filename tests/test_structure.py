@@ -1,6 +1,8 @@
 """Source structure: every import sits at module level, no module imports
 ``dataclasses`` or ``inspect``, ``slack`` does not import ``scaling``,
-which builds on it, ``groebner`` runs the engine's Buchberger loop in three
+which builds on it, ``engine`` imports only ``heapq`` and ``math``, only
+``Polynomial._of`` skips the checking constructor and only ``poly`` calls
+it, ``groebner`` runs the engine's Buchberger loop in three
 places only, no ``Reducer`` carries a ``scale`` attribute, no module of
 the package or the tests imports a name it never uses, and the CLI adds
 its options at one site from one table whose every entry a verb uses."""
@@ -58,6 +60,60 @@ def test_slack_does_not_import_scaling():
             names += [alias.name for alias in node.names]
             assert not any("scaling" in name.split(".") for name in names), \
                 f"slack.py:{node.lineno} imports scaling"
+
+
+def test_engine_imports_only_heapq_and_math():
+    # the engine works on ints; poly holds the conversions to Fractions
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "engine.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # "from . import x" is "."
+            names.add("." * node.level + (node.module or ""))
+    assert names == {"__future__", "heapq", "math"}
+
+
+def functions_naming(tree, attr):
+    """The names of the functions of ``tree`` that read the attribute or
+    name ``attr``, ``None`` for a read at module or class level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                or isinstance(node, ast.Name) and node.id == attr):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_polynomial_of_skips_the_checking_constructor():
+    # Polynomial.__new__ is called in _of alone, and _of is called in poly
+    # alone: every other module builds polynomials through the checks
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "poly.py":
+            assert set(functions_naming(tree, "__new__")) == {"_of"}
+            assert functions_naming(tree, "_of")
+        else:
+            assert not functions_naming(tree, "_of"), path.name
+            assert not [node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and node.attr == "__new__"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "Polynomial"], path.name
+
+
+def test_the_constructor_guard_sees_a_new_outside_of():
+    tree = ast.parse("def _of(cls):\n    return cls.__new__(cls)\n"
+                     "def f():\n    return Polynomial._of(1, {})\n"
+                     "x = Polynomial.__new__(Polynomial)\n")
+    assert functions_naming(tree, "__new__") == ["_of", None]
+    assert functions_naming(tree, "_of") == ["f"]
 
 
 def test_groebner_runs_the_engine_in_three_places_only():
