@@ -9,15 +9,16 @@ import sys
 
 from .builtins import BUILTIN_NAMES, specific_slack_matrix
 from .errors import (ParseError, SizeMismatchError, SlackkitError,
-                     UniverseMismatchError, check_support)
-from .geometry import GaleTransform, PointConfiguration, gale_transform
+                     UniverseMismatchError)
+from .geometry import GaleTransform, gale_transform
 from .rationals import RationalMatrix
 from .scaling import (contains_flag, dehomogenized_ideal, graphic_ideal,
                       irrationality_certificate, reduced_slack_matrix,
                       rehomogenize_ideal, set_ones, set_ones_forest, slack_ideal)
 from .slack import (ONE, ScaledSlackMatrix, SlackMatrix, count_minors,
-                    slack_from_gale_circuits, slack_from_gale_plucker,
-                    slack_matrix, symbolic_slack_matrix)
+                    numeric_slack_matrix, slack_from_gale_circuits,
+                    slack_from_gale_plucker, slack_matrix,
+                    symbolic_slack_matrix)
 
 
 class UsageError(Exception):
@@ -71,13 +72,13 @@ def _source_matrix(args):
     if kind == "vertices":
         return slack_matrix(M.rows, object=args.object or "polytope")
     if kind == "matrix":
-        check_support(M.rows)
-        return SlackMatrix(M)
+        return numeric_slack_matrix(M)
     return symbolic_slack_matrix(M)
 
 
 def _numeric(S) -> SlackMatrix:
-    if not isinstance(S, SlackMatrix):
+    S = numeric_slack_matrix(S)
+    if S is None:
         raise UsageError("this command needs a numeric slack matrix")
     return S
 
@@ -155,8 +156,8 @@ def _cmd_ideal(args):
 
 
 def _cmd_gale(args):
-    V = PointConfiguration(_load_matrix(args.vertices).rows)
-    _print_matrix(gale_transform(V).matrix, args.format)
+    _print_matrix(gale_transform(_load_matrix(args.vertices).rows).matrix,
+                  args.format)
 
 
 def _cmd_gale_slack(args):

@@ -66,6 +66,13 @@ class SizeMismatchError(SlackkitError):
     pass
 
 
+def check_dimension(d):
+    """Raise :class:`SizeMismatchError` unless ``d`` is an int, not a bool,
+    and non-negative, with ``d`` as given."""
+    if type(d) is not int or d < 0:  # 2.0 and True would run as sizes
+        raise SizeMismatchError(f"d must be a non-negative int, got {d!r}")
+
+
 class DegeneratePatternError(SlackkitError):
     pass
 

@@ -66,6 +66,12 @@ class PointConfiguration:
         return f"PointConfiguration(n={self.n}, d={self.dim})"
 
 
+def _points(V) -> PointConfiguration:
+    """V as a point configuration: one as it is, a list of points as the
+    configuration of its points."""
+    return V if isinstance(V, PointConfiguration) else PointConfiguration(V)
+
+
 class AffineHyperplane(Record):
     """Hyperplane {x : b - a.x = 0} with its incident point indices."""
 
@@ -202,6 +208,7 @@ def integer_hyperplanes(V: PointConfiguration, object="polytope"):
     Where [1|V] has full column rank its c and values are the search's too;
     otherwise c differs and its values are its own dot products.
     """
+    V = _points(V)
     rows = V.homogenized().integer_rows()
     ncols = V.dim + 1
     red, pivots = int_rref(rows, ncols)
@@ -292,6 +299,7 @@ def matroid_hyperplanes(V: PointConfiguration):
 
 def gale_transform(V: PointConfiguration) -> GaleTransform:
     """Kernel basis of [1|V]^T with columns indexed by the points."""
+    V = _points(V)
     if V.n < V.dim + 1:
         raise NotFullDimensionalError("need at least d+1 points")
     homT = V.homogenized().transpose()

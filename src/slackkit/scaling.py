@@ -9,7 +9,8 @@ from math import gcd
 
 from .errors import (NeedsNumericDataError, NeedsScaledMatrixError,
                      NoFlagFoundError, NotAForestError,
-                     UniverseMismatchError, check_ring, check_variables)
+                     UniverseMismatchError, check_dimension, check_ring,
+                     check_variables)
 from .engine import Ring
 from .geometry import PointConfiguration, check_columns
 from .groebner import (Ideal, eliminate, homogenize_by_edges,
@@ -17,8 +18,8 @@ from .groebner import (Ideal, eliminate, homogenize_by_edges,
 from .poly import Polynomial
 from .rationals import int_rref, integer_row
 from .record import Record
-from .slack import (NonIncidenceGraph, ScaledSlackMatrix, SlackMatrix,
-                    SpanningForest, SymbolicSlackMatrix, slack_matrix,
+from .slack import (NonIncidenceGraph, ScaledSlackMatrix, SpanningForest,
+                    SymbolicSlackMatrix, numeric_slack_matrix, slack_matrix,
                     symbolic_slack_matrix, unit_triangle_ideal)
 
 
@@ -216,11 +217,10 @@ def graphic_ideal(S) -> Ideal:
 def contains_flag(col_indices, S) -> bool:
     """True iff some sequence of columns from col_indices has zero-set
     intersections of strictly decreasing affine dimension d-1, ..., 0."""
-    if isinstance(S, (SymbolicSlackMatrix, ScaledSlackMatrix)):
+    S = numeric_slack_matrix(S)
+    if S is None:
         raise NeedsNumericDataError(
             "flag containment needs a numeric slack matrix")
-    if not isinstance(S, SlackMatrix):
-        S = SlackMatrix(S)
     col_indices = check_columns(col_indices, S.ncols)
     return _find_flag(S, S.rank() - 1, col_indices) is not None
 
@@ -252,21 +252,23 @@ def _find_flag(S, d, candidates):
 def reduced_slack_matrix(d, S, flag_indices=None) -> SymbolicSlackMatrix:
     """Keep the non-simplicial columns plus a flag, so every dropped column
     is simplicial (exactly d zeros).  Returns the kept pattern with fresh
-    row-major variables."""
-    numeric = isinstance(S, SlackMatrix)
+    row-major variables.  A pattern's given flag is taken as it is; only a
+    numeric slack matrix is searched for a flag or has one checked."""
+    check_dimension(d)
     sym = symbolic_slack_matrix(S)
+    numeric = numeric_slack_matrix(S)
     zero_counts = [sum(1 for i in range(sym.nrows) if not sym.support[i][j])
                    for j in range(sym.ncols)]
     non_simplicial = [j for j in range(sym.ncols) if zero_counts[j] != d]
     if flag_indices is not None:
         flag_cols = check_columns(flag_indices, sym.ncols)
-        if numeric and not contains_flag(flag_cols, S):
+        if numeric is not None and not contains_flag(flag_cols, numeric):
             raise NoFlagFoundError("given columns do not contain a flag")
     else:
-        if not numeric:
+        if numeric is None:
             raise NeedsNumericDataError(
                 "flag search needs a numeric slack matrix")
-        flag_cols = _find_flag(S, d, range(sym.ncols))
+        flag_cols = _find_flag(numeric, d, range(sym.ncols))
         if flag_cols is None:
             raise NoFlagFoundError("no flag found among the columns")
     keep = sorted(set(non_simplicial) | set(flag_cols))

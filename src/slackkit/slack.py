@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from .errors import (DegeneratePatternError, NoCircuitsError,
                      NonVertexPointError, NotACofacetError, NotAForestError,
-                     ScaledMatrixError, SizeMismatchError, check_support,
-                     check_variables)
-from .geometry import (GaleTransform, PointConfiguration, check_vertices,
-                       integer_hyperplanes, positive_circuits)
+                     ScaledMatrixError, SizeMismatchError, check_dimension,
+                     check_support, check_variables)
+from .geometry import (GaleTransform, check_vertices, integer_hyperplanes,
+                       positive_circuits)
 from . import engine
 from .engine import Ring
 from .groebner import Ideal
@@ -25,15 +25,18 @@ from .record import Record
 
 class SlackMatrix:
     """Numeric slack matrix: entry (i, j) is the slack of point i in
-    hyperplane j.  Column incidences are the per-column zero index sets."""
+    hyperplane j.  Column incidences are the per-column zero index sets,
+    found on first read."""
 
     def __init__(self, entries: RationalMatrix, source="pattern"):
         self.entries = entries
         self.source = source
-        rows = entries.rows
-        self.incidence = [
-            frozenset(i for i, row in enumerate(rows) if not row[j])
-            for j in range(entries.ncols)]
+
+    @cached_property
+    def incidence(self):
+        rows = self.entries.rows
+        return [frozenset(i for i, row in enumerate(rows) if not row[j])
+                for j in range(self.entries.ncols)]
 
     @property
     def nrows(self):
@@ -203,8 +206,6 @@ def slack_matrix(V, object="polytope") -> SlackMatrix:
     is c . (1, p_i) / den, and row i of the integer [1|V] is k_i (1, p_i)
     with k_i its first entry, so the entry is values[i] / (den * k_i), with
     the values the hyperplane search already computed."""
-    if not isinstance(V, PointConfiguration):
-        V = PointConfiguration(V)
     rows, planes = integer_hyperplanes(V, object)
     return SlackMatrix(RationalMatrix(
         [[Fraction(values[i], den * row[0]) for _, _, den, values in planes]
@@ -234,6 +235,21 @@ def symbolic_slack_matrix(S) -> SymbolicSlackMatrix:
     sym = SymbolicSlackMatrix(S.rows if isinstance(S, RationalMatrix) else S)
     check_support(sym.support)
     return sym
+
+
+def numeric_slack_matrix(S):
+    """S read as a numeric slack matrix: a :class:`SlackMatrix` as it is,
+    ``None`` for a symbolic or scaled pattern, and a RationalMatrix or a
+    list of rows as a :class:`SlackMatrix`, once its support passes the
+    check of :func:`symbolic_slack_matrix`."""
+    if isinstance(S, SlackMatrix):
+        return S
+    if isinstance(S, (SymbolicSlackMatrix, ScaledSlackMatrix)):
+        return None
+    if not isinstance(S, RationalMatrix):
+        S = RationalMatrix(S)
+    check_support(S.rows)
+    return SlackMatrix(S)
 
 
 def _pattern(S):
@@ -416,6 +432,7 @@ def minor_ideal_generators(d, S):
     taken fewest terms first, then lowest degree, each nonzero one is
     replaced by its normal form against those kept before it (same ideal,
     far smaller list).  A numeric matrix is read as its symbolic pattern."""
+    check_dimension(d)
     S = _pattern(S)
     return _minor_ideal(S.grid, S.nvars, d + 2).generators
 
@@ -430,6 +447,7 @@ def unit_triangle_ideal(d, S) -> Ideal:
     and kept packed.  On the scaled Perles matrix the triangle has 9 rows
     and the minors are 12 of the 16,497 nonzero 10-minors.  A numeric
     matrix is read as its symbolic pattern."""
+    check_dimension(d)
     S = _pattern(S)
     k = d + 2
     rows0, cols0 = _unit_triangle(S.grid, k)
@@ -515,12 +533,15 @@ def slack_from_gale_plucker(G: GaleTransform, cofacets) -> SlackMatrix:
 
 
 def count_minors(d, S=None, nrows=None, ncols=None) -> int:
-    """Number of (d+2)-minors of S, or of an nrows x ncols matrix."""
+    """Number of (d+2)-minors of S, read as its pattern, or of an nrows x
+    ncols matrix."""
+    check_dimension(d)
     if S is not None:
+        S = _pattern(S)
         nrows, ncols = S.nrows, S.ncols
     elif nrows is None or ncols is None:
         raise SizeMismatchError("count_minors needs S or both nrows and ncols")
     k = d + 2
-    if k < 0 or k > nrows or k > ncols:
+    if k > nrows or k > ncols:
         return 0
     return math.comb(nrows, k) * math.comb(ncols, k)

@@ -36,6 +36,17 @@ def test_square_has_four_edges():
         assert len(f.incident) == 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda V: facets_from_vertices(V),
+    lambda V: matroid_hyperplanes(V),
+    lambda V: gale_transform(V).matrix,
+], ids=["facets", "matroid", "gale"])
+def test_a_list_of_points_reads_as_its_point_configuration(call):
+    # slack_matrix took a list; these raised AttributeError on one
+    V = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    assert call(V) == call(PointConfiguration(V))
+
+
 def test_simplex_facet_count():
     for d in (2, 3, 4):
         facets = facets_from_vertices(PointConfiguration(unit_simplex(d)))

@@ -17,14 +17,16 @@ from slackkit import (BUILTIN_NAMES, Ideal, NonIncidenceGraph, Polynomial,
                       rehomogenize_poly, set_ones, set_ones_forest,
                       slack_ideal, slack_matrix, specific_slack_matrix,
                       symbolic_slack_matrix)
-from slackkit.errors import (NeedsNumericDataError, NeedsScaledMatrixError,
-                             NotAForestError, SizeMismatchError,
-                             SlackkitError, UniverseMismatchError)
+from slackkit.errors import (DegeneratePatternError, NeedsNumericDataError,
+                             NeedsScaledMatrixError, NotAForestError,
+                             SizeMismatchError, SlackkitError,
+                             UniverseMismatchError)
 from slackkit.scaling import forest_weights
 from slackkit.slack import ONE, pattern_minor, unit_triangle_ideal
 from conftest import (PERLES_ONES, PRISM_VERTICES, SQUARE_VERTICES,
                       is_multihomogeneous, poly)
 from test_geometry import unit_simplex
+from test_golden_geometry import paraboloid_points
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -591,6 +593,113 @@ def test_reduced_slack_matrix_rejects_flagless_columns():
     disjoint = [j for j in range(4) if not (S.incidence[0] & S.incidence[j])]
     with pytest.raises(NoFlagFoundError):
         reduced_slack_matrix(2, S, flag_indices=[0, disjoint[0]])
+
+
+# -- one reader for a numeric slack matrix ----------------------------------
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and text of the SlackkitError
+    it raises."""
+    try:
+        return call()
+    except SlackkitError as e:
+        return type(e), str(e)
+
+
+def numeric_forms(S):
+    """A numeric slack matrix as a SlackMatrix, a RationalMatrix and a list
+    of rows."""
+    return [S, S.entries, [list(row) for row in S.entries.rows]]
+
+
+def paraboloid_slack_matrix():
+    # seed 7 as the benchmark's vertex sets; 8 points (x, y, x^2 + y^2)
+    return slack_matrix(paraboloid_points(random.Random(7), 8))
+
+
+@pytest.mark.parametrize("make, d", [
+    (lambda: specific_slack_matrix("square"), 2),
+    (lambda: specific_slack_matrix("prism"), 3),
+    (paraboloid_slack_matrix, 3),
+], ids=["square", "prism", "paraboloid"])
+def test_every_form_of_a_numeric_slack_matrix_gives_the_same_answers(make, d):
+    # a RationalMatrix was read as a pattern by reduced_slack_matrix, and a
+    # list of rows ended in an AttributeError in contains_flag and
+    # count_minors
+    S = make()
+    columns = [list(range(S.ncols)), [0, 1], [0, S.ncols - 1], [1, 2, 3]]
+
+    def answers(form):
+        return ([outcome(lambda: contains_flag(cols, form)) for cols in columns]
+                + [outcome(lambda: reduced_slack_matrix(d, form).support)]
+                + [outcome(lambda: reduced_slack_matrix(
+                    d, form, flag_indices=cols).support) for cols in columns]
+                + [outcome(lambda: count_minors(d, form))])
+
+    expected = answers(S)
+    assert any(isinstance(a, tuple) for a in expected)  # an error is compared
+    for form in numeric_forms(S)[1:]:
+        assert answers(form) == expected
+
+
+@pytest.mark.parametrize("call, form", [
+    (lambda S: reduced_slack_matrix(2, S, flag_indices=[0, 1]), 1),
+    (lambda S: reduced_slack_matrix(2, S).support, 1),
+    (lambda S: contains_flag([0, 1], S), 2),
+    (lambda S: count_minors(2, S=S), 2),
+], ids=["reduce-given-flag-of-rational-matrix",
+        "reduce-search-of-rational-matrix", "contains-flag-of-rows",
+        "count-minors-of-rows"])
+def test_a_numeric_form_of_the_square_reads_as_its_slack_matrix(call, form):
+    # a wrong pattern, a wrong NeedsNumericDataError and two AttributeErrors
+    S = specific_slack_matrix("square")
+    assert outcome(lambda: call(numeric_forms(S)[form])) == \
+        outcome(lambda: call(S))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [1, 0]], RationalMatrix([[1, 0], [1, 0]]), [[0, 0], [1, 1]], []],
+    ids=["zero-column-rows", "zero-column-matrix", "zero-row", "empty"])
+def test_contains_flag_checks_the_support_of_numeric_data(rows):
+    # as --matrix does: no slack matrix has an all-zero row or column
+    with pytest.raises(DegeneratePatternError):
+        contains_flag([0], rows)
+
+
+def test_reduced_slack_matrix_takes_a_pattern_flag_as_given():
+    R = reduced_slack_matrix(8, specific_slack_matrix("perles-reduced"),
+                             flag_indices=[0, 1])
+    assert R.ncols == 13
+
+
+@pytest.mark.parametrize("call, d", [
+    (lambda S, Y: slack_ideal(2.0, S), "2.0"),
+    (lambda S, Y: minor_ideal_generators(2.0, S), "2.0"),
+    (lambda S, Y: slack_ideal(-3, S), "-3"),
+    (lambda S, Y: minor_ideal_generators(-3, S), "-3"),
+    (lambda S, Y: dehomogenized_ideal(-3, Y), "-3"),
+    (lambda S, Y: slack_ideal(-2, S), "-2"),
+    (lambda S, Y: slack_ideal(True, S), "True"),
+    (lambda S, Y: rehomogenize_ideal(-1, Y), "-1"),
+    (lambda S, Y: count_minors(1.5, nrows=4, ncols=4), "1.5"),
+    (lambda S, Y: unit_triangle_ideal(-3, S), "-3"),
+    (lambda S, Y: reduced_slack_matrix(2.0, S), "2.0"),
+], ids=["slack-ideal-float", "minors-float", "slack-ideal-minus-3",
+        "minors-minus-3", "dehomogenized-minus-3", "slack-ideal-minus-2",
+        "slack-ideal-bool", "rehomogenize-minus-1", "count-minors-float",
+        "unit-triangle-minus-3", "reduce-float"])
+def test_a_d_that_is_not_a_non_negative_int_is_refused(call, d):
+    # an AttributeError, a ValueError, the unit ideal or a TypeError before
+    S = specific_slack_matrix("square")
+    with pytest.raises(SizeMismatchError) as info:
+        call(S, set_ones_forest(S)[0])
+    assert str(info.value) == f"d must be a non-negative int, got {d}"
+
+
+def test_d_zero_is_a_dimension():
+    assert count_minors(0, nrows=2, ncols=3) == 3
+    assert count_minors(0, [[1, 0], [0, 1]]) == 1
 
 
 def test_rational_roots_include_zero():

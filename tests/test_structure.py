@@ -2,10 +2,12 @@
 ``dataclasses`` or ``inspect``, ``slack`` does not import ``scaling``,
 which builds on it, ``engine`` imports only ``heapq`` and ``math``, only
 ``Polynomial._of`` skips the checking constructor and only ``poly`` calls
-it, ``groebner`` runs the engine's Buchberger loop in three
-places only, no ``Reducer`` carries a ``scale`` attribute, no module of
-the package or the tests imports a name it never uses, and the CLI adds
-its options at one site from one table whose every entry a verb uses."""
+it, neither ``cli`` nor ``scaling`` builds a ``SlackMatrix`` or checks a
+support (``slack`` reads numeric slack matrices), ``groebner`` runs the
+engine's Buchberger loop in three places only, no ``Reducer`` carries a
+``scale`` attribute, no module of the package or the tests imports a name
+it never uses, and the CLI adds its options at one site from one table
+whose every entry a verb uses."""
 
 import ast
 from pathlib import Path
@@ -114,6 +116,34 @@ def test_the_constructor_guard_sees_a_new_outside_of():
                      "x = Polynomial.__new__(Polynomial)\n")
     assert functions_naming(tree, "__new__") == ["_of", None]
     assert functions_naming(tree, "_of") == ["f"]
+
+
+def calls_to(tree, names):
+    """``(line, name)`` for each call in ``tree`` of a function or method
+    named in ``names``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name in names:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["cli.py", "scaling.py"])
+def test_only_slack_reads_a_numeric_slack_matrix(name):
+    # slack.numeric_slack_matrix decides what is numeric and checks its
+    # support; its callers neither build a SlackMatrix nor check a support
+    tree = ast.parse((PACKAGE / name).read_text())
+    assert not calls_to(tree, {"SlackMatrix", "check_support"})
+
+
+def test_the_numeric_reader_guard_sees_a_new_call():
+    tree = ast.parse("S = SlackMatrix(M)\nerrors.check_support(M.rows)\n"
+                     "ok = isinstance(S, SlackMatrix)\n")
+    assert calls_to(tree, {"SlackMatrix", "check_support"}) == \
+        [(1, "SlackMatrix"), (2, "check_support")]
 
 
 def test_groebner_runs_the_engine_in_three_places_only():
